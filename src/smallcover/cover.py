@@ -125,11 +125,10 @@ class RealToricSpace:
     @cached_property
     def omega_profiles(self) -> list[tuple[OmegaDescriptor, CohomologyProfile]]:
         coloring = self.classification.coloring
-        out = []
-        for desc in omega_descriptors(self.chi, coloring):
-            sub = self.complex.full_subcomplex(desc.support)
-            out.append((desc, reduced_cohomology(sub, "Z")))
-        return out
+        return [
+            (desc, reduced_cohomology(self.complex, "Z", desc.support))
+            for desc in omega_descriptors(self.chi, coloring)
+        ]
 
     @cached_property
     def h_vector(self) -> tuple[int, ...]:

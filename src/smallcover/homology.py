@@ -1,9 +1,22 @@
 """Reduced simplicial cohomology with Z, Q, and Z_2 coefficients.
 
+The cohomology of a full subcomplex K_W is computed on K's own face masks:
+the q-faces of K_W are the q-face masks of K that lie inside the vertex mask
+of W, already in lexicographic order, and the coboundary rows are built
+from a W-local mask -> column map.  A nonempty W inside one facet spans a
+simplex and is answered without enumerating any face.
+
 Everything is exact: Smith normal form runs on arbitrary-precision integers,
 preferring unit pivots with low fill on a sparse representation and
 falling back to dense minimal-absolute-value pivoting for the residue,
-which is where any torsion lives.
+which is where any torsion lives.  Across degrees, a (q+1)-face that was a
+unit pivot row of delta_q is cleared, i.e. left out as a column of
+delta_{q+1}.  This is exact over Z: the unit pivots make the images of the
+pivot columns together with the unpivoted faces a Z-basis of C^{q+1}, and
+delta_{q+1} vanishes on the image of delta_q, so the remaining columns span
+the same image lattice.  Rows pivoted in the dense phase are never cleared.
+Z_2 ranks come from GF(2) elimination of the uncleared coboundaries, which
+keeps them independent of the integer path.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .errors import InternalConsistencyError
 from .gf2 import _echelonize
 from .simplicial import SimplicialComplex, SimplicialError
 
@@ -132,6 +146,26 @@ class CohomologyProfile:
         return ", ".join(f"H^{q} = {self.groups[q]}" for q in self.degrees())
 
 
+def _coboundary_rows(faces: Sequence[int], cols: dict[int, int]) -> list[dict[int, int]]:
+    """Sparse rows of delta for the face masks ``faces``: omitting the j-th
+    lowest vertex of a row face gives (-1)^j at its column.  Faces absent
+    from ``cols`` (cleared ones) are skipped."""
+    rows = []
+    for tau in faces:
+        row = {}
+        sign = 1
+        bits = tau
+        while bits:
+            low = bits & -bits
+            j = cols.get(tau ^ low)
+            if j is not None:
+                row[j] = sign
+            sign = -sign
+            bits ^= low
+        rows.append(row)
+    return rows
+
+
 def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
     """Matrix of delta: C^d -> C^{d+1} over Z.
 
@@ -141,26 +175,23 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
     """
     if d < -1 or d > K.dim:
         raise SimplicialError(f"degree {d} outside [-1, {K.dim}]")
-    cols = {face: j for j, face in enumerate(K.faces(d))}
-    rows = []
-    for tau in K.faces(d + 1):
-        row = [0] * len(cols)
-        for j in range(len(tau)):
-            sigma = tau[:j] + tau[j + 1 :]
-            row[cols[sigma]] += (-1) ** j
-        rows.append(row)
-    return rows
+    cols = {m: j for j, m in enumerate(K.face_masks(d))}
+    rows = _coboundary_rows(K.face_masks(d + 1), cols)
+    return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
 
 
-def _sparse_snf_factors(row_dicts: list[dict[int, int]], ncols: int, nrows: int) -> list[int]:
-    """Invariant factors of a sparse integer matrix, zeros included."""
+def _sparse_snf_factors(
+    row_dicts: list[dict[int, int]], ncols: int, nrows: int
+) -> tuple[list[int], list[int]]:
+    """Invariant factors of a sparse integer matrix, zeros included, and the
+    rows used as unit pivots in the sparse phase.  The row dicts hold no zero
+    entries and are consumed."""
     rows: dict[int, dict[int, int]] = {}
     colrows: dict[int, set[int]] = {}
     for r, rowd in enumerate(row_dicts):
-        cleaned = {c: v for c, v in rowd.items() if v}
-        if cleaned:
-            rows[r] = cleaned
-            for c in cleaned:
+        if rowd:
+            rows[r] = rowd
+            for c in rowd:
                 colrows.setdefault(c, set()).add(r)
     colver: dict[int, int] = {c: 0 for c in colrows}
     heap: list[tuple[int, int, int]] = [(len(s), 0, c) for c, s in colrows.items()]
@@ -172,7 +203,7 @@ def _sparse_snf_factors(row_dicts: list[dict[int, int]], ncols: int, nrows: int)
         if s:
             heapq.heappush(heap, (len(s), colver[c], c))
 
-    ones = 0
+    unit_rows: list[int] = []
     while heap:
         _, ver, c = heapq.heappop(heap)
         if c not in colrows or colver.get(c) != ver:
@@ -218,7 +249,7 @@ def _sparse_snf_factors(row_dicts: list[dict[int, int]], ncols: int, nrows: int)
         for cc in pivot_row:
             if cc in colrows:
                 touch(cc)
-        ones += 1
+        unit_rows.append(r)
 
     dense_factors: list[int] = []
     if rows:
@@ -231,9 +262,9 @@ def _sparse_snf_factors(row_dicts: list[dict[int, int]], ncols: int, nrows: int)
                 dense[i][cidx[c]] = v
         dense_factors = _dense_snf(dense)
 
-    factors = [1] * ones + dense_factors
+    factors = [1] * len(unit_rows) + dense_factors
     factors += [0] * (min(nrows, ncols) - len(factors))
-    return factors
+    return factors, unit_rows
 
 
 def _dense_snf(a: list[list[int]]) -> list[int]:
@@ -309,56 +340,54 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
     row_dicts = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
-    return tuple(_sparse_snf_factors(row_dicts, ncols, nrows))
+    return tuple(_sparse_snf_factors(row_dicts, ncols, nrows)[0])
 
 
-def _coboundary_sparse(K: SimplicialComplex, d: int) -> tuple[list[dict[int, int]], int]:
-    cols = {face: j for j, face in enumerate(K.faces(d))}
-    rows = []
-    for tau in K.faces(d + 1):
-        row: dict[int, int] = {}
-        for j in range(len(tau)):
-            sigma = tau[:j] + tau[j + 1 :]
-            row[cols[sigma]] = row.get(cols[sigma], 0) + (-1) ** j
-        rows.append(row)
-    return rows, len(cols)
-
-
-def reduced_cohomology(K: SimplicialComplex, coefficients: str = "Z") -> CohomologyProfile:
-    """Reduced cohomology of K; for K = {empty face} only H^{-1} survives.
+def reduced_cohomology(
+    K: SimplicialComplex, coefficients: str = "Z", w=None
+) -> CohomologyProfile:
+    """Reduced cohomology of the full subcomplex K_W on the vertex labels
+    ``w`` (default: all of K); for K_W = {empty face} only H^{-1} survives.
 
     ``coefficients`` is one of "Z", "Q", "Z2".  Over Q and Z_2 the profile
     carries dimensions in the rank slot and no torsion.
     """
     if coefficients not in ("Z", "Q", "Z2"):
         raise ValueError(f"unsupported coefficients {coefficients!r}")
-    dim = K.dim
-    fcount = {q: len(K.face_masks(q)) for q in range(-1, dim + 1)}
+    wm = (1 << K.vertex_count) - 1 if w is None else K._face_to_mask(w)
+    if not wm:
+        return CohomologyProfile({-1: FinAbGroup.free(1)})
+    if any(wm & f == wm for f in K.facet_masks):
+        return CohomologyProfile()
+    faces: dict[int, list[int]] = {}
+    for q in range(-1, min(K.dim, wm.bit_count() - 1) + 1):
+        fq = [m for m in K.face_masks(q) if m & wm == m]
+        if not fq:
+            break
+        faces[q] = fq
     ranks: dict[int, int] = {}
     torsion_at: dict[int, list[int]] = {}
-    for q in range(-1, dim):
-        rows, ncols = _coboundary_sparse(K, q)
+    cleared: set[int] = set()
+    for q in range(-1, max(faces)):
+        cols = {m: j for j, m in enumerate(m for m in faces[q] if m not in cleared)}
+        rows = _coboundary_rows(faces[q + 1], cols)
         if coefficients == "Z2":
-            masks = []
-            for row in rows:
-                bits = 0
-                for c, v in row.items():
-                    if v & 1:
-                        bits |= 1 << c
-                masks.append(bits)
-            ranks[q] = len(_echelonize(masks)[0])
-        else:
-            factors = _sparse_snf_factors(rows, ncols, len(rows))
-            ranks[q] = sum(1 for f in factors if f)
-            if coefficients == "Z":
-                torsion_at[q + 1] = [f for f in factors if f > 1]
+            ranks[q] = len(_echelonize([sum(1 << j for j in row) for row in rows])[0])
+            continue
+        factors, unit_rows = _sparse_snf_factors(rows, len(cols), len(rows))
+        ranks[q] = sum(1 for f in factors if f)
+        if coefficients == "Z":
+            torsion_at[q + 1] = [f for f in factors if f > 1]
+        # Unit pivot rows of delta_q are left out as columns of delta_{q+1}.
+        cleared = {faces[q + 1][r] for r in unit_rows}
     groups = {}
-    for q in range(-1, dim + 1):
-        free = fcount[q] - ranks.get(q, 0) - ranks.get(q - 1, 0)
+    for q, fq in faces.items():
+        free = len(fq) - ranks.get(q, 0) - ranks.get(q - 1, 0)
         if free < 0:
-            raise AssertionError("rank bookkeeping produced a negative Betti number")
-        tors = torsion_at.get(q, []) if coefficients == "Z" else []
-        g = FinAbGroup.from_orders(free, tors)
+            raise InternalConsistencyError(
+                f"rank bookkeeping gives a negative Betti number in degree {q}"
+            )
+        g = FinAbGroup.from_orders(free, torsion_at.get(q, []))
         if not g.is_trivial():
             groups[q] = g
     return CohomologyProfile(groups)

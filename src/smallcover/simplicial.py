@@ -67,7 +67,7 @@ class SimplicialComplex:
             masks = keep
         if not masks:
             masks = [0]
-        self._facet_masks = tuple(sorted(masks, key=self._mask_key))
+        self._facet_masks = tuple(sorted(masks, key=self._mask_to_face))
         self.dropped_generators = dropped
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
@@ -76,11 +76,8 @@ class SimplicialComplex:
     def from_facets(cls, labels, generators) -> "SimplicialComplex":
         return cls(labels, generators)
 
-    def _mask_key(self, m: int) -> tuple[int, ...]:
-        return tuple(self._labels[i] for i in range(len(self._labels)) if (m >> i) & 1)
-
     def _mask_to_face(self, m: int) -> tuple[int, ...]:
-        return self._mask_key(m)
+        return tuple(self._labels[i] for i in range(len(self._labels)) if (m >> i) & 1)
 
     def _face_to_mask(self, face) -> int:
         m = 0
@@ -130,7 +127,7 @@ class SimplicialComplex:
             for m in seen:
                 by_dim.setdefault(m.bit_count() - 1, []).append(m)
             self._faces_by_dim_cache = {
-                d: tuple(sorted(ms, key=self._mask_key)) for d, ms in by_dim.items()
+                d: tuple(sorted(ms, key=self._mask_to_face)) for d, ms in by_dim.items()
             }
             self._face_mask_set = frozenset(seen)
         return self._faces_by_dim_cache

@@ -235,3 +235,124 @@ class TestConsistencyLaws:
         for K in self._complexes():
             p = reduced_cohomology(K, "Q")
             assert p.reduced_euler_characteristic() == K.reduced_euler_characteristic()
+
+
+def small_catalog_complexes(max_vertices=8):
+    from smallcover.catalog import catalog
+
+    seen = {}
+    for entry in catalog().values():
+        K = entry.complex
+        if K.vertex_count <= max_vertices:
+            seen.setdefault(K, None)
+    return list(seen)
+
+
+def all_subsets(labels):
+    from itertools import combinations
+
+    for r in range(len(labels) + 1):
+        yield from combinations(labels, r)
+
+
+def rp2_with_cone():
+    """rp2_six with a cone on the triangle (1, 2, 3): torsion sits in degree
+    2, below the top dimension 3."""
+    K = rp2_six()
+    return SimplicialComplex(range(1, 8), list(K.facets) + [(1, 2, 3, 7)])
+
+
+class TestFullSubcomplexOnMasks:
+    def test_matches_the_built_subcomplex(self):
+        complexes = small_catalog_complexes() + [rp2_with_cone()]
+        checked = 0
+        for K in complexes:
+            for w in all_subsets(K.labels):
+                sub = K.full_subcomplex(w)
+                for c in ("Z", "Q", "Z2"):
+                    assert reduced_cohomology(K, c, w) == reduced_cohomology(sub, c), (K, w, c)
+                    checked += 1
+        assert checked > 3000
+
+    def test_unknown_label_rejected(self):
+        from smallcover.simplicial import SimplicialError
+
+        with pytest.raises(SimplicialError):
+            reduced_cohomology(boundary_of_simplex(2), "Z", {9})
+
+    def test_ghost_vertices_are_not_faces(self):
+        K = SimplicialComplex([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)])
+        assert reduced_cohomology(K, "Z", {4}).groups == {-1: FinAbGroup.free(1)}
+        assert reduced_cohomology(K, "Z", {1, 2, 3, 4}).groups == {1: FinAbGroup.free(1)}
+
+    def test_sympy_oracle_with_clearing_after_a_torsion_pivot(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        from smallcover.homology import _sparse_snf_factors
+
+        K = rp2_with_cone()
+        assert K.dim == 3
+        ranks, torsion = {}, {}
+        for d in range(-1, K.dim):
+            a = coboundary_matrix(K, d)
+            reference = sympy_snf(sympy.Matrix(a))
+            diag = [abs(int(reference[i, i])) for i in range(min(len(a), len(a[0])))]
+            ranks[d] = sum(1 for f in diag if f)
+            torsion[d + 1] = [f for f in diag if f > 1]
+        expected = {}
+        for q in range(-1, K.dim + 1):
+            free = len(K.face_masks(q)) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+            g = FinAbGroup.from_orders(free, torsion.get(q, []))
+            if not g.is_trivial():
+                expected[q] = g
+        assert expected == {2: FinAbGroup(0, (2,))}
+        assert reduced_cohomology(K, "Z").groups == expected
+        # The torsion of delta_1 forces a dense-phase pivot, so the clearing
+        # of delta_2 follows a non-unit pivot.
+        rows = [{j: v for j, v in enumerate(row) if v} for row in coboundary_matrix(K, 1)]
+        factors, unit_rows = _sparse_snf_factors(rows, len(K.face_masks(1)), len(rows))
+        assert 2 in factors and len(unit_rows) < sum(1 for f in factors if f)
+
+
+class TestSimplexExit:
+    def test_every_subset_of_one_facet(self, monkeypatch):
+        K = SimplicialComplex(range(1, 13), [tuple(range(1, 13))])
+
+        def no_faces(d):
+            raise AssertionError("faces enumerated for a simplex")
+
+        monkeypatch.setattr(K, "face_masks", no_faces)
+        trivial = 0
+        for w in all_subsets(K.labels):
+            p = reduced_cohomology(K, "Z", w)
+            if w:
+                trivial += p.groups == {}
+            else:
+                assert p.groups == {-1: FinAbGroup.free(1)}
+        assert trivial == 2 ** 12 - 1
+        for c in ("Z", "Q", "Z2"):
+            assert reduced_cohomology(K, c).groups == {}
+
+
+class TestHonestFailure:
+    def test_negative_betti_number_is_an_internal_error(self, monkeypatch):
+        import smallcover.homology as homology
+        from smallcover.errors import InternalConsistencyError
+
+        monkeypatch.setattr(
+            homology, "_sparse_snf_factors",
+            lambda rows, ncols, nrows: ([1] * min(nrows, ncols), []),
+        )
+        with pytest.raises(InternalConsistencyError):
+            reduced_cohomology(boundary_of_simplex(2), "Z")
+
+    def test_cli_exit_code_three(self, monkeypatch, capsys):
+        import smallcover.homology as homology
+        from smallcover.cli import main
+
+        monkeypatch.setattr(
+            homology, "_sparse_snf_factors",
+            lambda rows, ncols, nrows: ([1] * min(nrows, ncols), []),
+        )
+        assert main(["table1"]) == 3
