@@ -219,9 +219,7 @@ def is_orientable_3d(M: RealToricSpace) -> bool:
 ALL_CONDITIONS = (1, 2, 3, 4, 5, 6, 7)
 
 
-def evaluate_conditions(
-    M: RealToricSpace, conditions=None, search_shelling: bool = True
-) -> ConditionReport:
+def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     """Evaluate the requested equivalence conditions (default: all seven).
 
     1: pullback from the simplex (image condition);
@@ -280,15 +278,7 @@ def evaluate_conditions(
         if hyp.closed_pseudomanifold and hyp.strongly_connected:
             sq1_witness = facering.find_sq1_witness(M.complex, M.chi, ring)
 
-    if search_shelling:
-        hyp = M.hypotheses
-    else:
-        hyp = Hypotheses(
-            closed_pseudomanifold=M.complex.is_closed_pseudomanifold(),
-            strongly_connected=M.complex.is_strongly_connected(),
-            shelling_found=False,
-        )
-
+    hyp = M.hypotheses
     values = {results[c] for c in requested}
     if not hyp.all_hold():
         verdict = "hypotheses-not-verified"

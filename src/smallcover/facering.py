@@ -1,16 +1,28 @@
 """The mod-2 quotient ring Z_2[v_1..v_m]/(monomial ideal + row relations).
 
 Graded linear algebra presentation: the variables on a pivot facet are
-eliminated through the row relations, monomials in the remaining variables
-span each degree, and normal forms are taken against the relation subspace.
-Low degrees are echelonized directly; high degrees of closed-pseudomanifold
-instances are handled through top-degree pairing functionals, which keeps
-the flagship 8-dimensional computation inside desk-scale arithmetic.
+eliminated through the row relations, and monomials in the remaining
+variables span each degree.  Every degree has one basis rule and one
+normal-form representation:
+
+- the basis of degree d is the set of standard monomials that are not
+  congruent to a sum of higher (lex-later) monomials modulo the ideal;
+- the normal forms are an h_d-row matrix over the degree's monomials, where
+  bit i of row k is the coefficient of basis monomial k in the normal form
+  of monomial i.  Reducing a vector is one parity per row.
+
+A degree with at most _DIRECT_LIMIT monomials is built by echelonizing the
+ideal with lowest-bit pivots; its basis is the non-pivot set.  A larger
+degree of a closed-pseudomanifold instance is built by pairing against the
+basis of the complementary degree through the top-degree functional, which
+keeps the flagship 8-dimensional computation inside desk-scale arithmetic.
+Pairing columns are selected from the highest monomial downward; as the
+pairing is perfect, that is the same non-pivot set, so the route a degree
+takes never changes a basis, a normal form or a rendered class.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -19,6 +31,9 @@ from .charmap import CharacteristicMatrix, ridge_flip_support
 from .errors import InternalConsistencyError
 from .gf2 import BitMatrix, invert
 from .simplicial import SimplicialComplex
+
+# Degrees with more monomials than this go through top-degree pairing.
+_DIRECT_LIMIT = 2500
 
 
 class RingError(InternalConsistencyError):
@@ -57,12 +72,7 @@ class GradedRingBasis:
     h-vector; any mismatch raises RingError.
     """
 
-    def __init__(
-        self,
-        K: SimplicialComplex,
-        chi: CharacteristicMatrix,
-        direct_limit: int = 2500,
-    ):
+    def __init__(self, K: SimplicialComplex, chi: CharacteristicMatrix):
         if chi.complex is not K and chi.complex != K:
             raise ValueError("characteristic matrix belongs to a different complex")
         if not K.is_pure():
@@ -72,12 +82,12 @@ class GradedRingBasis:
         self.n = chi.n
         if self.n != K.dim + 1:
             raise ValueError(f"matrix rank {self.n} != dim K + 1 = {K.dim + 1}")
-        self.direct_limit = direct_limit
         self.h = K.h_vector().h
 
         self._labels = K.labels
         self._label_pos = {v: i for i, v in enumerate(self._labels)}
-        self.pivot_facet = K.facets[0]
+        self._facets = K.facets
+        self.pivot_facet = self._facets[0]
         cols = {v: chi.column_for_label(v) for v in self._labels}
         basis = BitMatrix.from_columns([cols[v] for v in self.pivot_facet])
         binv = invert(basis)
@@ -102,12 +112,11 @@ class GradedRingBasis:
 
         self._monomials: dict[int, list[tuple[int, ...]]] = {}
         self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._route: dict[int, str] = {}
+        self._mult_cache: dict[int, list[list[int]]] = {}
+        # echelon of the ideal in a direct degree: input to the next degree
         self._pivot_rows: dict[int, dict[int, int]] = {}
-        self._pivot_order: dict[int, list[int]] = {}
-        self._dual_rows: dict[int, list[int]] = {}
         self._basis_idx: dict[int, list[int]] = {}
-        self._basis_pos: dict[int, dict[int, int]] = {}
+        self._nf_rows: dict[int, list[int]] = {}
         self._nf_cache: dict[int, dict[int, int]] = {}
         self._gen_class_cache: dict[int, RingClass] = {}
         self._top_row: int | None = None
@@ -164,18 +173,16 @@ class GradedRingBasis:
                     continue
                 vec = 1
                 for deg, label in enumerate(gen):
-                    table = self._mult_table(deg)
                     nxt = 0
-                    for idx in _bit_positions(vec):
-                        for i in self._subst_support[label]:
-                            nxt ^= 1 << table[idx][i]
+                    for i in self._subst_support[label]:
+                        nxt ^= self._shift(deg, vec, i)
                     vec = nxt
                 vectors.append(vec)
             self._gen_vectors_cache[d] = vectors
         return self._gen_vectors_cache[d]
 
     def _mult_table(self, d: int) -> list[list[int]]:
-        cache = self.__dict__.setdefault("_mult_cache", {})
+        cache = self._mult_cache
         if d not in cache:
             monos = self.monomials(d)
             self.monomials(d + 1)
@@ -190,6 +197,14 @@ class GradedRingBasis:
             cache[d] = table
         return cache[d]
 
+    def _shift(self, d: int, vec: int, i: int) -> int:
+        """Multiply a degree-d vector over the monomials by variable i."""
+        table = self._mult_table(d)
+        out = 0
+        for idx in _bit_positions(vec):
+            out ^= 1 << table[idx][i]
+        return out
+
     # ----- per-degree construction ---------------------------------------
 
     def dimension(self, d: int) -> int:
@@ -198,44 +213,38 @@ class GradedRingBasis:
         return self.h[d]
 
     def _ensure_degree(self, d: int) -> None:
-        if d in self._route or d < 0 or d > self.n:
+        if d in self._nf_rows or d < 0 or d > self.n:
             return
-        count = len(self.monomials(d))
-        if count <= self.direct_limit:
+        if len(self.monomials(d)) <= _DIRECT_LIMIT:
             self._build_direct(d)
         else:
             self._build_dual(d)
 
     def _build_direct(self, d: int) -> None:
         rows: dict[int, int] = {}
-        order: list[int] = []
         if d > 0:
             self._ensure_degree(d - 1)
-            if self._route[d - 1] != "direct":
+            if d - 1 not in self._pivot_rows:
                 raise RingError("direct elimination needs the previous degree echelon")
-            table = self._mult_table(d - 1)
             for prev in self._pivot_rows[d - 1].values():
                 for i in range(self.num_vars):
-                    shifted = 0
-                    for idx in _bit_positions(prev):
-                        shifted ^= 1 << table[idx][i]
-                    _echelon_insert(rows, order, shifted)
+                    _echelon_insert(rows, self._shift(d - 1, prev, i))
             for gen_vec in self._gen_vectors(d):
-                _echelon_insert(rows, order, gen_vec)
+                _echelon_insert(rows, gen_vec)
         count = len(self.monomials(d))
         dim = count - len(rows)
         if dim != self.dimension(d):
             raise RingError(
                 f"degree {d} dimension {dim} does not match h_{d} = {self.dimension(d)}"
             )
-        pivot_set = set(order)
-        basis = [i for i in range(count) if i not in pivot_set]
-        self._route[d] = "direct"
+        basis = [i for i in range(count) if i not in rows]
+        pos = {b: k for k, b in enumerate(basis)}
+        nf_rows = [1 << b for b in basis]
+        for p, row in rows.items():
+            for b in _bit_positions(row ^ (1 << p)):
+                nf_rows[pos[b]] |= 1 << p
         self._pivot_rows[d] = rows
-        self._pivot_order[d] = order
-        self._basis_idx[d] = basis
-        self._basis_pos[d] = {idx: pos for pos, idx in enumerate(basis)}
-        self._nf_cache[d] = {}
+        self._store_degree(d, basis, nf_rows)
 
     def _build_dual(self, d: int) -> None:
         if not self._duality_available():
@@ -247,7 +256,7 @@ class GradedRingBasis:
         if self.h[self.n] != 1:
             raise RingError("top-degree duality needs a one-dimensional top degree")
         co = self.n - d
-        if len(self.monomials(co)) > self.direct_limit:
+        if len(self.monomials(co)) > _DIRECT_LIMIT:
             raise RingError(f"instance too large: both degree {d} and {co} exceed limits")
         self._ensure_degree(co)
         top = self._top_functional()
@@ -263,23 +272,24 @@ class GradedRingBasis:
                 if (top >> idx_top[merged]) & 1:
                     bits |= 1 << idx
             frows.append(bits)
+        # highest-first greedy: the direct route's non-pivot set
         selected: list[int] = []
         echelon: dict[int, int] = {}
-        echelon_order: list[int] = []
         nrows = len(frows)
-        for j in range(len(monos)):
+        for j in range(len(monos) - 1, -1, -1):
+            if len(selected) == nrows:
+                break
             colbits = 0
             for r in range(nrows):
                 colbits |= ((frows[r] >> j) & 1) << r
-            if _echelon_insert(echelon, echelon_order, colbits):
+            if _echelon_insert(echelon, colbits):
                 selected.append(j)
-            if len(selected) == nrows:
-                break
         if len(selected) != nrows or nrows != self.dimension(d):
             raise RingError(
                 f"degree {d} pairing rank {len(selected)} does not match "
                 f"h_{d} = {self.dimension(d)}"
             )
+        selected.sort()
         rows = frows[:]
         for k, j in enumerate(selected):
             piv = next(r for r in range(k, len(rows)) if (rows[r] >> j) & 1)
@@ -287,12 +297,13 @@ class GradedRingBasis:
             for r in range(len(rows)):
                 if r != k and (rows[r] >> j) & 1:
                     rows[r] ^= rows[k]
-        self._route[d] = "dual"
-        self._dual_rows[d] = rows
-        self._basis_idx[d] = selected
-        self._basis_pos[d] = {idx: pos for pos, idx in enumerate(selected)}
+        self._validate_dual_degree(d, rows)
+        self._store_degree(d, selected, rows)
+
+    def _store_degree(self, d: int, basis: list[int], nf_rows: list[int]) -> None:
+        self._basis_idx[d] = basis
+        self._nf_rows[d] = nf_rows
         self._nf_cache[d] = {}
-        self._validate_dual_degree(d)
 
     def _duality_available(self) -> bool:
         if self._dual_ok is None:
@@ -301,7 +312,7 @@ class GradedRingBasis:
             )
         return self._dual_ok
 
-    def _validate_dual_degree(self, d: int) -> None:
+    def _validate_dual_degree(self, d: int, nf_rows: list[int]) -> None:
         """Pairing functionals must kill ideal elements: check generator
         multiples against deterministic monomial cofactors."""
         for e in range(1, d + 1):
@@ -309,15 +320,9 @@ class GradedRingBasis:
             for vec in self._gen_vectors(e):
                 for nu in cofactors:
                     shifted = vec
-                    deg = e
-                    for i in nu:
-                        table = self._mult_table(deg)
-                        nxt = 0
-                        for idx in _bit_positions(shifted):
-                            nxt ^= 1 << table[idx][i]
-                        shifted = nxt
-                        deg += 1
-                    for row in self._dual_rows[d]:
+                    for deg, i in enumerate(nu, start=e):
+                        shifted = self._shift(deg, shifted, i)
+                    for row in nf_rows:
                         if (row & shifted).bit_count() & 1:
                             raise RingError(
                                 f"degree {d} pairing functional fails to annihilate "
@@ -328,7 +333,7 @@ class GradedRingBasis:
 
     def _facet_containing(self, mask: int) -> tuple[int, ...]:
         if mask not in self._facet_for_support:
-            for fm, facet in zip(self.K.facet_masks, self.K.facets):
+            for fm, facet in zip(self.K.facet_masks, self._facets):
                 if fm & mask == mask:
                     self._facet_for_support[mask] = facet
                     break
@@ -403,45 +408,20 @@ class GradedRingBasis:
 
     # ----- normal forms and ring operations -------------------------------
 
-    def _reduce_monomial(self, d: int, idx: int) -> int:
-        cache = self._nf_cache[d]
-        got = cache.get(idx)
-        if got is not None:
-            return got
-        if self._route[d] == "direct":
-            v = 1 << idx
-            rows = self._pivot_rows[d]
-            for p in self._pivot_order[d]:
-                if (v >> p) & 1:
-                    v ^= rows[p]
-            coords = 0
-            pos = self._basis_pos[d]
-            for b in _bit_positions(v):
-                coords |= 1 << pos[b]
-        else:
-            coords = 0
-            for k, row in enumerate(self._dual_rows[d]):
-                if (row >> idx) & 1:
-                    coords |= 1 << k
-        cache[idx] = coords
-        return coords
-
     def _reduce_vector(self, d: int, vec: int) -> int:
-        if self._route[d] == "direct":
-            rows = self._pivot_rows[d]
-            for p in self._pivot_order[d]:
-                if (vec >> p) & 1:
-                    vec ^= rows[p]
-            coords = 0
-            pos = self._basis_pos[d]
-            for b in _bit_positions(vec):
-                coords |= 1 << pos[b]
-            return coords
+        """Basis coordinates of a degree-d vector over the monomials."""
         coords = 0
-        for k, row in enumerate(self._dual_rows[d]):
+        for k, row in enumerate(self._nf_rows[d]):
             if (row & vec).bit_count() & 1:
                 coords |= 1 << k
         return coords
+
+    def _reduce_monomial(self, d: int, idx: int) -> int:
+        cache = self._nf_cache[d]
+        got = cache.get(idx)
+        if got is None:
+            got = cache[idx] = self._reduce_vector(d, 1 << idx)
+        return got
 
     def one(self) -> RingClass:
         self._ensure_degree(0)
@@ -452,7 +432,7 @@ class GradedRingBasis:
 
     def add(self, x: RingClass, y: RingClass) -> RingClass:
         if x.degree != y.degree:
-            raise ValueError("cannot add classes of different degrees")
+            raise RingError("cannot add classes of different degrees")
         return RingClass(x.degree, x.bits ^ y.bits)
 
     def basis_classes(self, d: int) -> list[RingClass]:
@@ -645,26 +625,29 @@ def _bit_positions(bits: int) -> list[int]:
     return out
 
 
-def _echelon_insert(rows: dict[int, int], order: list[int], v: int) -> bool:
-    """Insert v into a reduced echelon basis keyed by pivot; True if rank grew."""
-    for p in order:
+def _echelon_insert(rows: dict[int, int], v: int) -> bool:
+    """Insert v into a reduced echelon basis keyed by lowest-bit pivot.
+
+    Each row is zero at every other pivot, so reducing by the rows in any
+    order clears v's pivot bits.  True if the rank grew.
+    """
+    for p, row in rows.items():
         if (v >> p) & 1:
-            v ^= rows[p]
+            v ^= row
     if not v:
         return False
     p = (v & -v).bit_length() - 1
-    for q in list(rows):
-        if (rows[q] >> p) & 1:
-            rows[q] ^= v
+    for q, row in rows.items():
+        if (row >> p) & 1:
+            rows[q] = row ^ v
     rows[p] = v
-    insort(order, p)
     return True
 
 
 def build_graded_basis(
-    K: SimplicialComplex, chi: CharacteristicMatrix, direct_limit: int = 2500
+    K: SimplicialComplex, chi: CharacteristicMatrix
 ) -> GradedRingBasis:
-    return GradedRingBasis(K, chi, direct_limit=direct_limit)
+    return GradedRingBasis(K, chi)
 
 
 def find_sq1_witness(

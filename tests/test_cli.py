@@ -1,11 +1,13 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
-from smallcover.cli import main
-from smallcover.instancefile import parse_instance
+from smallcover.cli import main, sample_random_instance
+from smallcover.facering import GradedRingBasis
+from smallcover.instancefile import emit_instance, parse_instance
 
 
 @pytest.fixture
@@ -79,6 +81,42 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
+
+
+class TestRingExitCodes:
+    @pytest.fixture
+    def rp2_with_lambda(self, tmp_path):
+        # a closed pseudomanifold that is no sphere: h = (1, 3, 6, 0) has no
+        # one-dimensional top degree, so the ring's dimension law must fail
+        chi, _ = sample_random_instance("rp2_6v", random.Random(0))
+        assert chi.complex.h_vector().h == (1, 3, 6, 0)
+        path = tmp_path / "rp2-6v-lambda.json"
+        text = emit_instance("rp2-6v-lambda", chi.complex, chi)
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("conditions", ["all", "5"])
+    def test_ring_conditions_are_internal_errors(
+        self, rp2_with_lambda, conditions, capsys
+    ):
+        args = ["analyze", rp2_with_lambda, "--conditions", conditions]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency error" in err
+        assert "degree 3 dimension 1 does not match h_3 = 0" in err
+
+    def test_ring_free_conditions_succeed(self, rp2_with_lambda, capsys):
+        assert main(["analyze", rp2_with_lambda, "--conditions", "1,2"]) == 0
+        assert "verdict: hypotheses-not-verified" in capsys.readouterr().out
+
+    def test_mixed_degree_sum_is_internal_error(self, emit, monkeypatch, capsys):
+        # a bug that adds classes of different degrees must not read as bad input
+        def bad_sq1(self, x):
+            return self.add(x, self.zero(x.degree + 1))
+
+        monkeypatch.setattr(GradedRingBasis, "sq1", bad_sq1)
+        assert main(["analyze", emit("rp3")]) == 3
+        assert "internal consistency error" in capsys.readouterr().err
 
 
 class TestTable1:

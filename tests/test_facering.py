@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from smallcover import facering
+from smallcover.catalog import catalog
 from smallcover.charmap import (
     CharacteristicMatrix,
     block_product,
     classify_pullback,
     lambda_boundary_simplex,
 )
-from smallcover.facering import build_graded_basis, find_sq1_witness
+from smallcover.facering import RingError, build_graded_basis, find_sq1_witness
 from smallcover.gf2 import BitMatrix, BitVec
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
 
@@ -27,6 +29,16 @@ def join_negative():
         s0, BitMatrix.from_columns([BitVec.unit(1, 0), BitVec.unit(1, 0)])
     )
     return block_product(lambda_boundary_simplex(2), chi_s0)
+
+
+def parity_instances():
+    """Catalog complexes with a matrix and n <= 6, plus the join witness."""
+    out = [
+        pytest.param(entry.chi, id=name)
+        for name, entry in sorted(catalog().items())
+        if entry.chi is not None and entry.n <= 6
+    ]
+    return out + [pytest.param(join_negative(), id="join_negative")]
 
 
 def ring_instances():
@@ -61,60 +73,34 @@ class TestDimensions:
         assert basis.dimension(3) == 0
         assert basis.dimension(-1) == 0
 
-    def test_dual_route_matches_direct(self):
-        # force the pairing route on a small sphere and compare dimensions and
-        # products against the plain elimination route
-        chi = octahedron_linear()
-        direct = build_graded_basis(chi.complex, chi, direct_limit=2500)
-        dual = build_graded_basis(chi.complex, chi, direct_limit=4)
-        direct.verify_all_dimensions()
-        dual.verify_all_dimensions()
-        routes = {d: dual._route[d] for d in range(4)}
-        assert "dual" in routes.values()
-        for v in chi.complex.labels:
-            for w in chi.complex.labels:
-                a = direct.multiply(direct.express([v]), direct.express([w]))
-                b = dual.multiply(dual.express([v]), dual.express([w]))
-                ra = direct.render(a)
-                rb = dual.render(b)
-                assert ra == rb, (v, w, ra, rb)
-
-    @pytest.mark.parametrize("make", [octahedron_linear, join_negative])
-    def test_dual_route_full_tables_match(self, make):
-        # the two routes may choose different coset-representative bases, so
-        # classes are compared by re-reducing representatives across routes
-        chi = make()
+    @pytest.mark.parametrize("chi", parity_instances())
+    def test_route_does_not_change_the_ring(self, chi, monkeypatch):
+        # every degree above the middle goes through top-degree pairing when
+        # the limit is the middle degree's monomial count; bases, normal forms
+        # and everything derived from them must equal the default build
         n = chi.n
-        direct = build_graded_basis(chi.complex, chi, direct_limit=10**6)
-        limit = len(direct.monomials(n // 2))
-        dual = build_graded_basis(chi.complex, chi, direct_limit=limit)
-        direct.verify_all_dimensions()
-        dual.verify_all_dimensions()
-        assert any(r == "dual" for r in dual._route.values())
-
-        def crossed(cls):
-            acc = 0
-            for pos in range(direct.dimension(cls.degree)):
-                if (cls.bits >> pos) & 1:
-                    idx = direct._basis_idx[cls.degree][pos]
-                    acc ^= dual._reduce_monomial(cls.degree, idx)
-            return acc
-
+        default = build_graded_basis(chi.complex, chi)
+        default.verify_all_dimensions()
+        limit = len(default.monomials(n // 2))
+        monkeypatch.setattr(facering, "_DIRECT_LIMIT", limit)
+        paired = build_graded_basis(chi.complex, chi)
+        paired.verify_all_dimensions()
+        monkeypatch.undo()
+        if default.num_vars >= 2:
+            assert any(len(paired.monomials(d)) > limit for d in range(n + 1))
+        for d in range(n + 1):
+            assert paired._basis_idx[d] == default._basis_idx[d], d
+            for idx in range(len(default.monomials(d))):
+                assert paired._reduce_monomial(d, idx) == default._reduce_monomial(
+                    d, idx
+                ), (d, idx)
         for d1 in range(n + 1):
-            for d2 in range(d1, n + 1):
-                if d1 + d2 > n:
-                    continue
-                for x1 in direct.basis_classes(d1):
-                    for x2 in direct.basis_classes(d2):
-                        y1 = type(x1)(d1, crossed(x1))
-                        y2 = type(x2)(d2, crossed(x2))
-                        p_direct = direct.multiply(x1, x2)
-                        p_dual = dual.multiply(y1, y2)
-                        assert crossed(p_direct) == p_dual.bits, (d1, d2)
-        for d in range(n):
-            for x in direct.basis_classes(d):
-                y = type(x)(d, crossed(x))
-                assert crossed(direct.sq1(x)) == dual.sq1(y).bits, d
+            for x in default.basis_classes(d1):
+                assert paired.render(x) == default.render(x)
+                assert paired.sq1(x) == default.sq1(x)
+                for d2 in range(d1, n + 1 - d1):
+                    for y in default.basis_classes(d2):
+                        assert paired.multiply(x, y) == default.multiply(x, y)
 
     def test_ghost_vertex_contributes_zero_class(self):
         K = SimplicialComplex([1, 2, 3], [(1,), (2,)])
@@ -154,6 +140,12 @@ class TestExpressAndMultiply:
         basis = build_graded_basis(chi.complex, chi)
         u = basis.express([2])
         assert basis.express([2, 2, 2]) == basis.multiply(basis.multiply(u, u), u)
+
+    def test_adding_classes_of_different_degrees_is_internal(self):
+        chi = lambda_boundary_simplex(2)
+        basis = build_graded_basis(chi.complex, chi)
+        with pytest.raises(RingError):
+            basis.add(basis.express([1]), basis.one())
 
     def test_commutativity_and_associativity(self):
         chi = lambda_boundary_simplex(4)
