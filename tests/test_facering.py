@@ -73,6 +73,65 @@ class TestDimensions:
         assert basis.dimension(3) == 0
         assert basis.dimension(-1) == 0
 
+    def test_dual_route_matches_direct(self, monkeypatch):
+        # force the pairing route on a small sphere and compare dimensions and
+        # products against the plain elimination route
+        chi = octahedron_linear()
+        direct = build_graded_basis(chi.complex, chi)
+        monkeypatch.setattr(facering, "_DIRECT_LIMIT", 4)
+        dual = build_graded_basis(chi.complex, chi)
+        dual.verify_all_dimensions()
+        monkeypatch.undo()
+        direct.verify_all_dimensions()
+        assert any(len(dual.monomials(d)) > 4 for d in range(4))
+        for v in chi.complex.labels:
+            for w in chi.complex.labels:
+                a = direct.multiply(direct.express([v]), direct.express([w]))
+                b = dual.multiply(dual.express([v]), dual.express([w]))
+                ra = direct.render(a)
+                rb = dual.render(b)
+                assert ra == rb, (v, w, ra, rb)
+
+    @pytest.mark.parametrize("make", [octahedron_linear, join_negative])
+    def test_dual_route_full_tables_match(self, make, monkeypatch):
+        # classes are carried across routes by re-reducing their basis
+        # monomials in the other route, so the product and Sq1 tables are
+        # compared without assuming the two routes share a basis
+        chi = make()
+        n = chi.n
+        direct = build_graded_basis(chi.complex, chi)
+        limit = len(direct.monomials(n // 2))
+        monkeypatch.setattr(facering, "_DIRECT_LIMIT", limit)
+        dual = build_graded_basis(chi.complex, chi)
+        dual.verify_all_dimensions()
+        monkeypatch.undo()
+        direct.verify_all_dimensions()
+        assert any(len(dual.monomials(d)) > limit for d in range(n + 1))
+
+        def crossed(cls):
+            acc = 0
+            for pos in range(direct.dimension(cls.degree)):
+                if (cls.bits >> pos) & 1:
+                    idx = direct._basis_idx[cls.degree][pos]
+                    acc ^= dual._reduce_monomial(cls.degree, idx)
+            return acc
+
+        for d1 in range(n + 1):
+            for d2 in range(d1, n + 1):
+                if d1 + d2 > n:
+                    continue
+                for x1 in direct.basis_classes(d1):
+                    for x2 in direct.basis_classes(d2):
+                        y1 = type(x1)(d1, crossed(x1))
+                        y2 = type(x2)(d2, crossed(x2))
+                        p_direct = direct.multiply(x1, x2)
+                        p_dual = dual.multiply(y1, y2)
+                        assert crossed(p_direct) == p_dual.bits, (d1, d2)
+        for d in range(n):
+            for x in direct.basis_classes(d):
+                y = type(x)(d, crossed(x))
+                assert crossed(direct.sq1(x)) == dual.sq1(y).bits, d
+
     @pytest.mark.parametrize("chi", parity_instances())
     def test_route_does_not_change_the_ring(self, chi, monkeypatch):
         # every degree above the middle goes through top-degree pairing when
