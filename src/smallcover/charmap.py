@@ -44,12 +44,9 @@ class CharacteristicMatrix:
             raise CharMapError(
                 f"{self.matrix.cols} columns for {K.vertex_count} vertex labels"
             )
-        cols = [self.matrix.column(j).bits for j in range(self.matrix.cols)]
-        index = {v: i for i, v in enumerate(K.labels)}
-        for facet in K.facets:
-            vecs = [BitVec(self.n, cols[index[v]]) for v in facet]
-            if vecs and rank(BitMatrix.from_rows(vecs)) != len(vecs):
-                raise CharMapError(f"columns on facet {facet} are linearly dependent")
+        bad = first_dependent_facet(K, self.matrix.column_bits())
+        if bad is not None:
+            raise CharMapError(f"columns on facet {K.facets[bad]} are linearly dependent")
 
     @property
     def n(self) -> int:
@@ -67,7 +64,37 @@ class CharacteristicMatrix:
 
     @cached_property
     def _columns_by_label(self) -> dict[int, BitVec]:
-        return {v: self.matrix.column(j) for j, v in enumerate(self.complex.labels)}
+        return {
+            v: BitVec(self.n, c)
+            for v, c in zip(self.complex.labels, self.matrix.column_bits())
+        }
+
+
+def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
+    """Index into K.facet_masks of the first facet with dependent columns, or None.
+
+    cols[j] is the column of K's j-th declared label as an int, so bit j of a
+    facet mask selects cols[j].  Each facet's columns are reduced into an XOR
+    basis: v ^ b < v exactly when v has b's leading bit, and XORing b then
+    clears it.  Every basis vector is stored reduced, so it lacks the leading
+    bits of the vectors stored before it; one pass in storage order therefore
+    clears all leading bits, and v reduces to 0 exactly when it lies in the
+    span.  Storing unreduced columns would break this: after 0b01 and 0b11,
+    the pass would leave 0b10 nonzero although 0b10 = 0b01 ^ 0b11.
+    """
+    for idx, fm in enumerate(K.facet_masks):
+        basis: list[int] = []
+        while fm:
+            low = fm & -fm
+            fm ^= low
+            v = cols[low.bit_length() - 1]
+            for b in basis:
+                if v ^ b < v:
+                    v ^= b
+            if not v:
+                return idx
+            basis.append(v)
+    return None
 
 
 def validate(K: SimplicialComplex, matrix: BitMatrix) -> CharacteristicMatrix:
@@ -97,7 +124,7 @@ class PullbackClass:
 
 
 def _distinct_columns(M: CharacteristicMatrix) -> list[int]:
-    return sorted({M.matrix.column(j).bits for j in range(M.m)})
+    return sorted(set(M.matrix.column_bits()))
 
 
 def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int]]:
@@ -122,8 +149,8 @@ def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int
     g = find_basis_change([BitVec(n, b) for b in basis], n)
     all_ones = (1 << n) - 1
     coloring: dict[int, int] = {}
-    for j, label in enumerate(M.complex.labels):
-        image = g.apply(M.matrix.column(j)).bits
+    for label, col in zip(M.complex.labels, M.matrix.column_bits()):
+        image = g.apply(BitVec(n, col)).bits
         if image.bit_count() == 1:
             coloring[label] = image.bit_length()
         elif image == all_ones:
@@ -275,10 +302,5 @@ def lambda_boundary_simplex(n: int) -> CharacteristicMatrix:
 def block_product(M1: CharacteristicMatrix, M2: CharacteristicMatrix) -> CharacteristicMatrix:
     """Block-diagonal matrix over the join of the companion complexes."""
     joined = M1.complex.join(M2.complex)
-    n = M1.n + M2.n
-    cols = []
-    for j in range(M1.m):
-        cols.append(BitVec(n, M1.matrix.column(j).bits))
-    for j in range(M2.m):
-        cols.append(BitVec(n, M2.matrix.column(j).bits << M1.n))
-    return CharacteristicMatrix(joined, BitMatrix.from_columns(cols))
+    cols = M1.matrix.column_bits() + [c << M1.n for c in M2.matrix.column_bits()]
+    return CharacteristicMatrix(joined, BitMatrix.from_column_bits(M1.n + M2.n, cols))

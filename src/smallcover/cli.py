@@ -17,10 +17,15 @@ from pathlib import Path
 
 from . import bier as bier_mod
 from .catalog import TABLE1_MOD2, TABLE1_RATIONAL, catalog, get_entry
-from .charmap import CharacteristicMatrix, CharMapError, classify_via_flips
+from .charmap import (
+    CharacteristicMatrix,
+    CharMapError,
+    classify_via_flips,
+    first_dependent_facet,
+)
 from .cover import ConditionReport, RealToricSpace, evaluate_conditions
 from .errors import InputError, InternalConsistencyError, PropertyViolation
-from .gf2 import BitMatrix, BitVec, GF2Error
+from .gf2 import BitMatrix, GF2Error
 from .instancefile import emit_instance, parse_instance
 from .shelling import ShellingError, find_shelling, verify_shelling
 from .simplicial import SimplicialError
@@ -179,7 +184,8 @@ def sample_random_instance(
     """Rejection-sample a valid matrix over a catalog complex.
 
     Columns are uniform over all 2^n vectors; whole matrices failing facet
-    independence are rejected.  Returns (matrix, rejection count).
+    independence are rejected on their raw column ints, and only the accepted
+    one is built and validated.  Returns (matrix, rejection count).
     """
     entry = get_entry(entry_name)
     K = entry.complex
@@ -187,15 +193,12 @@ def sample_random_instance(
     m = K.vertex_count
     rejections = 0
     while True:
-        cols = [BitVec(n, rng.getrandbits(n)) for _ in range(m)]
-        try:
-            return CharacteristicMatrix(K, BitMatrix.from_columns(cols)), rejections
-        except CharMapError:
-            rejections += 1
-            if rejections > 1_000_000:
-                raise InputError(
-                    f"rejection sampling on {entry_name} exceeded 1e6 attempts"
-                )
+        cols = [rng.getrandbits(n) for _ in range(m)]
+        if first_dependent_facet(K, cols) is None:
+            return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols)), rejections
+        rejections += 1
+        if rejections > 1_000_000:
+            raise InputError(f"rejection sampling on {entry_name} exceeded 1e6 attempts")
 
 
 def cmd_fuzz(args) -> int:

@@ -86,8 +86,7 @@ class GradedRingBasis:
 
         self._labels = K.labels
         self._label_pos = {v: i for i, v in enumerate(self._labels)}
-        self._facets = K.facets
-        self.pivot_facet = self._facets[0]
+        self.pivot_facet = K.facets[0]
         cols = {v: chi.column_for_label(v) for v in self._labels}
         basis = BitMatrix.from_columns([cols[v] for v in self.pivot_facet])
         binv = invert(basis)
@@ -333,7 +332,7 @@ class GradedRingBasis:
 
     def _facet_containing(self, mask: int) -> tuple[int, ...]:
         if mask not in self._facet_for_support:
-            for fm, facet in zip(self.K.facet_masks, self._facets):
+            for fm, facet in zip(self.K.facet_masks, self.K.facets):
                 if fm & mask == mask:
                     self._facet_for_support[mask] = facet
                     break

@@ -131,11 +131,15 @@ class BitMatrix:
         n = columns[0].length
         if any(c.length != n for c in columns):
             raise GF2Error("columns have unequal lengths")
-        bits = [0] * n
-        for j, c in enumerate(columns):
-            for i in range(n):
-                bits[i] |= c[i] << j
-        return cls(n, len(columns), tuple(bits))
+        return cls.from_column_bits(n, [c.bits for c in columns])
+
+    @classmethod
+    def from_column_bits(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
+        """The rows x len(columns) matrix whose column j is the int columns[j]."""
+        for c in columns:
+            if c < 0 or c >> rows:
+                raise GF2Error(f"column 0b{c:b} out of range for {rows} rows")
+        return cls(rows, len(columns), tuple(_transpose_bits(columns, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -156,11 +160,15 @@ class BitMatrix:
             bits |= ((r >> j) & 1) << i
         return BitVec(self.rows, bits)
 
+    def column_bits(self) -> list[int]:
+        """Every column as a bit-packed int (bit i is row i), in one pass."""
+        return _transpose_bits(self.row_bits, self.cols)
+
     def columns(self) -> list[BitVec]:
-        return [self.column(j) for j in range(self.cols)]
+        return [BitVec(self.rows, c) for c in self.column_bits()]
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns([self.row(i) for i in range(self.rows)]) if self.rows else BitMatrix(self.cols, 0, (0,) * self.cols)
+        return BitMatrix(self.cols, self.rows, tuple(self.column_bits()))
 
     def apply(self, x: BitVec) -> BitVec:
         """Matrix-vector product A @ x with x a column vector."""
@@ -189,6 +197,21 @@ class BitMatrix:
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(self.rows))
+
+
+def _transpose_bits(vectors: Sequence[int], length: int) -> list[int]:
+    """The `length` ints t with bit k of t[i] equal to bit i of vectors[k].
+
+    Walks only the set bits of each vector.
+    """
+    out = [0] * length
+    for k, v in enumerate(vectors):
+        bit = 1 << k
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 def _echelonize(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:

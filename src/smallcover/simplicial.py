@@ -67,7 +67,9 @@ class SimplicialComplex:
             masks = keep
         if not masks:
             masks = [0]
-        self._facet_masks = tuple(sorted(masks, key=self._mask_to_face))
+        pairs = sorted((self._mask_to_face(m), m) for m in masks)
+        self._facets = tuple(face for face, _ in pairs)
+        self._facet_masks = tuple(m for _, m in pairs)
         self.dropped_generators = dropped
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
@@ -97,7 +99,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._mask_to_face(m) for m in self._facet_masks)
+        return self._facets
 
     @property
     def facet_masks(self) -> tuple[int, ...]:
@@ -113,24 +115,42 @@ class SimplicialComplex:
 
     def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
         if self._faces_by_dim_cache is None:
-            seen: set[int] = set()
-            for fm in self._facet_masks:
-                verts = [1 << i for i in range(len(self._labels)) if (fm >> i) & 1]
-                k = len(verts)
-                for r in range(k + 1):
-                    for combo in combinations(verts, r):
-                        m = 0
-                        for b in combo:
-                            m |= b
-                        seen.add(m)
+            # Every face is reached once, by dropping one vertex of a larger face.
+            seen = set(self._facet_masks)
+            stack = list(seen)
+            while stack:
+                fm = stack.pop()
+                bits = fm
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    face = fm ^ low
+                    if face not in seen:
+                        seen.add(face)
+                        stack.append(face)
             by_dim: dict[int, list[int]] = {}
             for m in seen:
                 by_dim.setdefault(m.bit_count() - 1, []).append(m)
+            key = self._lex_key()
             self._faces_by_dim_cache = {
-                d: tuple(sorted(ms, key=self._mask_to_face)) for d, ms in by_dim.items()
+                d: tuple(sorted(ms, key=key)) for d, ms in by_dim.items()
             }
             self._face_mask_set = frozenset(seen)
         return self._faces_by_dim_cache
+
+    def _lex_key(self):
+        """Sort key on equal-size face masks giving the lex order of their label tuples.
+
+        With ascending labels, two faces first differ at the lowest index in
+        their symmetric difference, and the face holding it comes first; that
+        is the order of the complemented masks read from bit 0 up as strings.
+        Other label orders fall back to the label tuples.
+        """
+        if list(self._labels) != sorted(self._labels):
+            return self._mask_to_face
+        full = (1 << len(self._labels)) - 1
+        fmt = f"0{len(self._labels)}b"
+        return lambda m: format(full ^ m, fmt)[::-1]
 
     def face_masks(self, d: int) -> tuple[int, ...]:
         """Masks of d-dimensional faces in lexicographic label order."""

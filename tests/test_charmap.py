@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from smallcover.catalog import catalog
 from smallcover.charmap import (
     CharacteristicMatrix,
     CharMapError,
@@ -11,11 +12,12 @@ from smallcover.charmap import (
     block_product,
     classify_pullback,
     classify_via_flips,
+    first_dependent_facet,
     lambda_boundary_simplex,
     omega_descriptors,
     ridge_flip_support,
 )
-from smallcover.gf2 import BitMatrix, BitVec, enumerate_gl
+from smallcover.gf2 import BitMatrix, BitVec, enumerate_gl, rank
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -78,6 +80,74 @@ class TestValidation:
     def test_column_count_mismatch(self):
         with pytest.raises(CharMapError):
             CharacteristicMatrix(boundary_of_simplex(2), BitMatrix.identity(2))
+
+
+def rank_per_facet(K, matrix):
+    """Index of the first dependent facet by one GF(2) rank per facet tuple."""
+    index = {v: i for i, v in enumerate(K.labels)}
+    for idx, facet in enumerate(K.facets):
+        vecs = [matrix.column(index[v]) for v in facet]
+        if vecs and rank(BitMatrix.from_rows(vecs)) != len(vecs):
+            return idx
+    return None
+
+
+# Beyond the catalog: the complex with no nonempty face (two ghost vertices),
+# and a non-pure complex with non-ascending labels and a ghost vertex (11).
+EXTRA_COMPLEXES = {
+    "empty_with_ghosts": SimplicialComplex([1, 2], [()]),
+    "unsorted_with_ghost": SimplicialComplex(
+        [6, 2, 9, 4, 11, 3], [(6, 2, 9), (2, 9, 4), (6, 4, 3), (2, 3), (9, 3)]
+    ),
+}
+
+
+class TestFacetCheck:
+    @pytest.mark.parametrize("name", sorted(catalog()) + sorted(EXTRA_COMPLEXES))
+    def test_agrees_with_rank_per_facet(self, name):
+        """Same verdict and same named facet on 200 seeded matrices: uniform
+        ones (with dim + 1 or dim + 2 rows), and, where the catalog has a
+        matrix, that matrix with one bit flipped, which fails late or not at all."""
+        entry = catalog().get(name)
+        K = EXTRA_COMPLEXES[name] if entry is None else entry.complex
+        chi = None if entry is None else entry.chi
+        m = K.vertex_count
+        rng = random.Random(f"facet-check/{name}")
+        if chi is not None:
+            assert first_dependent_facet(K, chi.matrix.column_bits()) is None
+        for k in range(200):
+            if chi is not None and k % 2:
+                rows = list(chi.matrix.row_bits)
+                rows[rng.randrange(chi.n)] ^= 1 << rng.randrange(m)
+                matrix = BitMatrix(chi.n, m, tuple(rows))
+            else:
+                n = max(K.dim + 1, 1) + rng.randrange(2)
+                matrix = BitMatrix(n, m, tuple(rng.getrandbits(m) for _ in range(n)))
+            expected = rank_per_facet(K, matrix)
+            assert first_dependent_facet(K, matrix.column_bits()) == expected
+            if expected is None:
+                CharacteristicMatrix(K, matrix)
+                continue
+            with pytest.raises(CharMapError) as err:
+                CharacteristicMatrix(K, matrix)
+            facet = K.facets[expected]
+            assert str(err.value) == f"columns on facet {facet} are linearly dependent"
+
+    def test_reduction_needs_the_reduced_basis(self):
+        # 0b01 ^ 0b11 = 0b10: a basis holding 0b01 and an unreduced 0b11
+        # would leave 0b10 nonzero and call the facet independent.
+        K = SimplicialComplex([1, 2, 3], [(1, 2, 3)])
+        assert first_dependent_facet(K, [0b01, 0b11, 0b10]) == 0
+        assert first_dependent_facet(K, [0b001, 0b011, 0b110]) is None
+
+    def test_names_the_first_dependent_facet_in_facet_order(self):
+        K = boundary_of_simplex(3)
+        cols = [0b001, 0b010, 0b011, 0b100]
+        assert K.facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+        assert first_dependent_facet(K, cols) == 0
+        with pytest.raises(CharMapError) as err:
+            CharacteristicMatrix(K, BitMatrix.from_column_bits(3, cols))
+        assert str(err.value) == "columns on facet (1, 2, 3) are linearly dependent"
 
 
 class TestClassifyPullback:

@@ -1,10 +1,12 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
+from smallcover import cli
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis
 from smallcover.instancefile import emit_instance, parse_instance
@@ -135,8 +137,46 @@ class TestFuzz:
         assert capsys.readouterr().out == first
         assert "8/8 agreements" in first
 
+    def test_summary_is_pinned(self, capsys):
+        assert main(["fuzz", "--complex", "gon6", "--samples", "8", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "fuzz gon6: 8/8 agreements, 8 classifier cross-checks, "
+            "545 rejections, seed 5\n"
+        )
+
     def test_unknown_complex(self, capsys):
         assert main(["fuzz", "--complex", "nope", "--samples", "1", "--seed", "0"]) == 1
+
+
+# sha256 of repr([(row_bits, rejections), ...]) for the first 20 draws of
+# sample_random_instance(name, random.Random(f"pin/{name}")), recorded before
+# the sampler checked raw column ints; the draws, the rejection counts and
+# the accepted matrices must not change.
+SAMPLER_PINS = {
+    "cross3": "982071150112bc591977af9dc7847c39be80fa85de26eefa23a2d0fc04095074",
+    "cross4": "36b94bb463cc3a5337803d83a6a3ad43b6e024b9655dbb8995a1356133bd1f9b",
+    "gon6": "122c9d0bd4fdd91983b4b732fe28f0d3b7147bbdb6505c9408d3363dfad514a4",
+    "gon9": "0d2d44f8f6bfc3fccfecd2dc490d133b2a648220b8eb1924ff24cacdcc2a3cdb",
+    "rp3": "9abe54da812ddc82379410f40dc53d4078c6a16c304184e094fd7bc56e1d14ec",
+    "rp4": "fa4ef8af677cd13dee71ac408329cc4fc2b3454f5bf451dfba9352e439539895",
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_PINS))
+    def test_draws_are_pinned(self, name):
+        rng = random.Random(f"pin/{name}")
+        draws = []
+        for _ in range(20):
+            chi, rejections = sample_random_instance(name, rng)
+            draws.append((chi.matrix.row_bits, rejections))
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+        assert digest == SAMPLER_PINS[name]
+
+    def test_rejection_cap_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "first_dependent_facet", lambda K, cols: 0)
+        assert main(["fuzz", "--complex", "rp1", "--samples", "1", "--seed", "0"]) == 1
+        assert "exceeded 1e6 attempts" in capsys.readouterr().err
 
 
 class TestShelling:

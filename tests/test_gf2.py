@@ -193,6 +193,31 @@ class TestMatrixOps:
             assert prod.column(j) == a.apply(b.column(j))
 
 
+class TestColumnBits:
+    def test_columns_in_one_pass(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            rows, cols = rng.randrange(0, 7), rng.randrange(0, 9)
+            m = BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+            assert m.column_bits() == [m.column(j).bits for j in range(cols)]
+            assert m.columns() == [m.column(j) for j in range(cols)]
+            assert BitMatrix.from_column_bits(rows, m.column_bits()) == m
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert all(t.row_bits[j] == m.column(j).bits for j in range(cols))
+            if cols:
+                assert BitMatrix.from_columns(m.columns()) == m
+
+    def test_from_columns_matches_coordinates(self):
+        cols = [vec(1, 0, 1), vec(0, 0, 1), vec(1, 1, 0), vec(0, 0, 0)]
+        m = BitMatrix.from_columns(cols)
+        assert m == BitMatrix.from_lists([[1, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0]])
+
+    def test_column_out_of_range(self):
+        with pytest.raises(GF2Error):
+            BitMatrix.from_column_bits(2, [0b01, 0b100])
+
+
 class TestEnumerateGL:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 6), (3, 168), (4, 20160)])
     def test_group_order(self, n, count):

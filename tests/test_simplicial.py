@@ -2,6 +2,7 @@
 
 import pytest
 
+from smallcover.catalog import catalog
 from smallcover.simplicial import (
     SimplicialComplex,
     SimplicialError,
@@ -193,3 +194,45 @@ class TestGhosts:
         K = SimplicialComplex([1, 2, 3], [(1, 2)])
         assert K.ghost_labels() == (3,)
         assert K.f_vector() == (1, 2, 1)
+
+
+class TestFaceOrder:
+    # Ascending labels with gaps and a ghost (12); non-ascending labels with a
+    # ghost (11); the complex with no nonempty face.
+    EXTRA = (
+        SimplicialComplex([2, 5, 7, 8, 12], [(2, 5, 7), (5, 8), (2, 7, 8)]),
+        SimplicialComplex(
+            [6, 2, 9, 4, 11, 3], [(6, 2, 9), (2, 9, 4), (6, 4, 3), (2, 3), (9, 3)]
+        ),
+        SimplicialComplex([1, 2], [()]),
+    )
+
+    def complexes(self):
+        return [e.complex for _, e in sorted(catalog().items())] + list(self.EXTRA)
+
+    def test_faces_sorted_by_label_tuple(self):
+        for K in self.complexes():
+            for d in range(-1, K.dim + 1):
+                masks = K.face_masks(d)
+                assert list(masks) == sorted(masks, key=K._mask_to_face)
+                assert set(masks) == {
+                    m for m in K.all_face_masks() if m.bit_count() == d + 1
+                }
+
+    def test_face_set_is_the_downward_closure(self):
+        for K in self.complexes():
+            closure = set()
+            for fm in K.facet_masks:
+                sub = fm
+                while True:  # every submask of fm, down to 0
+                    closure.add(sub)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & fm
+            assert K.all_face_masks() == closure
+
+    def test_facets_are_stored_in_label_order(self):
+        for K in self.complexes():
+            assert K.facets is K.facets
+            assert K.facets == tuple(K._mask_to_face(m) for m in K.facet_masks)
+            assert list(K.facets) == sorted(K.facets)
