@@ -182,19 +182,45 @@ def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
     return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
 
 
-def ridge_flip_support(M: CharacteristicMatrix, facet, i: int) -> frozenset[int]:
-    """The subset S of positions 1..n with lambda(flip vertex) = sum of facet
-    columns at the positions in S, solved in the facet's column basis."""
+def _facet_flip_supports(M: CharacteristicMatrix, fm: int) -> list[frozenset[int]]:
+    """Flip supports at positions 1..n of the facet with mask fm, solved in
+    the facet's column basis with one basis change."""
     K = M.complex
-    p = K.ridge_flip(facet, i)
-    verts = tuple(sorted(facet))
-    basis = [M.column_for_label(v) for v in verts]
+    positions = [j for j in range(fm.bit_length()) if fm >> j & 1]
+    basis = [M.column_for_label(K.labels[j]) for j in positions]
     try:
         g = find_basis_change(basis, M.n)
     except GF2Error as exc:
-        raise CharMapError(f"facet {verts} columns are not a basis: {exc}") from exc
-    coeffs = g.apply(M.column_for_label(p))
-    return frozenset(idx + 1 for idx in coeffs.support())
+        raise CharMapError(
+            f"facet {K._mask_to_face(fm)} columns are not a basis: {exc}"
+        ) from exc
+    supports = []
+    for j in positions:
+        p = K.flip_bit(fm, 1 << j)
+        coeffs = g.apply(M.column_for_label(K.labels[p.bit_length() - 1]))
+        supports.append(frozenset(idx + 1 for idx in coeffs.support()))
+    return supports
+
+
+def flip_supports(M: CharacteristicMatrix):
+    """Yield (facet, i, S) for every facet of K.facets in order and every
+    position i = 1..n, with S as in ridge_flip_support."""
+    K = M.complex
+    for facet, fm in zip(K.facets, K.facet_masks):
+        for i, s in enumerate(_facet_flip_supports(M, fm), start=1):
+            yield facet, i, s
+
+
+def ridge_flip_support(M: CharacteristicMatrix, facet, i: int) -> frozenset[int]:
+    """The subset S of positions 1..n with lambda(flip vertex) = sum of facet
+    columns at the positions in S.
+
+    Position i is the i-th vertex of the facet in declared label order, the
+    order of K.ridge_flip and of K.facets.
+    """
+    K = M.complex
+    K.ridge_flip(facet, i)  # rejects a non-facet, a bad position or an open ridge
+    return _facet_flip_supports(M, K._face_to_mask(facet))[i - 1]
 
 
 def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
@@ -208,17 +234,14 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
         raise CharMapError("flip classification requires a closed pseudomanifold")
     if not K.is_strongly_connected():
         raise CharMapError("flip classification requires a strongly connected complex")
-    n = M.n
-    full = frozenset(range(1, n + 1))
+    full = frozenset(range(1, M.n + 1))
     all_identity = True
-    for facet in K.facets:
-        for i in range(1, n + 1):
-            s = ridge_flip_support(M, facet, i)
-            if s == frozenset({i}):
-                continue
-            all_identity = False
-            if s != full:
-                return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
+    for _, i, s in flip_supports(M):
+        if s == frozenset({i}):
+            continue
+        all_identity = False
+        if s != full:
+            return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
     g, coloring = _pullback_witness(M)
     label = PullbackLabel.LINEAR_MODEL if all_identity else PullbackLabel.SIMPLEX_PROPER
     return PullbackClass(label, True, g, coloring)

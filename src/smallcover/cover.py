@@ -15,11 +15,10 @@ from functools import cached_property
 from . import facering
 from .charmap import (
     CharacteristicMatrix,
-    CharMapError,
     OmegaDescriptor,
     PullbackClass,
     classify_pullback,
-    classify_via_flips,
+    classify_via_flips,  # noqa: F401  (hooked by name in bench/tracer.py)
     omega_descriptors,
 )
 from .errors import InternalConsistencyError
@@ -98,13 +97,6 @@ class RealToricSpace:
     @cached_property
     def classification(self) -> PullbackClass:
         return classify_pullback(self.chi)
-
-    @cached_property
-    def flip_classification(self) -> PullbackClass | None:
-        try:
-            return classify_via_flips(self.chi)
-        except CharMapError:
-            return None
 
     @cached_property
     def shelling(self) -> Shelling | None:

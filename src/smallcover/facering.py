@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .charmap import CharacteristicMatrix, ridge_flip_support
+from .charmap import CharacteristicMatrix, flip_supports
 from .errors import InternalConsistencyError
 from .gf2 import BitMatrix, invert
 from .simplicial import SimplicialComplex
@@ -662,20 +662,12 @@ def find_sq1_witness(
     """
     if not K.is_closed_pseudomanifold() or not K.is_strongly_connected():
         raise ValueError("witness search needs a strongly connected closed pseudomanifold")
-    n = chi.n
-    full = frozenset(range(1, n + 1))
-    found = None
-    for facet in K.facets:
-        for i in range(1, n + 1):
-            s_set = ridge_flip_support(chi, facet, i)
-            if s_set != frozenset({i}) and s_set != full:
-                found = (facet, i, s_set)
-                break
-        if found:
+    full = frozenset(range(1, chi.n + 1))
+    for facet, i, s_set in flip_supports(chi):
+        if s_set != frozenset({i}) and s_set != full:
             break
-    if found is None:
+    else:
         return None
-    facet, i, s_set = found
     s = min(s_set - {i})
     t = min(full - s_set)
     u_s = facet[s - 1]

@@ -30,22 +30,28 @@ class Shelling:
         return sum(1 << (len(s) - len(r)) for s, r in zip(self.order, self.restriction))
 
 
-def _restriction_mask(prefix: list[int], fm: int) -> int | None:
-    """Mask of the minimal new face of fm against earlier facets, or None if
-    the shelling condition fails at this step."""
+def _restriction_mask(
+    table: dict[int, tuple[int, ...]], used: list[bool], prefix: list[int], fm: int
+) -> int | None:
+    """Mask of the minimal new face of fm against the earlier facets, or None
+    if the shelling condition fails at this step.
+
+    prefix holds the earlier facet masks and used[j] marks facet j of
+    K.facet_masks as earlier; table is K's ridge table.  K is pure, so a
+    ridge of fm lies in an earlier facet exactly when an earlier facet holds
+    it in the table.
+    """
     d = 0
     bits = fm
     while bits:
         low = bits & -bits
-        ridge = fm ^ low
-        if any(ridge & old == ridge for old in prefix):
-            d |= low
+        for j in table[fm ^ low]:
+            if used[j]:
+                d |= low
+                break
         bits ^= low
-    if prefix:
-        if d == 0:
-            return None
-        if any(d & old == d for old in prefix):
-            return None
+    if prefix and (d == 0 or any(d & old == d for old in prefix)):
+        return None
     return d
 
 
@@ -60,13 +66,17 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     masks = [K._face_to_mask(f) for f in order]
     if sorted(masks) != sorted(K.facet_masks):
         raise ShellingError("order is not a permutation of the facets")
+    table = K.ridge_table()
+    index = {fm: j for j, fm in enumerate(K.facet_masks)}
+    used = [False] * len(masks)
     prefix: list[int] = []
     restriction = []
     for idx, fm in enumerate(masks, start=1):
-        r = _restriction_mask(prefix, fm)
+        r = _restriction_mask(table, used, prefix, fm)
         if r is None:
             raise ShellingError(f"shelling condition fails at index {idx}")
         restriction.append(r)
+        used[index[fm]] = True
         prefix.append(fm)
     shelling = Shelling(
         K,
@@ -80,31 +90,6 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     return shelling
 
 
-def _ridge_partners(facets: list[int]) -> list[list[int]] | None:
-    """partners[i][k] = index of the other facet sharing the k-th ridge of
-    facet i, for complexes where every ridge lies in exactly two facets."""
-    holders: dict[int, list[int]] = {}
-    for i, fm in enumerate(facets):
-        bits = fm
-        while bits:
-            low = bits & -bits
-            holders.setdefault(fm ^ low, []).append(i)
-            bits ^= low
-    if any(len(h) != 2 for h in holders.values()):
-        return None
-    partners = []
-    for i, fm in enumerate(facets):
-        row = []
-        bits = fm
-        while bits:
-            low = bits & -bits
-            a, b = holders[fm ^ low]
-            row.append(b if a == i else a)
-            bits ^= low
-        partners.append(row)
-    return partners
-
-
 def find_shelling(K: SimplicialComplex) -> Shelling | None:
     """Depth-first backtracking over facet orders with lexicographic branching.
 
@@ -113,40 +98,16 @@ def find_shelling(K: SimplicialComplex) -> Shelling | None:
     """
     if not K.is_pure():
         raise SimplicialError("shellings are defined for pure complexes")
-    facets = list(K.facet_masks)
+    facets = K.facet_masks
     total = len(facets)
-    if total <= 1:
-        return verify_shelling(K, K.facets)
-    partners = _ridge_partners(facets)
-
+    table = K.ridge_table()
     prefix: list[int] = []
     prefix_idx: list[int] = []
     used = [False] * total
-
-    def admissible(i: int) -> bool:
-        fm = facets[i]
-        if partners is not None:
-            d = 0
-            bits = fm
-            k = 0
-            while bits:
-                low = bits & -bits
-                if used[partners[i][k]]:
-                    d |= low
-                bits ^= low
-                k += 1
-            if prefix:
-                if d == 0:
-                    return False
-                if any(d & old == d for old in prefix):
-                    return False
-            return True
-        return _restriction_mask(prefix, fm) is not None
-
     iters = [iter(range(total))]
     while iters:
         for i in iters[-1]:
-            if used[i] or not admissible(i):
+            if used[i] or _restriction_mask(table, used, prefix, facets[i]) is None:
                 continue
             prefix.append(facets[i])
             prefix_idx.append(i)

@@ -33,7 +33,7 @@ class SimplicialComplex:
     vertices that appear in no facet.
     """
 
-    def __init__(self, labels, generators, _normalized: bool = False):
+    def __init__(self, labels, generators):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise SimplicialError("duplicate vertex labels")
@@ -53,18 +53,10 @@ class SimplicialComplex:
                     raise SimplicialError(f"undeclared vertex label {v} in generator {gen}")
                 m |= 1 << self._index[v]
             masks.append(m)
-        dropped = False
-        if not _normalized:
-            uniq = set(masks)
-            keep = []
-            for m in uniq:
-                if any(m != o and m & o == m for o in uniq):
-                    dropped = True
-                else:
-                    keep.append(m)
-            if len(keep) < len(masks):
-                dropped = True
-            masks = keep
+        uniq = set(masks)
+        keep = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
+        dropped = len(keep) < len(masks)
+        masks = keep
         if not masks:
             masks = [0]
         pairs = sorted((self._mask_to_face(m), m) for m in masks)
@@ -73,10 +65,7 @@ class SimplicialComplex:
         self.dropped_generators = dropped
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
-
-    @classmethod
-    def from_facets(cls, labels, generators) -> "SimplicialComplex":
-        return cls(labels, generators)
+        self._ridge_table: dict[int, tuple[int, ...]] | None = None
 
     def _mask_to_face(self, m: int) -> tuple[int, ...]:
         return tuple(self._labels[i] for i in range(len(self._labels)) if (m >> i) & 1)
@@ -221,70 +210,76 @@ class SimplicialComplex:
                 gens.append(tuple(a) + tuple(shift[v] for v in b))
         return SimplicialComplex(labels, gens)
 
+    def ridge_table(self) -> dict[int, tuple[int, ...]]:
+        """Ridge mask -> indices into facet_masks of the facets holding it, in
+        facet order.
+
+        Built once by dropping each vertex of each facet.  In a pure complex
+        every facet containing a (dim-1)-face is that face plus one vertex, so
+        a ridge lies in a facet exactly when the facet is listed here.
+        """
+        if self._ridge_table is None:
+            if not self.is_pure():
+                raise SimplicialError("ridges are defined for pure complexes")
+            table: dict[int, list[int]] = {}
+            for idx, fm in enumerate(self._facet_masks):
+                bits = fm
+                while bits:
+                    low = bits & -bits
+                    table.setdefault(fm ^ low, []).append(idx)
+                    bits ^= low
+            self._ridge_table = {r: tuple(h) for r, h in table.items()}
+        return self._ridge_table
+
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, and every (dim-1)-face lies in exactly two facets."""
-        if not self.is_pure():
-            return False
-        d = self.dim
-        if d < 0:
-            return True
-        counts: dict[int, int] = {}
-        for fm in self._facet_masks:
-            bits = fm
-            while bits:
-                low = bits & -bits
-                counts[fm ^ low] = counts.get(fm ^ low, 0) + 1
-                bits ^= low
-        return all(c == 2 for c in counts.values())
+        return self.is_pure() and all(len(h) == 2 for h in self.ridge_table().values())
 
     def is_strongly_connected(self) -> bool:
         """Facet-ridge adjacency graph is connected (pure complexes only)."""
         if not self.is_pure():
             return False
-        facets = self._facet_masks
-        if len(facets) <= 1:
-            return True
-        ridge_map: dict[int, list[int]] = {}
-        for idx, fm in enumerate(facets):
-            bits = fm
-            while bits:
-                low = bits & -bits
-                ridge_map.setdefault(fm ^ low, []).append(idx)
-                bits ^= low
+        table = self.ridge_table()
         seen = {0}
         stack = [0]
         while stack:
-            cur = stack.pop()
-            fm = facets[cur]
+            fm = self._facet_masks[stack.pop()]
             bits = fm
             while bits:
                 low = bits & -bits
-                for nb in ridge_map.get(fm ^ low, ()):
+                for nb in table[fm ^ low]:
                     if nb not in seen:
                         seen.add(nb)
                         stack.append(nb)
                 bits ^= low
-        return len(seen) == len(facets)
+        return len(seen) == len(self._facet_masks)
+
+    def flip_bit(self, fm: int, low: int) -> int:
+        """Bit of the vertex p with (fm - low) + p a facet, for a facet mask fm
+        and one of its bits low; raises unless the ridge lies in two facets."""
+        ridge = fm ^ low
+        holders = self.ridge_table()[ridge]
+        if len(holders) != 2:
+            raise SimplicialError(
+                f"ridge {self._mask_to_face(ridge)} lies in {len(holders)} facets, not 2"
+            )
+        a, b = (self._facet_masks[j] for j in holders)
+        return (b if a == fm else a) ^ ridge
 
     def ridge_flip(self, facet, i: int) -> int:
-        """The unique vertex p with (facet \\ {u_i}) + {p} a facet, u_i the i-th
-        vertex of the sorted facet (1-based)."""
+        """The unique vertex p with (facet \\ {u_i}) + {p} a facet.
+
+        u_i is the i-th vertex of the facet (1-based) in declared label order:
+        the facet's mask bit order and the order K.facets lists it in.
+        """
         fm = self._face_to_mask(facet)
         if fm not in self._facet_masks:
             raise SimplicialError(f"{tuple(sorted(facet))} is not a facet")
         verts = self._mask_to_face(fm)
         if not 1 <= i <= len(verts):
             raise SimplicialError(f"position {i} outside [1, {len(verts)}]")
-        u = verts[i - 1]
-        ridge = fm ^ (1 << self._index[u])
-        holders = [m for m in self._facet_masks if m & ridge == ridge]
-        if len(holders) != 2:
-            raise SimplicialError(
-                f"ridge {self._mask_to_face(ridge)} lies in {len(holders)} facets, not 2"
-            )
-        other = holders[0] if holders[1] == fm else holders[1]
-        extra = other & ~ridge
-        return self._labels[extra.bit_length() - 1]
+        p = self.flip_bit(fm, 1 << self._index[verts[i - 1]])
+        return self._labels[p.bit_length() - 1]
 
     def ghost_labels(self) -> tuple[int, ...]:
         used = 0

@@ -216,6 +216,25 @@ class TestRidgeFlipSupport:
         assert bad, "expected some support outside {{i}, [n]}"
 
 
+    def test_positions_follow_declared_order(self):
+        # lambda(flip vertex) is the sum of the facet's columns at the support
+        # positions, counted in declared label order, for every label order.
+        for chi in (octahedron_linear(), join_negative(), lambda_boundary_simplex(3)):
+            K = chi.complex
+            labels = list(reversed(K.labels))
+            column = dict(zip(K.labels, chi.matrix.column_bits()))
+            R = SimplicialComplex(labels, K.facets)
+            rchi = CharacteristicMatrix(
+                R, BitMatrix.from_column_bits(chi.n, [column[v] for v in labels])
+            )
+            for facet in R.facets:
+                for i in range(1, chi.n + 1):
+                    total = 0
+                    for j in ridge_flip_support(rchi, facet, i):
+                        total ^= column[facet[j - 1]]
+                    assert total == column[R.ridge_flip(facet, i)]
+
+
 class TestClassifyViaFlips:
     def test_agreement_on_fixed_instances(self):
         for chi in (

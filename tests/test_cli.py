@@ -85,6 +85,27 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
 
 
+    def test_descending_labels_match_ascending(self, emit, tmp_path, capsys):
+        """The octahedron declared as [6, 5, 4, 3, 2, 1], each label keeping
+        its linear-model column, reports what the ascending file reports."""
+        path = emit("cross3")
+        doc = json.loads(open(path).read())
+        order = [6, 5, 4, 3, 2, 1]
+        cols = [doc["vertices"].index(v) for v in order]
+        doc["vertices"] = order
+        doc["lambda"] = [[row[j] for j in cols] for row in doc["lambda"]]
+        (tmp_path / "descending").mkdir()
+        descending = tmp_path / "descending" / "cross3.json"
+        descending.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", path]) == 0
+        ascending_out = capsys.readouterr().out
+        assert main(["analyze", str(descending)]) == 0
+        out = capsys.readouterr().out
+        assert out == ascending_out
+        assert "classification: linear-model" in out
+        assert "verdict: equivalent-true" in out
+
+
 class TestRingExitCodes:
     @pytest.fixture
     def rp2_with_lambda(self, tmp_path):

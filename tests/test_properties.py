@@ -1,9 +1,16 @@
 """Corpus-wide structural laws tying the modules together."""
 
+import random
+
 import pytest
 
 from smallcover.catalog import catalog, get_entry
-from smallcover.charmap import PullbackLabel, classify_via_flips, omega_descriptors
+from smallcover.charmap import (
+    CharacteristicMatrix,
+    PullbackLabel,
+    classify_via_flips,
+    omega_descriptors,
+)
 from smallcover.cover import (
     RealToricSpace,
     betti_table,
@@ -12,6 +19,7 @@ from smallcover.cover import (
     mod2_betti,
     rational_betti,
 )
+from smallcover.gf2 import BitMatrix
 from smallcover.homology import reduced_cohomology
 from smallcover.shelling import critical_generators, verify_shelling
 from smallcover.simplicial import SimplicialComplex
@@ -137,6 +145,36 @@ class TestFlipsAgreeEverywhere:
             M = spaces(name)
             flips = classify_via_flips(M.chi)
             assert flips.label is M.classification.label, name
+
+
+    @pytest.mark.parametrize("name", [name for name, _ in light_instances()])
+    def test_relabelled_catalog_agreement(self, spaces, name):
+        """Shuffling the declared label order, with every label keeping its
+        column, changes flip positions but no classification or condition."""
+        M = spaces(name)
+        chi = relabelled(get_entry(name), random.Random(f"relabel-{name}"))
+        R = RealToricSpace(chi.complex, chi)
+        assert classify_via_flips(chi).label is R.classification.label, name
+        assert R.classification.label is M.classification.label, name
+        report, original = evaluate_conditions(R), evaluate_conditions(M)
+        assert report.conditions == original.conditions, name
+        assert report.verdict == original.verdict, name
+        assert report.betti == original.betti, name
+        assert (report.sq1_witness is None) == (original.sq1_witness is None), name
+
+
+def relabelled(entry, rng) -> CharacteristicMatrix:
+    """The entry's instance over a shuffled declared label order (never the
+    original one), each label keeping its column."""
+    K, chi = entry.complex, entry.chi
+    labels = list(K.labels)
+    while labels == list(K.labels):
+        rng.shuffle(labels)
+    column = dict(zip(K.labels, chi.matrix.column_bits()))
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, K.facets),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
 
 
 class TestRingLaws:

@@ -1,10 +1,16 @@
 """Shellings: verification, search, critical generators, concentration."""
 
+import contextlib
+import hashlib
+import io
+import random
 from itertools import combinations, permutations
 
 import pytest
 
+from smallcover.catalog import catalog
 from smallcover.charmap import classify_pullback, lambda_boundary_simplex
+from smallcover.cli import main
 from smallcover.homology import reduced_cohomology
 from smallcover.shelling import (
     ShellingError,
@@ -13,8 +19,10 @@ from smallcover.shelling import (
     two_degree_concentration_check,
     verify_shelling,
 )
+from smallcover.instancefile import emit_instance
 from smallcover.simplicial import (
     SimplicialComplex,
+    SimplicialError,
     boundary_of_simplex,
     cross_polytope_boundary,
 )
@@ -136,3 +144,135 @@ class TestConcentration:
         s = find_shelling(chi.complex)
         with pytest.raises(ValueError):
             two_degree_concentration_check(s, classify_pullback(chi).coloring, {1})
+
+
+# sha256 of `smallcover shelling FILE` stdout for each catalog entry's emitted
+# instance, recorded before the shelling search and verification moved onto
+# the complex's ridge table.
+SHELLING_STDOUT_PINS = {
+    "bier9": "d8c484a02a9b2b1a7e861114c2651728bfd50e3e34b6efaafbca5f6beed66a0f",
+    "cross2": "eb0f7ca926295fb81d3f4aace6b69456dd45ed9632fd49bb98caa13b1b4b4690",
+    "cross2mixed": "eb0f7ca926295fb81d3f4aace6b69456dd45ed9632fd49bb98caa13b1b4b4690",
+    "cross3": "2c9d3fc59ffe3b3334bcd3c4097e0171ff5fd62bf6d5db052ed7c92ae4653c44",
+    "cross3mixed": "2c9d3fc59ffe3b3334bcd3c4097e0171ff5fd62bf6d5db052ed7c92ae4653c44",
+    "cross3notsimplex": "2c9d3fc59ffe3b3334bcd3c4097e0171ff5fd62bf6d5db052ed7c92ae4653c44",
+    "cross4": "6c778d16b421f9cddb8da78d9d6b4788f261e10b91eaffc6b6bef4f810cead79",
+    "cross4mixed": "6c778d16b421f9cddb8da78d9d6b4788f261e10b91eaffc6b6bef4f810cead79",
+    "cross5": "9dbb9138a247a11254d34ecc68235f4f963b489e8c0474b40869cab0990380bc",
+    "cross5mixed": "9dbb9138a247a11254d34ecc68235f4f963b489e8c0474b40869cab0990380bc",
+    "cross6": "c3edbf9ea84b7c61366cedb07939c7d2da5ecd2411ec4cb8cb7198c7e8c7ae07",
+    "cross6mixed": "c3edbf9ea84b7c61366cedb07939c7d2da5ecd2411ec4cb8cb7198c7e8c7ae07",
+    "deltas0": "939f8360eb5b10ada26ed1e50ffd5bcb2a0f93a4e4c49e3dd3ecec5349a15fde",
+    "gon10": "2a49c36c2fb3a8909a8b13f10d3b2aedd35b6ed13d3ccf1d8991de8205119c78",
+    "gon10klein": "2a49c36c2fb3a8909a8b13f10d3b2aedd35b6ed13d3ccf1d8991de8205119c78",
+    "gon11": "92b59488e9c5ef5d3d03d94723d6d44d304e6038ab291d952fe7cf7e189eaa92",
+    "gon12": "b320bfac79b806b0d77be6549d26e0f540547970b798fd2aaecc92469f987f92",
+    "gon12klein": "b320bfac79b806b0d77be6549d26e0f540547970b798fd2aaecc92469f987f92",
+    "gon4": "eb0f7ca926295fb81d3f4aace6b69456dd45ed9632fd49bb98caa13b1b4b4690",
+    "gon4klein": "eb0f7ca926295fb81d3f4aace6b69456dd45ed9632fd49bb98caa13b1b4b4690",
+    "gon5": "4d00ba53d4a873965585b257bc5135b7daee28877ae1ed859e4eda8b6d76cdbd",
+    "gon6": "19ea3520677ef7a4e821b1feaddec1e310c51b36ee5d0f0def8d7640d78717fb",
+    "gon6klein": "19ea3520677ef7a4e821b1feaddec1e310c51b36ee5d0f0def8d7640d78717fb",
+    "gon7": "e053e0241510e1b9e4747d46ae0e14345b40a966ad413188ecd89cde3dfe75fe",
+    "gon8": "296af591b597c818dd561ae942079efb0d44473ee20f1d2d33d65cd37278c719",
+    "gon8klein": "296af591b597c818dd561ae942079efb0d44473ee20f1d2d33d65cd37278c719",
+    "gon9": "e9241412df181e5705f4371318fdaf3fdc287aa23f244b44715a0b7a4bbcbc73",
+    "rp1": "a357e39719861d5dfaa2743e37c79850f8fc65543009fa17a874532145290d34",
+    "rp2": "3dc8868599d1b7d66ed8dff24fe7e9cc0f35faad2a837b463256c2b4a4c86de6",
+    "rp2_6v": "a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e",
+    "rp2xrp2": "89b089823bfe760ded218ae93e59aa2b4c6566012481d2134d165b6efda3a39a",
+    "rp3": "6b11f734a7583fddfe3608573af430c67340ea852417fa615ed88ade9f4405f0",
+    "rp4": "3977e76a815902cb38518c6266dafb4d46ebf29539ecd204606c83a65ec6b113",
+    "rp5": "1838fe65eee31e338ee8c84af96845c337bd707a4a51041d424f84cc51e1843a",
+    "rp6": "6fa7003567162d0ae1771fdc55576bfd94769850b760075861d7c154edba2a50",
+    "rp7": "252b7d6875f4884ea0264a55ea5df1c5d98631d91975dfa78f88e4c5107ff9ab",
+    "rp8": "82081f63088c52566009f93887103e53a48c2e23938a66157d44e71921de6ab0",
+}
+
+
+def ridge_outcome(K):
+    """(shelling search result, closed pseudomanifold, strongly connected)."""
+    try:
+        s = find_shelling(K)
+        found = None if s is None else (s.order, s.restriction)
+    except SimplicialError as exc:
+        found = ("SimplicialError", str(exc))
+    return found, K.is_closed_pseudomanifold(), K.is_strongly_connected()
+
+
+def verify_outcomes(K):
+    """verify_shelling on every facet order: the restriction faces or the error."""
+    out = []
+    for order in permutations(K.facets):
+        try:
+            out.append(verify_shelling(K, list(order)).restriction)
+        except ShellingError as exc:
+            out.append(str(exc))
+    return out
+
+
+def random_pure_complexes(seed, count):
+    """Seeded pure complexes of dimension 1 or 2 on 5-7 vertices in a shuffled
+    declared label order; most are neither pseudomanifolds nor connected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = list(range(1, rng.randint(5, 7) + 1))
+        rng.shuffle(labels)
+        size = rng.randint(2, 3)
+        pool = list(combinations(sorted(labels), size))
+        facets = rng.sample(pool, rng.randint(2, min(6, len(pool))))
+        yield SimplicialComplex(labels, facets)
+
+
+class TestRidgeTablePins:
+    """Outputs recorded on inputs where a ridge does not lie in exactly two
+    facets, where the search used to test containment in earlier facets."""
+
+    def test_shelling_command_stdout(self, tmp_path):
+        digests = {}
+        for name, entry in sorted(catalog().items()):
+            path = tmp_path / f"{name}.json"
+            path.write_text(emit_instance(name, entry.complex, entry.chi), encoding="utf-8")
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["shelling", str(path)]) == 0
+            digests[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digests == SHELLING_STDOUT_PINS
+
+    def test_three_triangles_on_an_edge(self):
+        K = SimplicialComplex(range(1, 6), [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+        assert ridge_outcome(K) == (
+            (((1, 2, 3), (1, 2, 4), (1, 2, 5)), ((), (4,), (5,))), False, True
+        )
+
+    def test_triangulated_disc(self):
+        K = SimplicialComplex(range(1, 8), [(i, i % 6 + 1, 7) for i in range(1, 7)])
+        assert ridge_outcome(K) == (
+            (
+                ((1, 2, 7), (1, 6, 7), (2, 3, 7), (3, 4, 7), (4, 5, 7), (5, 6, 7)),
+                ((), (6,), (3,), (4,), (5,), (5, 6)),
+            ),
+            False,
+            True,
+        )
+
+    def test_disconnected_pairs(self):
+        triangles = SimplicialComplex(range(1, 7), [(1, 2, 3), (4, 5, 6)])
+        assert ridge_outcome(triangles) == (None, False, False)
+        circles = SimplicialComplex(
+            range(1, 7), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+        )
+        assert ridge_outcome(circles) == (None, True, False)
+
+    def test_non_pure(self):
+        K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
+        assert ridge_outcome(K) == (
+            ("SimplicialError", "shellings are defined for pure complexes"), False, False
+        )
+
+    def test_random_pure_complexes(self):
+        record = []
+        for K in random_pure_complexes(2026, 40):
+            record.append((K.labels, K.facets, ridge_outcome(K), verify_outcomes(K)))
+        digest = hashlib.sha256(repr(record).encode()).hexdigest()
+        assert digest == "bf4e2f4a72852dcc4cb9968c51cc4a89c9b527fdd636fa83a4589548541751b2"

@@ -175,6 +175,60 @@ class TestRidgeFlip:
         with pytest.raises(SimplicialError):
             K.ridge_flip((1, 2, 3), 1)
 
+    def test_ridge_in_three_facets_rejected(self):
+        K = SimplicialComplex(range(1, 6), [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+        with pytest.raises(SimplicialError) as err:
+            K.ridge_flip((1, 2, 3), 3)
+        assert str(err.value) == "ridge (1, 2) lies in 3 facets, not 2"
+
+    def test_non_pure_rejected(self):
+        # (1, 2) lies in (1, 2, 5) and in the larger facet (1, 2, 3, 4), but
+        # (1, 2, 4) is no facet: a flip needs a pure complex.
+        K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
+        with pytest.raises(SimplicialError) as err:
+            K.ridge_flip((1, 2, 5), 3)
+        assert "pure" in str(err.value)
+
+    def test_positions_follow_declared_order(self):
+        K = SimplicialComplex([6, 5, 4, 3, 2, 1], octahedron().facets)
+        assert (6, 5, 4) in K.facets
+        assert K.ridge_flip((4, 5, 6), 1) == 3
+        assert K.ridge_flip((4, 5, 6), 3) == 1
+        for facet in K.facets:
+            for i in range(1, 4):
+                p = K.ridge_flip(facet, i)
+                other = K._mask_to_face(K._face_to_mask(set(facet) - {facet[i - 1]} | {p}))
+                assert other in K.facets
+                assert K.ridge_flip(other, other.index(p) + 1) == facet[i - 1]
+
+
+class TestRidgeTable:
+    def test_matches_containment_on_catalog(self):
+        for name, entry in catalog().items():
+            if name == "bier9":
+                continue
+            K = entry.complex
+            masks = K.facet_masks
+            table = K.ridge_table()
+            assert set(table) == set(K.face_masks(K.dim - 1)), name
+            for ridge, holders in table.items():
+                assert holders == tuple(
+                    j for j, fm in enumerate(masks) if fm & ridge == ridge
+                ), name
+
+    def test_non_pure_rejected(self):
+        K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
+        with pytest.raises(SimplicialError):
+            K.ridge_table()
+        assert not K.is_closed_pseudomanifold()
+        assert not K.is_strongly_connected()
+
+    def test_empty_complex(self):
+        K = SimplicialComplex([1, 2], [])
+        assert K.ridge_table() == {}
+        assert K.is_closed_pseudomanifold()
+        assert K.is_strongly_connected()
+
 
 class TestJoinHVector:
     def test_h_polynomial_multiplies(self):
