@@ -21,7 +21,6 @@ from .charmap import (
     lambda_boundary_simplex,
     omega_descriptors,
     ridge_flip_support,
-    validate,
 )
 from .cover import (
     BettiTable,

@@ -126,6 +126,14 @@ class RealToricSpace:
     def h_vector(self) -> tuple[int, ...]:
         return self.complex.h_vector().h
 
+    @cached_property
+    def rational_betti_numbers(self) -> tuple[int, ...]:
+        return rational_betti(self)
+
+    @cached_property
+    def integral_profile(self) -> CohomologyProfile:
+        return integral_cohomology(self)
+
 
 def mod2_betti(M: RealToricSpace) -> tuple[int, ...]:
     """Mod-2 Betti numbers: the h-vector of the underlying complex."""
@@ -149,7 +157,7 @@ def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
     the Betti bookkeeping.  Raises InternalConsistencyError if the solved
     count goes negative or fails to close at the top degree."""
     n = M.n
-    b = rational_betti(M)
+    b = M.rational_betti_numbers
     b2 = mod2_betti(M)
     odd_torsion: dict[int, list[int]] = {q: [] for q in range(n + 1)}
     doubled: dict[int, list[int]] = {q: [] for q in range(n + 1)}
@@ -195,10 +203,9 @@ def mu_profile(profile: CohomologyProfile) -> tuple[int, ...]:
 
 
 def betti_table(M: RealToricSpace) -> BettiTable:
-    n = M.n
-    profile = integral_cohomology(M)
-    mu = [profile.mu(q) for q in range(n + 2)]
-    return BettiTable(b=rational_betti(M), b_mod2=mod2_betti(M), mu=tuple(mu))
+    profile = M.integral_profile
+    mu = [profile.mu(q) for q in range(M.n + 2)]
+    return BettiTable(b=M.rational_betti_numbers, b_mod2=mod2_betti(M), mu=tuple(mu))
 
 
 def is_orientable_3d(M: RealToricSpace) -> bool:
@@ -235,7 +242,7 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     if 1 in requested:
         results[1] = M.classification.is_simplex_pullback
     if {2, 3, 6, 7} & set(requested):
-        profile = integral_cohomology(M)
+        profile = M.integral_profile
         table = betti_table(M)
         for q in range(n + 1):
             g = profile.group(q)

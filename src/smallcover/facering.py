@@ -29,7 +29,7 @@ from math import comb
 
 from .charmap import CharacteristicMatrix, flip_supports
 from .errors import InternalConsistencyError
-from .gf2 import BitMatrix, invert
+from .gf2 import BitMatrix, echelon_insert, invert
 from .simplicial import SimplicialComplex
 
 # Degrees with more monomials than this go through top-degree pairing.
@@ -87,10 +87,7 @@ class GradedRingBasis:
         self._labels = K.labels
         self._label_pos = {v: i for i, v in enumerate(self._labels)}
         self.pivot_facet = K.facets[0]
-        cols = {v: chi.column_for_label(v) for v in self._labels}
-        basis = BitMatrix.from_columns([cols[v] for v in self.pivot_facet])
-        binv = invert(basis)
-        rewritten = binv @ chi.matrix
+        rewritten = chi.facet_coordinates(K.facet_masks[0])
         self.variables = tuple(v for v in self._labels if v not in set(self.pivot_facet))
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         k = len(self.variables)
@@ -100,7 +97,7 @@ class GradedRingBasis:
         for r, u in enumerate(self.pivot_facet):
             bits = 0
             for j, v in enumerate(self._labels):
-                if v in self._var_index and (rewritten.row_bits[r] >> j) & 1:
+                if v in self._var_index and (rewritten[r] >> j) & 1:
                     bits |= 1 << self._var_index[v]
             self._subst[u] = bits
         self._subst_support = {v: _bit_positions(b) for v, b in self._subst.items()}
@@ -120,8 +117,8 @@ class GradedRingBasis:
         self._gen_class_cache: dict[int, RingClass] = {}
         self._top_row: int | None = None
         self._top_memo: dict[tuple[int, ...], int] = {}
-        self._facet_for_support: dict[int, tuple[int, ...]] = {}
-        self._facet_rewrite: dict[tuple[int, ...], list[list[int]]] = {}
+        self._facet_for_support: dict[int, int] = {}
+        self._facet_rewrite: dict[int, list[list[int]]] = {}
         self._dual_ok: bool | None = None
 
     # ----- combinatorial bookkeeping -------------------------------------
@@ -227,9 +224,9 @@ class GradedRingBasis:
                 raise RingError("direct elimination needs the previous degree echelon")
             for prev in self._pivot_rows[d - 1].values():
                 for i in range(self.num_vars):
-                    _echelon_insert(rows, self._shift(d - 1, prev, i))
+                    echelon_insert(rows, self._shift(d - 1, prev, i))
             for gen_vec in self._gen_vectors(d):
-                _echelon_insert(rows, gen_vec)
+                echelon_insert(rows, gen_vec)
         count = len(self.monomials(d))
         dim = count - len(rows)
         if dim != self.dimension(d):
@@ -271,6 +268,8 @@ class GradedRingBasis:
                 if (top >> idx_top[merged]) & 1:
                     bits |= 1 << idx
             frows.append(bits)
+        pairing = BitMatrix(len(frows), len(monos), tuple(frows))
+        columns = pairing.column_bits()
         # highest-first greedy: the direct route's non-pivot set
         selected: list[int] = []
         echelon: dict[int, int] = {}
@@ -278,10 +277,7 @@ class GradedRingBasis:
         for j in range(len(monos) - 1, -1, -1):
             if len(selected) == nrows:
                 break
-            colbits = 0
-            for r in range(nrows):
-                colbits |= ((frows[r] >> j) & 1) << r
-            if _echelon_insert(echelon, colbits):
+            if echelon_insert(echelon, columns[j]):
                 selected.append(j)
         if len(selected) != nrows or nrows != self.dimension(d):
             raise RingError(
@@ -289,13 +285,9 @@ class GradedRingBasis:
                 f"h_{d} = {self.dimension(d)}"
             )
         selected.sort()
-        rows = frows[:]
-        for k, j in enumerate(selected):
-            piv = next(r for r in range(k, len(rows)) if (rows[r] >> j) & 1)
-            rows[k], rows[piv] = rows[piv], rows[k]
-            for r in range(len(rows)):
-                if r != k and (rows[r] >> j) & 1:
-                    rows[r] ^= rows[k]
+        # the rows that read the identity on the selected columns
+        square = BitMatrix.from_column_bits(nrows, [columns[j] for j in selected])
+        rows = list((invert(square) @ pairing).row_bits)
         self._validate_dual_degree(d, rows)
         self._store_degree(d, selected, rows)
 
@@ -330,34 +322,25 @@ class GradedRingBasis:
 
     # ----- top-degree evaluation ------------------------------------------
 
-    def _facet_containing(self, mask: int) -> tuple[int, ...]:
+    def _facet_containing(self, mask: int) -> int:
+        """Mask of the first facet containing the face with mask `mask`."""
         if mask not in self._facet_for_support:
-            for fm, facet in zip(self.K.facet_masks, self.K.facets):
+            for fm in self.K.facet_masks:
                 if fm & mask == mask:
-                    self._facet_for_support[mask] = facet
+                    self._facet_for_support[mask] = fm
                     break
             else:
                 raise RingError("support unexpectedly not contained in any facet")
         return self._facet_for_support[mask]
 
-    def _rewrite_rows_for(self, facet: tuple[int, ...]) -> list[list[int]]:
-        if facet not in self._facet_rewrite:
-            basis = BitMatrix.from_columns(
-                [self.chi.column_for_label(v) for v in facet]
-            )
-            rewritten = invert(basis) @ self.chi.matrix
-            in_facet = set(facet)
-            rows = []
-            for r in range(self.n):
-                rows.append(
-                    [
-                        v
-                        for j, v in enumerate(self._labels)
-                        if v not in in_facet and (rewritten.row_bits[r] >> j) & 1
-                    ]
-                )
-            self._facet_rewrite[facet] = rows
-        return self._facet_rewrite[facet]
+    def _rewrite_rows_for(self, fm: int) -> list[list[int]]:
+        """Per facet vertex, the labels off the facet in its coordinate row."""
+        if fm not in self._facet_rewrite:
+            self._facet_rewrite[fm] = [
+                [v for j, v in enumerate(self._labels) if (row & ~fm) >> j & 1]
+                for row in self.chi.facet_coordinates(fm)
+            ]
+        return self._facet_rewrite[fm]
 
     def _eval_top_monomial(self, t: tuple[int, ...]) -> int:
         """Value of a degree-n monomial in the one-dimensional top degree.
@@ -380,9 +363,9 @@ class GradedRingBasis:
             memo[t] = 1
             return 1
         rep = next(t[i] for i in range(len(t) - 1) if t[i] == t[i + 1])
-        facet = self._facet_containing(mask)
-        r = facet.index(rep)
-        rewrite = self._rewrite_rows_for(facet)
+        fm = self._facet_containing(mask)
+        r = (fm & ((1 << self._label_pos[rep]) - 1)).bit_count()
+        rewrite = self._rewrite_rows_for(fm)
         reduced = list(t)
         reduced.remove(rep)
         acc = 0
@@ -622,25 +605,6 @@ def _bit_positions(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-def _echelon_insert(rows: dict[int, int], v: int) -> bool:
-    """Insert v into a reduced echelon basis keyed by lowest-bit pivot.
-
-    Each row is zero at every other pivot, so reducing by the rows in any
-    order clears v's pivot bits.  True if the rank grew.
-    """
-    for p, row in rows.items():
-        if (v >> p) & 1:
-            v ^= row
-    if not v:
-        return False
-    p = (v & -v).bit_length() - 1
-    for q, row in rows.items():
-        if (row >> p) & 1:
-            rows[q] = row ^ v
-    rows[p] = v
-    return True
 
 
 def build_graded_basis(

@@ -214,27 +214,36 @@ def _transpose_bits(vectors: Sequence[int], length: int) -> list[int]:
     return out
 
 
+def echelon_insert(rows: dict[int, int], v: int) -> bool:
+    """Insert v into a reduced echelon basis keyed by lowest-bit pivot.
+
+    Each row is zero at every other pivot, so reducing by the rows in any
+    order clears v's pivot bits.  True if the rank grew.
+    """
+    for p, row in rows.items():
+        if (v >> p) & 1:
+            v ^= row
+    if not v:
+        return False
+    p = (v & -v).bit_length() - 1
+    for q, row in rows.items():
+        if (row >> p) & 1:
+            rows[q] = row ^ v
+    rows[p] = v
+    return True
+
+
 def _echelonize(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Pivot of each row is its lowest set bit; rows are fully reduced against
     each other, so pivot columns appear in exactly one row.
     """
-    rows: list[int] = []
-    pivots: list[int] = []
+    rows: dict[int, int] = {}
     for v in row_bits:
-        for r, p in zip(rows, pivots):
-            if (v >> p) & 1:
-                v ^= r
-        if v:
-            p = (v & -v).bit_length() - 1
-            for k in range(len(rows)):
-                if (rows[k] >> p) & 1:
-                    rows[k] ^= v
-            rows.append(v)
-            pivots.append(p)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [rows[k] for k in order], [pivots[k] for k in order]
+        echelon_insert(rows, v)
+    pivots = sorted(rows)
+    return [rows[p] for p in pivots], pivots
 
 
 def rank(a: BitMatrix) -> int:
@@ -267,18 +276,8 @@ def row_space(a: BitMatrix, limit: int = 30) -> list[tuple[BitVec, BitVec]]:
     """
     if a.rows > limit:
         raise GF2Error(f"row count {a.rows} exceeds enumeration guard {limit}")
-    basis: list[int] = []
-    seen_rows: list[int] = []
-    seen_pivots: list[int] = []
-    for v in a.row_bits:
-        w = v
-        for r, p in zip(seen_rows, seen_pivots):
-            if (w >> p) & 1:
-                w ^= r
-        if w:
-            seen_rows.append(w)
-            seen_pivots.append((w & -w).bit_length() - 1)
-            basis.append(v)
+    echelon: dict[int, int] = {}
+    basis = [v for v in a.row_bits if echelon_insert(echelon, v)]
     r = len(basis)
     out = []
     for mask in range(1 << r):
@@ -325,10 +324,10 @@ def find_basis_change(vectors: Sequence[BitVec], n: int) -> BitMatrix:
     for v in vectors:
         if v.length != n:
             raise GF2Error(f"vector length {v.length} != {n}")
-    m = BitMatrix.from_columns(list(vectors))
-    if rank(m) != n:
-        raise GF2Error("vectors are linearly dependent")
-    return invert(m)
+    try:
+        return invert(BitMatrix.from_columns(list(vectors)))
+    except GF2Error:
+        raise GF2Error("vectors are linearly dependent") from None
 
 
 def enumerate_gl(n: int) -> Iterator[BitMatrix]:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallcover.catalog import catalog
 from smallcover.charmap import (
@@ -13,11 +15,13 @@ from smallcover.charmap import (
     classify_pullback,
     classify_via_flips,
     first_dependent_facet,
+    flip_supports,
     lambda_boundary_simplex,
     omega_descriptors,
     ridge_flip_support,
 )
-from smallcover.gf2 import BitMatrix, BitVec, enumerate_gl, rank
+from smallcover.cli import sample_random_instance
+from smallcover.gf2 import BitMatrix, BitVec, enumerate_gl, find_basis_change, rank
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -354,3 +358,73 @@ class TestBuilders:
         chi = join_negative()
         cols = [chi.matrix.column(j).coords() for j in range(5)]
         assert cols == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1)]
+
+
+def check_facet_coordinates(chi):
+    """Every facet's coordinate rows against their definition, and the flip
+    supports read from them against one basis change per facet."""
+    K, n = chi.complex, chi.n
+    cols = chi.matrix.column_bits()
+    for fm in K.facet_masks:
+        rows = chi.facet_coordinates(fm)
+        positions = [j for j in range(K.vertex_count) if fm >> j & 1]
+        assert len(rows) == n
+        # the facet's own columns read e_1, ..., e_n in declared order
+        for k, j in enumerate(positions):
+            assert [row >> j & 1 for row in rows] == [int(r == k) for r in range(n)]
+        # B_F times the rows gives back Lambda
+        for j, col in enumerate(cols):
+            back = 0
+            for r, p in enumerate(positions):
+                if rows[r] >> j & 1:
+                    back ^= cols[p]
+            assert back == col
+        assert chi.facet_coordinates(fm) is rows
+    if not K.is_closed_pseudomanifold():
+        return
+    expected = []
+    for facet in K.facets:
+        g = find_basis_change([chi.column_for_label(v) for v in facet], n)
+        for i in range(1, n + 1):
+            coeffs = g.apply(chi.column_for_label(K.ridge_flip(facet, i)))
+            expected.append((facet, i, frozenset(k + 1 for k in coeffs.support())))
+    assert list(flip_supports(chi)) == expected
+
+
+def shuffled_labels(chi, rng):
+    """The same instance over a shuffled declared label order, each label
+    keeping its column."""
+    K = chi.complex
+    labels = list(K.labels)
+    rng.shuffle(labels)
+    column = dict(zip(K.labels, chi.matrix.column_bits()))
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, K.facets),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
+
+
+class TestFacetCoordinates:
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, e in catalog().items() if e.chi is not None)
+    )
+    def test_catalog(self, name):
+        check_facet_coordinates(catalog()[name].chi)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["cross3", "cross4mixed", "cross5", "gon8", "rp2xrp2", "deltas0"]),
+        st.integers(0, 2**32 - 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_sampled_and_relabelled(self, name, seed, rng):
+        chi, _ = sample_random_instance(name, random.Random(seed))
+        check_facet_coordinates(chi)
+        check_facet_coordinates(shuffled_labels(chi, rng))
+
+    def test_facet_of_the_wrong_size(self):
+        # valid (independent on every edge) but with more rows than a facet
+        # has vertices, so no facet gives a basis
+        chi = CharacteristicMatrix(boundary_of_simplex(2), BitMatrix.identity(3))
+        with pytest.raises(CharMapError, match="has 2 vertices, not n = 3"):
+            classify_via_flips(chi)

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallcover.gf2 import (
     BitMatrix,
     BitVec,
     GF2Error,
+    _echelonize,
+    echelon_insert,
     enumerate_gl,
     find_basis_change,
     invert,
@@ -224,3 +228,105 @@ class TestEnumerateGL:
         seen = list(enumerate_gl(n))
         assert len(seen) == count
         assert all(rank(g) == n for g in seen[:50])
+
+
+# Deterministic and bounded: the same examples on every run.
+ORACLE = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def bit_matrices(draw, square=False):
+    rows = draw(st.integers(1 if square else 0, 7))
+    cols = rows if square else draw(st.integers(0, 7))
+    entries = st.integers(0, (1 << cols) - 1)
+    bits = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, tuple(bits))
+
+
+def span(vectors) -> set[int]:
+    """Every XOR of a subset of the vectors, by brute force."""
+    out = {0}
+    for v in vectors:
+        out |= {s ^ v for s in out}
+    return out
+
+
+def low_bit(v: int) -> int:
+    return (v & -v).bit_length() - 1
+
+
+class TestEchelonOracle:
+    """rank, kernel_basis, row_space and _echelonize, all built on
+    echelon_insert, against the brute-force span of the rows."""
+
+    @ORACLE
+    @given(bit_matrices())
+    def test_insert_grows_rank_exactly_off_the_span(self, a):
+        rows: dict[int, int] = {}
+        for k, v in enumerate(a.row_bits):
+            assert echelon_insert(rows, v) == (v not in span(a.row_bits[:k]))
+        assert span(rows.values()) == span(a.row_bits)
+        assert all(low_bit(r) == p for p, r in rows.items())
+
+    @ORACLE
+    @given(bit_matrices())
+    def test_rank_and_echelon_form(self, a):
+        space = span(a.row_bits)
+        pivots = sorted({low_bit(v) for v in space if v})
+        pivot_mask = sum(1 << p for p in pivots)
+        # reduced echelon form: the one element per pivot that is zero at
+        # every other pivot
+        expected = [
+            next(v for v in space if (v & pivot_mask) == 1 << p) for p in pivots
+        ]
+        assert len(space) == 1 << rank(a)
+        assert _echelonize(a.row_bits) == (expected, pivots)
+
+    @ORACLE
+    @given(bit_matrices())
+    def test_kernel_basis(self, a):
+        kernel = [
+            x for x in range(1 << a.cols)
+            if all((r & x).bit_count() % 2 == 0 for r in a.row_bits)
+        ]
+        pivot_mask = sum({1 << low_bit(v) for v in span(a.row_bits) if v})
+        free = [j for j in range(a.cols) if not pivot_mask >> j & 1]
+        expected = sorted(
+            next(x for x in kernel if (x & ~pivot_mask) == 1 << j) for j in free
+        )
+        got = kernel_basis(a)
+        assert [v.bits for v in got] == expected
+        assert all(v.length == a.cols for v in got)
+
+    @ORACLE
+    @given(bit_matrices())
+    def test_row_space_basis_and_order(self, a):
+        basis = [
+            v for k, v in enumerate(a.row_bits)
+            if v not in span(a.row_bits[:k])
+        ]
+        expected = []
+        for mask in range(1 << len(basis)):
+            omega = 0
+            for k, b in enumerate(basis):
+                if mask >> k & 1:
+                    omega ^= b
+            expected.append((omega, mask))
+        got = row_space(a)
+        assert [(omega.bits, coeffs.bits) for omega, coeffs in got] == expected
+        assert all(
+            (omega.length, coeffs.length) == (a.cols, len(basis))
+            for omega, coeffs in got
+        )
+
+    @ORACLE
+    @given(bit_matrices(square=True))
+    def test_basis_change_or_dependence(self, a):
+        n = a.rows
+        vectors = a.columns()
+        if len(span(a.column_bits())) < 1 << n:
+            with pytest.raises(GF2Error, match="linearly dependent"):
+                find_basis_change(vectors, n)
+        else:
+            g = find_basis_change(vectors, n)
+            assert [g.apply(v) for v in vectors] == [BitVec.unit(n, i) for i in range(n)]
