@@ -10,7 +10,7 @@ l+1..2l.  Labels that end up in no facet stay declared as ghosts.
 from __future__ import annotations
 
 from .charmap import CharacteristicMatrix
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix, BitVec, bit_positions
 from .simplicial import SimplicialComplex, SimplicialError
 
 
@@ -36,8 +36,8 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
             if (fm | low) in face_masks:
                 continue
             comp = rest ^ low
-            facet = [rank[pos_label[i]] for i in _positions(fm)]
-            facet += [ell + rank[pos_label[i]] for i in _positions(comp)]
+            facet = [rank[pos_label[i]] for i in bit_positions(fm)]
+            facet += [ell + rank[pos_label[i]] for i in bit_positions(comp)]
             gens.append(tuple(sorted(facet)))
     sphere = SimplicialComplex(range(1, 2 * ell + 1), gens)
     if sphere.dim != ell - 2:
@@ -45,15 +45,6 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     if not sphere.is_closed_pseudomanifold():
         raise SimplicialError("construction is not a closed pseudomanifold")
     return sphere
-
-
-def _positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def lambda_bier(ell: int) -> BitMatrix:

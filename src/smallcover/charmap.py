@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import InternalConsistencyError
 from .gf2 import (
     BitMatrix,
     BitVec,
@@ -167,7 +168,7 @@ def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int
     echelon: dict[int, int] = {}
     basis = [v for v in distinct if echelon_insert(echelon, v)]
     if len(basis) != n:
-        raise CharMapError("columns do not span the full space")
+        raise InternalConsistencyError("columns do not span the full space")
     g = find_basis_change([BitVec(n, b) for b in basis], n)
     all_ones = (1 << n) - 1
     coloring: dict[int, int] = {}
@@ -178,7 +179,7 @@ def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int
         elif image == all_ones:
             coloring[label] = n + 1
         else:
-            raise CharMapError(
+            raise InternalConsistencyError(
                 "witness construction failed: column image is neither a standard "
                 "vector nor the all-ones sum"
             )

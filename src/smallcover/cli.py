@@ -35,7 +35,10 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise InputError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _report_dict(name: str, M: RealToricSpace, report: ConditionReport) -> dict:
@@ -248,8 +251,10 @@ def cmd_shelling(args) -> int:
     K, _ = parse_instance(_read_text(args.file))
     if args.order:
         order_doc = json.loads(_read_text(args.order))
-        if not isinstance(order_doc, list):
-            raise InputError("order file must be a JSON list of facets")
+        if not isinstance(order_doc, list) or not all(
+            isinstance(f, list) and all(type(v) is int for v in f) for f in order_doc
+        ):
+            raise InputError("order file must be a JSON list of facets, each a list of integers")
         shelling = verify_shelling(K, [tuple(f) for f in order_doc])
         found = True
     else:

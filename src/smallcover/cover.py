@@ -176,8 +176,7 @@ def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
             raise InternalConsistencyError(
                 f"negative even-torsion count at degree {q + 1}"
             )
-        if q + 1 <= n + 1:
-            mu[q + 1] = nxt
+        mu[q + 1] = nxt
     if mu[1] != 0:
         raise InternalConsistencyError("degree-1 cohomology acquired torsion")
     if mu[n + 1] != 0:

@@ -19,6 +19,11 @@ keeps the flagship 8-dimensional computation inside desk-scale arithmetic.
 Pairing columns are selected from the highest monomial downward; as the
 pairing is perfect, that is the same non-pivot set, so the route a degree
 takes never changes a basis, a normal form or a rendered class.
+
+A monomial is one int, its key: the exponent of the label at position p
+sits in bits [w*p, w*p + w), with w = n.bit_length().  No degree exceeds n,
+so no field carries and the product of two monomials is the sum of their
+keys.  The presentation and the top-degree evaluator share this key space.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from math import comb
 
 from .charmap import CharacteristicMatrix, flip_supports
 from .errors import InternalConsistencyError
-from .gf2 import BitMatrix, echelon_insert, invert
+from .gf2 import BitMatrix, bit_positions, echelon_insert, invert
 from .simplicial import SimplicialComplex
 
 # Degrees with more monomials than this go through top-degree pairing.
@@ -100,23 +105,29 @@ class GradedRingBasis:
                 if v in self._var_index and (rewritten[r] >> j) & 1:
                     bits |= 1 << self._var_index[v]
             self._subst[u] = bits
-        self._subst_support = {v: _bit_positions(b) for v, b in self._subst.items()}
         self.num_vars = k
+        self._width = w = self.n.bit_length()
+        self._field = (1 << w) - 1
+        # the low bit of every field, where an odd exponent shows
+        self._low_bits = sum(1 << w * p for p in range(len(self._labels)))
+        self._high_bits = (self._field ^ 1) * self._low_bits
+        self._units = [1 << w * self._label_pos[v] for v in self.variables]
+        self._subst_units = {
+            v: [self._units[i] for i in bit_positions(b)] for v, b in self._subst.items()
+        }
 
         self._gens = self._minimal_nonfaces(max_size=self.n)
         self._gen_vectors_cache: dict[int, list[int]] = {}
 
-        self._monomials: dict[int, list[tuple[int, ...]]] = {}
-        self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._mult_cache: dict[int, list[list[int]]] = {}
+        self._monomials: dict[int, list[int]] = {}
+        self._mono_index: dict[int, dict[int, int]] = {}
         # echelon of the ideal in a direct degree: input to the next degree
         self._pivot_rows: dict[int, dict[int, int]] = {}
         self._basis_idx: dict[int, list[int]] = {}
         self._nf_rows: dict[int, list[int]] = {}
-        self._nf_cache: dict[int, dict[int, int]] = {}
         self._gen_class_cache: dict[int, RingClass] = {}
         self._top_row: int | None = None
-        self._top_memo: dict[tuple[int, ...], int] = {}
+        self._top_memo: dict[int, int] = {}
         self._facet_for_support: dict[int, int] = {}
         self._facet_rewrite: dict[int, list[list[int]]] = {}
         self._dual_ok: bool | None = None
@@ -145,20 +156,16 @@ class GradedRingBasis:
                         break
                     bits ^= low
                 if ok:
-                    out.append(tuple(self._labels[i] for i in _bit_positions(m)))
+                    out.append(tuple(self._labels[i] for i in bit_positions(m)))
         return out
 
-    def monomials(self, d: int) -> list[tuple[int, ...]]:
-        """Degree-d monomials in the non-pivot variables, lexicographic."""
+    def monomials(self, d: int) -> list[int]:
+        """Keys of the degree-d monomials in the non-pivot variables, lexicographic."""
         if d not in self._monomials:
-            monos = list(combinations_with_replacement(range(self.num_vars), d))
+            monos = [sum(c) for c in combinations_with_replacement(self._units, d)]
             self._monomials[d] = monos
-            self._mono_index[d] = {t: i for i, t in enumerate(monos)}
+            self._mono_index[d] = {m: i for i, m in enumerate(monos)}
         return self._monomials[d]
-
-    def _index_of(self, d: int, mono: tuple[int, ...]) -> int:
-        self.monomials(d)
-        return self._mono_index[d][mono]
 
     def _gen_vectors(self, d: int) -> list[int]:
         """Rewritten monomial-ideal generators of degree exactly d."""
@@ -170,35 +177,21 @@ class GradedRingBasis:
                 vec = 1
                 for deg, label in enumerate(gen):
                     nxt = 0
-                    for i in self._subst_support[label]:
-                        nxt ^= self._shift(deg, vec, i)
+                    for unit in self._subst_units[label]:
+                        nxt ^= self._shift(deg, vec, unit)
                     vec = nxt
                 vectors.append(vec)
             self._gen_vectors_cache[d] = vectors
         return self._gen_vectors_cache[d]
 
-    def _mult_table(self, d: int) -> list[list[int]]:
-        cache = self._mult_cache
-        if d not in cache:
-            monos = self.monomials(d)
-            self.monomials(d + 1)
-            idx_next = self._mono_index[d + 1]
-            table = []
-            for t in monos:
-                row = []
-                for i in range(self.num_vars):
-                    merged = tuple(sorted(t + (i,)))
-                    row.append(idx_next[merged])
-                table.append(row)
-            cache[d] = table
-        return cache[d]
-
-    def _shift(self, d: int, vec: int, i: int) -> int:
-        """Multiply a degree-d vector over the monomials by variable i."""
-        table = self._mult_table(d)
+    def _shift(self, d: int, vec: int, key: int, e: int = 1) -> int:
+        """Multiply a degree-d vector over the monomials by a degree-e monomial."""
+        monos = self.monomials(d)
+        self.monomials(d + e)
+        index = self._mono_index[d + e]
         out = 0
-        for idx in _bit_positions(vec):
-            out ^= 1 << table[idx][i]
+        for idx in bit_positions(vec):
+            out ^= 1 << index[monos[idx] + key]
         return out
 
     # ----- per-degree construction ---------------------------------------
@@ -223,8 +216,8 @@ class GradedRingBasis:
             if d - 1 not in self._pivot_rows:
                 raise RingError("direct elimination needs the previous degree echelon")
             for prev in self._pivot_rows[d - 1].values():
-                for i in range(self.num_vars):
-                    echelon_insert(rows, self._shift(d - 1, prev, i))
+                for unit in self._units:
+                    echelon_insert(rows, self._shift(d - 1, prev, unit))
             for gen_vec in self._gen_vectors(d):
                 echelon_insert(rows, gen_vec)
         count = len(self.monomials(d))
@@ -237,7 +230,7 @@ class GradedRingBasis:
         pos = {b: k for k, b in enumerate(basis)}
         nf_rows = [1 << b for b in basis]
         for p, row in rows.items():
-            for b in _bit_positions(row ^ (1 << p)):
+            for b in bit_positions(row ^ (1 << p)):
                 nf_rows[pos[b]] |= 1 << p
         self._pivot_rows[d] = rows
         self._store_degree(d, basis, nf_rows)
@@ -264,8 +257,7 @@ class GradedRingBasis:
             nu = co_monos[b]
             bits = 0
             for idx, mono in enumerate(monos):
-                merged = tuple(sorted(mono + nu))
-                if (top >> idx_top[merged]) & 1:
+                if (top >> idx_top[mono + nu]) & 1:
                     bits |= 1 << idx
             frows.append(bits)
         pairing = BitMatrix(len(frows), len(monos), tuple(frows))
@@ -294,7 +286,6 @@ class GradedRingBasis:
     def _store_degree(self, d: int, basis: list[int], nf_rows: list[int]) -> None:
         self._basis_idx[d] = basis
         self._nf_rows[d] = nf_rows
-        self._nf_cache[d] = {}
 
     def _duality_available(self) -> bool:
         if self._dual_ok is None:
@@ -307,12 +298,10 @@ class GradedRingBasis:
         """Pairing functionals must kill ideal elements: check generator
         multiples against deterministic monomial cofactors."""
         for e in range(1, d + 1):
-            cofactors = self.monomials(d - e)[:2] if d > e else [()]
+            cofactors = self.monomials(d - e)[:2]
             for vec in self._gen_vectors(e):
                 for nu in cofactors:
-                    shifted = vec
-                    for deg, i in enumerate(nu, start=e):
-                        shifted = self._shift(deg, shifted, i)
+                    shifted = self._shift(e, vec, nu, d - e)
                     for row in nf_rows:
                         if (row & shifted).bit_count() & 1:
                             raise RingError(
@@ -334,54 +323,52 @@ class GradedRingBasis:
         return self._facet_for_support[mask]
 
     def _rewrite_rows_for(self, fm: int) -> list[list[int]]:
-        """Per facet vertex, the labels off the facet in its coordinate row."""
+        """Per facet vertex, the label positions off the facet in its coordinate row."""
         if fm not in self._facet_rewrite:
             self._facet_rewrite[fm] = [
-                [v for j, v in enumerate(self._labels) if (row & ~fm) >> j & 1]
-                for row in self.chi.facet_coordinates(fm)
+                bit_positions(row & ~fm) for row in self.chi.facet_coordinates(fm)
             ]
         return self._facet_rewrite[fm]
 
-    def _eval_top_monomial(self, t: tuple[int, ...]) -> int:
-        """Value of a degree-n monomial in the one-dimensional top degree.
+    def _eval_top_monomial(self, key: int, mask: int) -> int:
+        """Value of the degree-n monomial `key`, with support `mask`, in the
+        one-dimensional top degree.
 
-        Repeated variables are eliminated by rewriting in the basis of a
+        One factor of a repeated variable is rewritten in the basis of a
         facet containing the support; squarefree facet monomials all
         represent the generator.
         """
         memo = self._top_memo
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        mask = 0
-        for v in set(t):
-            mask |= 1 << self._label_pos[v]
+        value = memo.get(key)
+        if value is not None:
+            return value
         if mask not in self.K.all_face_masks():
-            memo[t] = 0
-            return 0
-        if mask.bit_count() == len(t):
-            memo[t] = 1
-            return 1
-        rep = next(t[i] for i in range(len(t) - 1) if t[i] == t[i + 1])
-        fm = self._facet_containing(mask)
-        r = (fm & ((1 << self._label_pos[rep]) - 1)).bit_count()
-        rewrite = self._rewrite_rows_for(fm)
-        reduced = list(t)
-        reduced.remove(rep)
-        acc = 0
-        for q in rewrite[r]:
-            child = tuple(sorted(reduced + [q]))
-            acc ^= self._eval_top_monomial(child)
-        memo[t] = acc
-        return acc
+            value = 0
+        elif mask.bit_count() == self.n:
+            value = 1
+        else:
+            w = self._width
+            high = key & self._high_bits
+            rep = ((high & -high).bit_length() - 1) // w
+            fm = self._facet_containing(mask)
+            r = (fm & ((1 << rep) - 1)).bit_count()
+            rest = key - (1 << w * rep)
+            value = 0
+            for q in self._rewrite_rows_for(fm)[r]:
+                value ^= self._eval_top_monomial(rest + (1 << w * q), mask | 1 << q)
+        memo[key] = value
+        return value
 
     def _top_functional(self) -> int:
         if self._top_row is None:
             monos = self.monomials(self.n)
+            w = self._width
             bits = 0
-            for idx, mono in enumerate(monos):
-                labels = tuple(sorted(self.variables[i] for i in mono))
-                if self._eval_top_monomial(labels):
+            for idx, key in enumerate(monos):
+                mask = 0
+                for b in bit_positions(key):
+                    mask |= 1 << b // w
+                if self._eval_top_monomial(key, mask):
                     bits |= 1 << idx
             if bits == 0 and monos:
                 raise RingError("top-degree functional vanished identically")
@@ -399,11 +386,10 @@ class GradedRingBasis:
         return coords
 
     def _reduce_monomial(self, d: int, idx: int) -> int:
-        cache = self._nf_cache[d]
-        got = cache.get(idx)
-        if got is None:
-            got = cache[idx] = self._reduce_vector(d, 1 << idx)
-        return got
+        return self._reduce_vector(d, 1 << idx)
+
+    def _basis_key(self, d: int, pos: int) -> int:
+        return self._monomials[d][self._basis_idx[d][pos]]
 
     def one(self) -> RingClass:
         self._ensure_degree(0)
@@ -426,8 +412,11 @@ class GradedRingBasis:
     def basis_monomial_labels(self, d: int, pos: int) -> tuple[int, ...]:
         """The monomial (as vertex labels with repetition) behind basis slot pos."""
         self._ensure_degree(d)
-        idx = self._basis_idx[d][pos]
-        return tuple(sorted(self.variables[i] for i in self.monomials(d)[idx]))
+        key = self._basis_key(d, pos)
+        return tuple(sorted(
+            v for v, unit in zip(self.variables, self._units)
+            for _ in range(key // unit & self._field)
+        ))
 
     def multiply(self, x: RingClass, y: RingClass) -> RingClass:
         d = x.degree + y.degree
@@ -436,16 +425,14 @@ class GradedRingBasis:
         self._ensure_degree(x.degree)
         self._ensure_degree(y.degree)
         self._ensure_degree(d)
-        xmonos = [self.monomials(x.degree)[i] for i in self._basis_idx[x.degree]]
-        ymonos = [self.monomials(y.degree)[i] for i in self._basis_idx[y.degree]]
+        ykeys = [self._basis_key(y.degree, j) for j in bit_positions(y.bits)]
         index = self._mono_index[d]
-        acc = 0
-        for i in _bit_positions(x.bits):
-            mi = xmonos[i]
-            for j in _bit_positions(y.bits):
-                merged = tuple(sorted(mi + ymonos[j]))
-                acc ^= self._reduce_monomial(d, index[merged])
-        return RingClass(d, acc)
+        vec = 0
+        for i in bit_positions(x.bits):
+            xkey = self._basis_key(x.degree, i)
+            for ykey in ykeys:
+                vec ^= 1 << index[xkey + ykey]
+        return RingClass(d, self._reduce_vector(d, vec))
 
     def _generator_class(self, label: int) -> RingClass:
         got = self._gen_class_cache.get(label)
@@ -465,22 +452,23 @@ class GradedRingBasis:
         return c
 
     def sq1(self, x: RingClass) -> RingClass:
-        """First Steenrod square, extended from generators by the Leibniz rule."""
+        """First Steenrod square, extended from generators by the Leibniz rule.
+
+        Sq1(v^e) = e v^(e+1): each odd exponent, the low bit of its field,
+        adds one more factor of its variable.
+        """
         d = x.degree
         if d + 1 > self.n:
             return RingClass(d + 1, 0)
         self._ensure_degree(d)
         self._ensure_degree(d + 1)
         index = self._mono_index[d + 1]
-        acc = 0
-        monos = self.monomials(d)
-        for pos in _bit_positions(x.bits):
-            t = monos[self._basis_idx[d][pos]]
-            for i in set(t):
-                if t.count(i) % 2:
-                    child = tuple(sorted(t + (i,)))
-                    acc ^= self._reduce_monomial(d + 1, index[child])
-        return RingClass(d + 1, acc)
+        vec = 0
+        for pos in bit_positions(x.bits):
+            key = self._basis_key(d, pos)
+            for b in bit_positions(key & self._low_bits):
+                vec ^= 1 << index[key + (1 << b)]
+        return RingClass(d + 1, self._reduce_vector(d + 1, vec))
 
     def sq1_vanishes_on_degree(self, d: int) -> bool:
         if d % 2:
@@ -490,36 +478,38 @@ class GradedRingBasis:
         return all(self.sq1(c).is_zero() for c in self.basis_classes(d))
 
     def total_sq(self, x: RingClass) -> dict[int, RingClass]:
-        """Total Steenrod square of a homogeneous class, degrees x.deg..n."""
+        """Total Steenrod square of a homogeneous class, degrees x.deg..n.
+
+        Sq is multiplicative with Sq(v) = v + v^2, so Sq(v^e) = v^e (1 + v)^e,
+        and by Lucas C(e, c) is odd exactly when c is a binary submask of e.
+        """
         d = x.degree
         self._ensure_degree(d)
-        out: dict[int, int] = {}
-        monos = self.monomials(d)
-        for pos in _bit_positions(x.bits):
-            t = monos[self._basis_idx[d][pos]]
-            element: dict[int, RingClass] = {0: self.one()}
-            for i in t:
-                self._ensure_degree(1)
-                wi = RingClass(1, self._reduce_monomial(1, self._index_of(1, (i,))))
-                if self.n >= 2:
-                    self._ensure_degree(2)
-                    wi2 = RingClass(2, self._reduce_monomial(2, self._index_of(2, (i, i))))
-                else:
-                    wi2 = RingClass(2, 0)
-                nxt: dict[int, RingClass] = {}
-                for deg, cls in element.items():
-                    for factor in (wi, wi2):
-                        nd = deg + factor.degree
-                        if nd > self.n:
-                            continue
-                        term = self.multiply(cls, factor)
-                        if term.bits:
-                            prev = nxt.get(nd)
-                            nxt[nd] = term if prev is None else self.add(prev, term)
-                element = nxt
-            for deg, cls in element.items():
-                out[deg] = out.get(deg, 0) ^ cls.bits
-        return {deg: RingClass(deg, bits) for deg, bits in out.items() if bits}
+        keys: dict[int, list[int]] = {}
+        for pos in bit_positions(x.bits):
+            key = self._basis_key(d, pos)
+            terms = [(key, d)]
+            for unit in self._units:
+                e = key // unit & self._field
+                terms = [
+                    (t + c * unit, deg + c)
+                    for t, deg in terms
+                    for c in range(e + 1)
+                    if not c & ~e and deg + c <= self.n
+                ]
+            for t, deg in terms:
+                keys.setdefault(deg, []).append(t)
+        out = {}
+        for deg in sorted(keys):
+            self._ensure_degree(deg)
+            index = self._mono_index[deg]
+            vec = 0
+            for t in keys[deg]:
+                vec ^= 1 << index[t]
+            bits = self._reduce_vector(deg, vec)
+            if bits:
+                out[deg] = RingClass(deg, bits)
+        return out
 
     def tau_classes(self, coloring: dict[int, int]) -> list[RingClass]:
         """Color-class sums of generators; raises if they are not all equal."""
@@ -585,7 +575,7 @@ class GradedRingBasis:
         if x.bits == 0:
             return "0"
         terms = []
-        for pos in _bit_positions(x.bits):
+        for pos in bit_positions(x.bits):
             labels = self.basis_monomial_labels(x.degree, pos)
             if not labels:
                 terms.append("1")
@@ -596,15 +586,6 @@ class GradedRingBasis:
                 parts.append(f"v{v}" if e == 1 else f"v{v}^{e}")
             terms.append("*".join(parts))
         return " + ".join(terms)
-
-
-def _bit_positions(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def build_graded_basis(

@@ -70,11 +70,6 @@ class BitVec:
 
     __xor__ = __add__
 
-    def dot(self, other: "BitVec") -> int:
-        if self.length != other.length:
-            raise GF2Error(f"length mismatch {self.length} != {other.length}")
-        return (self.bits & other.bits).bit_count() & 1
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
 
@@ -211,6 +206,16 @@ def _transpose_bits(vectors: Sequence[int], length: int) -> list[int]:
             low = v & -v
             out[low.bit_length() - 1] |= bit
             v ^= low
+    return out
+
+
+def bit_positions(bits: int) -> list[int]:
+    """Indices of the set bits of a nonnegative int, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

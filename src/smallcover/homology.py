@@ -88,10 +88,6 @@ class FinAbGroup:
         """Number of even-order cyclic summands."""
         return sum(1 for t in self.torsion if t % 2 == 0)
 
-    def dim_mod2(self) -> int:
-        """Dimension of (self tensor Z_2)."""
-        return self.rank + self.mu()
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:

@@ -44,18 +44,18 @@ def parse_document(text: str) -> InstanceFile:
     name = doc["name"]
     _require(isinstance(name, str), "field 'name' must be a string")
     n = doc["n"]
-    _require(isinstance(n, int) and n >= 1, "field 'n' must be a positive integer")
+    _require(type(n) is int and n >= 1, "field 'n' must be a positive integer")
     vertices = doc["vertices"]
     _require(
         isinstance(vertices, list)
-        and all(isinstance(v, int) and v > 0 for v in vertices),
+        and all(type(v) is int and v > 0 for v in vertices),
         "field 'vertices' must be a list of positive integers",
     )
     facets = doc["facets"]
     _require(isinstance(facets, list), "field 'facets' must be a list")
     for f in facets:
         _require(
-            isinstance(f, list) and all(isinstance(v, int) for v in f),
+            isinstance(f, list) and all(type(v) is int for v in f),
             f"facet {f!r} must be a list of integers",
         )
     rows = doc["lambda"]
@@ -68,7 +68,7 @@ def parse_document(text: str) -> InstanceFile:
             )
             for j, v in enumerate(row):
                 _require(
-                    v in (0, 1),
+                    type(v) is int and v in (0, 1),
                     f"lambda entry at row {i}, column {j} is {v!r}, not 0/1",
                 )
     return InstanceFile(

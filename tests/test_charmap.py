@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcover.catalog import catalog
+from smallcover import charmap
 from smallcover.charmap import (
     CharacteristicMatrix,
     CharMapError,
@@ -21,6 +22,7 @@ from smallcover.charmap import (
     ridge_flip_support,
 )
 from smallcover.cli import sample_random_instance
+from smallcover.errors import InternalConsistencyError
 from smallcover.gf2 import BitMatrix, BitVec, enumerate_gl, find_basis_change, rank
 from smallcover.simplicial import (
     SimplicialComplex,
@@ -193,6 +195,12 @@ class TestClassifyPullback:
             for facet in chi.complex.facets:
                 colors = [coloring[v] for v in facet]
                 assert len(set(colors)) == len(colors)
+
+    def test_witness_on_a_non_pullback_is_internal(self):
+        # only the classifier's pullback branches call the witness; reaching
+        # it with any other matrix is a bug, not bad input
+        with pytest.raises(InternalConsistencyError, match="witness construction failed"):
+            charmap._pullback_witness(catalog()["cross3notsimplex"].chi)
 
 
 class TestRidgeFlipSupport:

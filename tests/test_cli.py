@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from smallcover import cli
+from smallcover import charmap, cli
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis
 from smallcover.instancefile import emit_instance, parse_instance
@@ -63,6 +63,16 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.json"]) == 1
+
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_pullback_witness_failure_is_internal(self, emit, monkeypatch, capsys):
+        # no basis among the distinct columns of a valid matrix is a bug
+        monkeypatch.setattr(charmap, "echelon_insert", lambda rows, v: False)
+        assert main(["analyze", emit("rp3")]) == 3
+        assert "internal consistency error" in capsys.readouterr().err
 
     def test_lambda_free_document_rejected(self, emit, capsys):
         path = emit("rp2_6v")
@@ -226,6 +236,14 @@ class TestShelling:
         ]
         order.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["shelling", path, "--order", str(order)]) == 2
+
+    @pytest.mark.parametrize("order", [[1, 2], [[1, 2], [1, "3"]], {"a": 1}])
+    def test_malformed_order_is_input_error(self, emit, tmp_path, capsys, order):
+        path = emit("rp2")
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps(order), encoding="utf-8")
+        assert main(["shelling", path, "--order", str(order_path)]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_not_found_reports_false(self, tmp_path, capsys):
         doc = {

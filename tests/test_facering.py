@@ -1,8 +1,11 @@
 """Graded ring: dimensions, products, squares, characteristic classes."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallcover import facering
 from smallcover.catalog import catalog
@@ -12,6 +15,7 @@ from smallcover.charmap import (
     classify_pullback,
     lambda_boundary_simplex,
 )
+from smallcover.cli import sample_random_instance
 from smallcover.facering import RingError, build_graded_basis, find_sq1_witness
 from smallcover.gf2 import BitMatrix, BitVec
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
@@ -393,3 +397,67 @@ class TestWitness:
     def test_pullbacks_have_no_witness(self):
         for chi in (lambda_boundary_simplex(3), octahedron_linear()):
             assert find_sq1_witness(chi.complex, chi) is None
+
+
+def total_sq_oracle(ring, x):
+    """Total square as the product over the monomial's variables of the
+    reduced classes (w + w^2), multiplied out class by class."""
+    monos = list(combinations_with_replacement(range(ring.num_vars), x.degree))
+    out = {}
+    for pos in range(ring.dimension(x.degree)):
+        if not (x.bits >> pos) & 1:
+            continue
+        element = {0: ring.one()}
+        for i in monos[ring._basis_idx[x.degree][pos]]:
+            w = ring.express([ring.variables[i]])
+            nxt = {}
+            for deg, cls in element.items():
+                for factor in (w, ring.multiply(w, w)):
+                    nd = deg + factor.degree
+                    if nd <= ring.n:
+                        term = ring.multiply(cls, factor)
+                        nxt[nd] = ring.add(nxt[nd], term) if nd in nxt else term
+            element = nxt
+        for deg, cls in element.items():
+            out[deg] = out.get(deg, 0) ^ cls.bits
+    return {deg: bits for deg, bits in out.items() if bits}
+
+
+def check_total_sq(ring):
+    for d in range(ring.n + 1):
+        for x in ring.basis_classes(d):
+            got = ring.total_sq(x)
+            assert {deg: c.bits for deg, c in got.items()} == total_sq_oracle(ring, x), d
+            if d < ring.n:
+                assert got.get(d + 1, ring.zero(d + 1)) == ring.sq1(x), d
+
+
+class TestMonomialEncoding:
+    @pytest.mark.parametrize("chi", parity_instances())
+    def test_total_square_matches_product_of_generator_squares(self, chi):
+        check_total_sq(build_graded_basis(chi.complex, chi))
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(st.sampled_from(["cross4", "rp2xrp2"]), st.integers(0, 2**32 - 1))
+    def test_total_square_on_sampled_instances(self, name, seed):
+        chi, _ = sample_random_instance(name, random.Random(seed))
+        check_total_sq(build_graded_basis(chi.complex, chi))
+
+    @pytest.mark.parametrize("name", ["cross4mixed", "deltas0", "bier9"])
+    def test_keys_decode_to_lexicographic_monomials(self, name):
+        # the exponent of every variable, up to n, reads back from its own
+        # field: no field carries into the next one
+        chi = catalog()[name].chi
+        ring = build_graded_basis(chi.complex, chi)
+        fields = [
+            ring._width * chi.complex.labels.index(v) for v in ring.variables
+        ]
+        for d in range(chi.n + 1):
+            decoded = []
+            for key in ring.monomials(d):
+                exponents = [(key >> s) & ((1 << ring._width) - 1) for s in fields]
+                assert sum(e << s for e, s in zip(exponents, fields)) == key
+                decoded.append(tuple(i for i, e in enumerate(exponents) for _ in range(e)))
+            assert decoded == list(
+                combinations_with_replacement(range(ring.num_vars), d)
+            ), (name, d)

@@ -11,6 +11,7 @@ from smallcover.gf2 import (
     BitVec,
     GF2Error,
     _echelonize,
+    bit_positions,
     echelon_insert,
     enumerate_gl,
     find_basis_change,
@@ -220,6 +221,12 @@ class TestColumnBits:
     def test_column_out_of_range(self):
         with pytest.raises(GF2Error):
             BitMatrix.from_column_bits(2, [0b01, 0b100])
+
+    def test_bit_positions(self):
+        assert bit_positions(0) == []
+        assert bit_positions(0b1011_0000_0001) == [0, 8, 9, 11]
+        v = (1 << 200) | 1
+        assert bit_positions(v) == [0, 200]
 
 
 class TestEnumerateGL:

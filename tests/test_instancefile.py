@@ -90,3 +90,43 @@ class TestErrors:
         }
         with pytest.raises(InputError):
             parse_instance(json.dumps(doc))
+
+
+class TestBooleansAreNotIntegers:
+    # JSON true/false parse to Python bools, which are ints; the schema's
+    # integers must not accept them
+    def rp2_doc(self):
+        return json.loads(emit_entry("rp2"))
+
+    def rejected(self, doc):
+        with pytest.raises(InputError) as err:
+            parse_instance(json.dumps(doc))
+        return str(err.value)
+
+    def test_n(self):
+        doc = self.rp2_doc()
+        doc["n"] = True
+        assert "field 'n'" in self.rejected(doc)
+
+    def test_vertices(self):
+        doc = self.rp2_doc()
+        doc["vertices"][0] = True
+        assert "field 'vertices'" in self.rejected(doc)
+
+    def test_facet_entries(self):
+        doc = self.rp2_doc()
+        doc["facets"][0][0] = True
+        assert "facet [True, 2]" in self.rejected(doc)
+
+    def test_lambda_entries(self):
+        doc = self.rp2_doc()
+        doc["lambda"][0][1] = True
+        assert "lambda entry at row 0, column 1" in self.rejected(doc)
+
+    def test_boolean_zero_sphere_document(self):
+        # read as n = 1 with lambda [[1, 1]], this would be a valid 0-sphere
+        doc = {"name": "x", "n": True, "vertices": [1, 2], "facets": [[1], [2]],
+               "lambda": [[1, True]]}
+        assert "field 'n'" in self.rejected(doc)
+        doc["n"] = 1
+        assert "lambda entry at row 0, column 1" in self.rejected(doc)
