@@ -13,8 +13,9 @@ normal-form representation:
 
 A degree with at most _DIRECT_LIMIT monomials is built by echelonizing the
 ideal with lowest-bit pivots; its basis is the non-pivot set.  A larger
-degree of a closed-pseudomanifold instance is built by pairing against the
-basis of the complementary degree through the top-degree functional, which
+degree of an instance whose K is a closed pseudomanifold with the
+Z_2-cohomology of a sphere is built by pairing against the basis of the
+complementary degree through the top-degree functional, which
 keeps the flagship 8-dimensional computation inside desk-scale arithmetic.
 Pairing columns are selected from the highest monomial downward; as the
 pairing is perfect, that is the same non-pivot set, so the route a degree
@@ -35,6 +36,7 @@ from math import comb
 from .charmap import CharacteristicMatrix, flip_supports
 from .errors import InternalConsistencyError
 from .gf2 import BitMatrix, bit_positions, echelon_insert, invert
+from .homology import reduced_cohomology
 from .simplicial import SimplicialComplex
 
 # Degrees with more monomials than this go through top-degree pairing.
@@ -240,7 +242,7 @@ class GradedRingBasis:
             raise RingError(
                 f"degree {d} has {len(self.monomials(d))} monomials, beyond direct "
                 "elimination, and top-degree duality needs a strongly connected "
-                "closed pseudomanifold"
+                "closed pseudomanifold with the Z_2-cohomology of a sphere"
             )
         if self.h[self.n] != 1:
             raise RingError("top-degree duality needs a one-dimensional top degree")
@@ -290,7 +292,9 @@ class GradedRingBasis:
     def _duality_available(self) -> bool:
         if self._dual_ok is None:
             self._dual_ok = (
-                self.K.is_closed_pseudomanifold() and self.K.is_strongly_connected()
+                self.K.is_closed_pseudomanifold()
+                and self.K.is_strongly_connected()
+                and _is_z2_homology_sphere(self.K)
             )
         return self._dual_ok
 
@@ -586,6 +590,17 @@ class GradedRingBasis:
                 parts.append(f"v{v}" if e == 1 else f"v{v}^{e}")
             terms.append("*".join(parts))
         return " + ".join(terms)
+
+
+def _is_z2_homology_sphere(K: SimplicialComplex) -> bool:
+    """K has the Z_2-cohomology of a (dim K)-sphere.  By universal
+    coefficients that is integral cohomology Z in degree dim K only, plus
+    odd torsion.  A closed 3-manifold with H^1(K; Z_2) != 0 meets the
+    h-vector law in every degree but 3, yet its top-degree pairing is not
+    perfect."""
+    groups = reduced_cohomology(K, "Z").groups
+    ranks = {q: g.rank for q, g in groups.items() if g.rank}
+    return ranks == {K.dim: 1} and all(g.mu() == 0 for g in groups.values())
 
 
 def build_graded_basis(

@@ -7,14 +7,17 @@ from a W-local mask -> column map.  A nonempty W inside one facet spans a
 simplex and is answered without enumerating any face.
 
 Everything is exact: Smith normal form runs on arbitrary-precision integers,
-preferring unit pivots with low fill on a sparse representation and
-falling back to dense minimal-absolute-value pivoting for the residue,
+taking unit pivots in one triangular pass over the sparse rows and falling
+back to dense minimal-absolute-value pivoting for the deferred residue,
 which is where any torsion lives.  Across degrees, a (q+1)-face that was a
 unit pivot row of delta_q is cleared, i.e. left out as a column of
-delta_{q+1}.  This is exact over Z: the unit pivots make the images of the
-pivot columns together with the unpivoted faces a Z-basis of C^{q+1}, and
-delta_{q+1} vanishes on the image of delta_q, so the remaining columns span
-the same image lattice.  Rows pivoted in the dense phase are never cleared.
+delta_{q+1}.  This is exact over Z: only earlier pivot rows are subtracted
+from a pivot row, so the original pivot rows restricted to the pivot columns
+are a unit lower triangular times a unit upper triangular matrix.  The
+images of the pivot columns together with the unpivoted faces are then a
+Z-basis of C^{q+1}, and delta_{q+1} vanishes on the image of delta_q, so the
+remaining columns span the same image lattice.  Rows pivoted in the dense
+phase are never cleared.
 Z_2 ranks come from GF(2) elimination of the uncleared coboundaries, which
 keeps them independent of the integer path.
 """
@@ -177,89 +180,69 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
 
 
 def _sparse_snf_factors(
-    row_dicts: list[dict[int, int]], ncols: int, nrows: int
+    row_dicts: list[dict[int, int]], ncols: int
 ) -> tuple[list[int], list[int]]:
     """Invariant factors of a sparse integer matrix, zeros included, and the
     rows used as unit pivots in the sparse phase.  The row dicts hold no zero
-    entries and are consumed."""
-    rows: dict[int, dict[int, int]] = {}
-    colrows: dict[int, set[int]] = {}
-    for r, rowd in enumerate(row_dicts):
-        if rowd:
-            rows[r] = rowd
-            for c in rowd:
-                colrows.setdefault(c, set()).add(r)
-    colver: dict[int, int] = {c: 0 for c in colrows}
-    heap: list[tuple[int, int, int]] = [(len(s), 0, c) for c, s in colrows.items()]
-    heapq.heapify(heap)
+    entries and are consumed.
 
-    def touch(c: int) -> None:
-        colver[c] = colver.get(c, 0) + 1
-        s = colrows.get(c)
-        if s:
-            heapq.heappush(heap, (len(s), colver[c], c))
+    One pass over the rows in order clears each row at the earlier pivot
+    columns, oldest pivot first, and takes its first +-1 entry as a new
+    pivot; a row without one is deferred.  Each pivot is zero at the columns
+    of older pivots, so the pivot block is unit upper triangular and
+    contributes factors 1.  Deferred rows are cleared at every pivot column
+    at the end, so the dense residue is zero there and carries the rest."""
+    pivots: list[tuple[int, dict[int, int]]] = []
+    age: dict[int, int] = {}
+
+    def clear(row: dict[int, int]) -> None:
+        # a pivot only adds columns of younger pivots, so ages pop in order
+        queue = [age[c] for c in row if c in age]
+        heapq.heapify(queue)
+        while queue:
+            c, prow = pivots[heapq.heappop(queue)]
+            k = row.get(c)
+            if k is None:
+                continue
+            k *= prow[c]
+            for cc, v in prow.items():
+                nv = row.get(cc, 0) - k * v
+                if nv:
+                    if cc not in row and cc in age:
+                        heapq.heappush(queue, age[cc])
+                    row[cc] = nv
+                else:
+                    del row[cc]
 
     unit_rows: list[int] = []
-    while heap:
-        _, ver, c = heapq.heappop(heap)
-        if c not in colrows or colver.get(c) != ver:
-            continue
-        best = None
-        for r in colrows[c]:
-            v = rows[r][c]
+    deferred: list[dict[int, int]] = []
+    for r, row in enumerate(row_dicts):
+        clear(row)
+        for c, v in row.items():
             if v == 1 or v == -1:
-                key = (len(rows[r]), r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            continue
-        r = best[1]
-        pivot_val = rows[r][c]
-        pivot_row = rows.pop(r)
-        for cc in pivot_row:
-            s = colrows.get(cc)
-            if s is not None:
-                s.discard(r)
-                if not s:
-                    del colrows[cc]
-        targets = list(colrows.get(c, ()))
-        for r2 in targets:
-            row2 = rows[r2]
-            k = row2[c] * pivot_val
-            for cc, vv in pivot_row.items():
-                nv = row2.get(cc, 0) - k * vv
-                if nv:
-                    if cc not in row2:
-                        colrows.setdefault(cc, set()).add(r2)
-                    row2[cc] = nv
-                else:
-                    if cc in row2:
-                        del row2[cc]
-                        s = colrows.get(cc)
-                        if s is not None:
-                            s.discard(r2)
-                            if not s:
-                                del colrows[cc]
-            if not row2:
-                del rows[r2]
-        for cc in pivot_row:
-            if cc in colrows:
-                touch(cc)
-        unit_rows.append(r)
+                age[c] = len(pivots)
+                pivots.append((c, row))
+                unit_rows.append(r)
+                break
+        else:
+            if row:
+                deferred.append(row)
+    for row in deferred:
+        clear(row)
+    deferred = [row for row in deferred if row]
 
     dense_factors: list[int] = []
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({c for rowd in rows.values() for c in rowd})
+    if deferred:
+        live_cols = sorted({c for row in deferred for c in row})
         cidx = {c: j for j, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, v in rows[r].items():
-                dense[i][cidx[c]] = v
+        dense = [[0] * len(live_cols) for _ in deferred]
+        for drow, row in zip(dense, deferred):
+            for c, v in row.items():
+                drow[cidx[c]] = v
         dense_factors = _dense_snf(dense)
 
     factors = [1] * len(unit_rows) + dense_factors
-    factors += [0] * (min(nrows, ncols) - len(factors))
+    factors += [0] * (min(len(row_dicts), ncols) - len(factors))
     return factors, unit_rows
 
 
@@ -336,7 +319,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
     row_dicts = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
-    return tuple(_sparse_snf_factors(row_dicts, ncols, nrows)[0])
+    return tuple(_sparse_snf_factors(row_dicts, ncols)[0])
 
 
 def reduced_cohomology(
@@ -370,7 +353,7 @@ def reduced_cohomology(
         if coefficients == "Z2":
             ranks[q] = len(_echelonize([sum(1 << j for j in row) for row in rows])[0])
             continue
-        factors, unit_rows = _sparse_snf_factors(rows, len(cols), len(rows))
+        factors, unit_rows = _sparse_snf_factors(rows, len(cols))
         ranks[q] = sum(1 for f in factors if f)
         if coefficients == "Z":
             torsion_at[q + 1] = [f for f in factors if f > 1]

@@ -1,7 +1,7 @@
 """Graded ring: dimensions, products, squares, characteristic classes."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +173,48 @@ class TestDimensions:
         basis = build_graded_basis(K, chi)
         basis.verify_all_dimensions()
         assert basis.express([3]).is_zero()
+
+
+def circle_times_tetrahedron_boundary():
+    """Staircase triangulation of S^1 x S^2 with vertices 4a + b + 1 for a
+    in Z/3 and b in 0..3: a closed 3-manifold with H^1(K; Z_2) = Z_2."""
+
+    def v(a, b):
+        return 4 * a + b + 1
+
+    facets = []
+    for a in range(3):
+        a2 = (a + 1) % 3
+        for t0, t1, t2 in combinations(range(4), 3):
+            facets += [
+                (v(a, t0), v(a2, t0), v(a2, t1), v(a2, t2)),
+                (v(a, t0), v(a, t1), v(a2, t1), v(a2, t2)),
+                (v(a, t0), v(a, t1), v(a, t2), v(a2, t2)),
+            ]
+    K = SimplicialComplex(range(1, 13), facets)
+    cols = [2, 4, 14, 13, 12, 9, 3, 8, 7, 2, 8, 6]
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(4, cols))
+
+
+class TestSphereGate:
+    """Top-degree pairing is perfect only on a Z_2-homology sphere.  S^1 x S^2
+    meets the h-vector law in every degree but 3, so pairing there would
+    assert the wrong dimension h_3."""
+
+    def test_default_routes_raise_the_dimension_law(self):
+        chi = circle_times_tetrahedron_boundary()
+        assert len(chi.complex.facets) == 36
+        assert chi.complex.h_vector().h == (1, 8, 18, 8, 1)
+        ring = build_graded_basis(chi.complex, chi)
+        with pytest.raises(RingError, match="degree 3 dimension 12 does not match h_3 = 8"):
+            ring.verify_all_dimensions()
+
+    def test_pairing_route_refused_off_a_sphere(self, monkeypatch):
+        chi = circle_times_tetrahedron_boundary()
+        monkeypatch.setattr(facering, "_DIRECT_LIMIT", 100)
+        ring = build_graded_basis(chi.complex, chi)
+        with pytest.raises(RingError, match="Z_2-cohomology of a sphere"):
+            ring.verify_all_dimensions()
 
 
 class TestExpressAndMultiply:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallcover.homology import (
     FinAbGroup,
@@ -163,6 +165,82 @@ class TestSmithNormalForm:
             assert got == expected, a
 
 
+class TestTriangularPass:
+    """The sparse phase clears rows in order at the earlier pivot columns,
+    oldest first, and defers rows without a unit entry."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_against_minor_gcd_oracle(self, a):
+        assert smith_normal_form(a) == reference_snf(a)
+
+    def test_deferred_row_is_cleared_by_a_later_pivot(self):
+        assert smith_normal_form([[2, 2], [1, 0]]) == (1, 2)
+        # left uncleared, the deferred row (2, 3) would read factor 1
+        assert smith_normal_form([[2, 3], [1, 0]]) == (1, 3)
+
+    def test_queued_pivot_column_emptied_before_it_is_popped(self):
+        assert smith_normal_form([[1, 1], [0, 1], [1, 1]]) == (1, 1)
+
+
+def moore_space(k):
+    """A triangle boundary a0 a1 a2 with a disc c * d_0 .. d_{3k-1} glued
+    along a ring that winds k times around it: reduced H^2 = Z_k."""
+    a = [1, 2, 3]
+    c = 4
+    ring = list(range(5, 5 + 3 * k))
+    tris = []
+    for i, d in enumerate(ring):
+        e = ring[(i + 1) % len(ring)]
+        tris += [(c, d, e), (d, e, a[i % 3]), (e, a[i % 3], a[(i + 1) % 3])]
+    return SimplicialComplex(range(1, 5 + 3 * k), tris)
+
+
+def sympy_cohomology(K):
+    """Reduced integral cohomology groups of K from sympy's Smith normal
+    form of every coboundary matrix, with no clearing."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    ranks, torsion = {}, {}
+    for d in range(-1, K.dim):
+        a = coboundary_matrix(K, d)
+        reference = sympy_snf(sympy.Matrix(a))
+        diag = [abs(int(reference[i, i])) for i in range(min(len(a), len(a[0])))]
+        ranks[d] = sum(1 for f in diag if f)
+        torsion[d + 1] = [f for f in diag if f > 1]
+    expected = {}
+    for q in range(-1, K.dim + 1):
+        free = len(K.face_masks(q)) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+        g = FinAbGroup.from_orders(free, torsion.get(q, []))
+        if not g.is_trivial():
+            expected[q] = g
+    return expected
+
+
+class TestMooreSpaces:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_torsion_against_sympy(self, k):
+        K = moore_space(k)
+        expected = sympy_cohomology(K)
+        assert expected == {2: FinAbGroup.from_orders(0, [k])}
+        assert reduced_cohomology(K, "Z").groups == expected
+
+    def test_suspension_against_sympy(self):
+        K = moore_space(3).join(SimplicialComplex([1, 2], [(1,), (2,)]))
+        expected = sympy_cohomology(K)
+        assert expected == {3: FinAbGroup(0, (3,))}
+        assert reduced_cohomology(K, "Z").groups == expected
+
+
 class TestReducedCohomology:
     def test_circle(self):
         p = reduced_cohomology(boundary_of_simplex(2), "Z")
@@ -286,32 +364,17 @@ class TestFullSubcomplexOnMasks:
         assert reduced_cohomology(K, "Z", {1, 2, 3, 4}).groups == {1: FinAbGroup.free(1)}
 
     def test_sympy_oracle_with_clearing_after_a_torsion_pivot(self):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
         from smallcover.homology import _sparse_snf_factors
 
         K = rp2_with_cone()
         assert K.dim == 3
-        ranks, torsion = {}, {}
-        for d in range(-1, K.dim):
-            a = coboundary_matrix(K, d)
-            reference = sympy_snf(sympy.Matrix(a))
-            diag = [abs(int(reference[i, i])) for i in range(min(len(a), len(a[0])))]
-            ranks[d] = sum(1 for f in diag if f)
-            torsion[d + 1] = [f for f in diag if f > 1]
-        expected = {}
-        for q in range(-1, K.dim + 1):
-            free = len(K.face_masks(q)) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-            g = FinAbGroup.from_orders(free, torsion.get(q, []))
-            if not g.is_trivial():
-                expected[q] = g
+        expected = sympy_cohomology(K)
         assert expected == {2: FinAbGroup(0, (2,))}
         assert reduced_cohomology(K, "Z").groups == expected
         # The torsion of delta_1 forces a dense-phase pivot, so the clearing
         # of delta_2 follows a non-unit pivot.
         rows = [{j: v for j, v in enumerate(row) if v} for row in coboundary_matrix(K, 1)]
-        factors, unit_rows = _sparse_snf_factors(rows, len(K.face_masks(1)), len(rows))
+        factors, unit_rows = _sparse_snf_factors(rows, len(K.face_masks(1)))
         assert 2 in factors and len(unit_rows) < sum(1 for f in factors if f)
 
 
@@ -342,7 +405,7 @@ class TestHonestFailure:
 
         monkeypatch.setattr(
             homology, "_sparse_snf_factors",
-            lambda rows, ncols, nrows: ([1] * min(nrows, ncols), []),
+            lambda rows, ncols: ([1] * min(len(rows), ncols), []),
         )
         with pytest.raises(InternalConsistencyError):
             reduced_cohomology(boundary_of_simplex(2), "Z")
@@ -353,6 +416,6 @@ class TestHonestFailure:
 
         monkeypatch.setattr(
             homology, "_sparse_snf_factors",
-            lambda rows, ncols, nrows: ([1] * min(nrows, ncols), []),
+            lambda rows, ncols: ([1] * min(len(rows), ncols), []),
         )
         assert main(["table1"]) == 3
