@@ -119,7 +119,9 @@ def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
     span.  Storing unreduced columns would break this: after 0b01 and 0b11,
     the pass would leave 0b10 nonzero although 0b10 = 0b01 ^ 0b11.  This
     hot loop of rejection sampling keeps its own list basis: the shared
-    gf2.echelon_insert took 2-2.5 times as long here.
+    gf2.echelon_insert took about 1.35 times as long here (0.27 s against
+    0.20 s, best of five, on 120,000 draws over the six fuzz-corpus
+    complexes, in-process on a shared 2-core Xeon).
     """
     for idx, fm in enumerate(K.facet_masks):
         basis: list[int] = []

@@ -12,11 +12,14 @@ normal-form representation:
   of monomial i.  Reducing a vector is one parity per row.
 
 A degree with at most _DIRECT_LIMIT monomials is built by echelonizing the
-ideal with lowest-bit pivots; its basis is the non-pivot set.  A larger
-degree of an instance whose K is a closed pseudomanifold with the
-Z_2-cohomology of a sphere is built by pairing against the basis of the
-complementary degree through the top-degree functional, which
-keeps the flagship 8-dimensional computation inside desk-scale arithmetic.
+ideal with lowest-bit pivots (lazy inserts, one back-substitution); its
+basis is the non-pivot set.  A larger degree of an instance whose K is a
+closed pseudomanifold with the Z_2-cohomology of a sphere is built by
+pairing against the basis of the complementary degree through the
+top-degree functional, which keeps the flagship 8-dimensional computation
+inside desk-scale arithmetic.  The pairing row of a basis monomial nu is
+read off the functional's support: each top monomial t with value 1 sets
+the bit of t/nu when nu divides t, looked up as the key t - nu (see below).
 Pairing columns are selected from the highest monomial downward; as the
 pairing is perfect, that is the same non-pivot set, so the route a degree
 takes never changes a basis, a normal form or a rendered class.
@@ -24,7 +27,10 @@ takes never changes a basis, a normal form or a rendered class.
 A monomial is one int, its key: the exponent of the label at position p
 sits in bits [w*p, w*p + w), with w = n.bit_length().  No degree exceeds n,
 so no field carries and the product of two monomials is the sum of their
-keys.  The presentation and the top-degree evaluator share this key space.
+keys.  The difference t - nu of two keys is the quotient's key when nu
+divides t; otherwise some field borrows, each borrow raising the decoded
+degree by 2^w - 1, so it is never a key of degree deg t - deg nu.  The
+presentation and the top-degree evaluator share this key space.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from math import comb
 
 from .charmap import CharacteristicMatrix, flip_supports
 from .errors import InternalConsistencyError
-from .gf2 import BitMatrix, bit_positions, echelon_insert, invert
+from .gf2 import BitMatrix, bit_positions, echelon_insert, invert, reduce_echelon
 from .homology import reduced_cohomology
 from .simplicial import SimplicialComplex
 
@@ -222,6 +228,7 @@ class GradedRingBasis:
                     echelon_insert(rows, self._shift(d - 1, prev, unit))
             for gen_vec in self._gen_vectors(d):
                 echelon_insert(rows, gen_vec)
+            reduce_echelon(rows)
         count = len(self.monomials(d))
         dim = count - len(rows)
         if dim != self.dimension(d):
@@ -250,17 +257,20 @@ class GradedRingBasis:
         if len(self.monomials(co)) > _DIRECT_LIMIT:
             raise RingError(f"instance too large: both degree {d} and {co} exceed limits")
         self._ensure_degree(co)
-        top = self._top_functional()
+        top_monos = self.monomials(self.n)
+        support = [top_monos[i] for i in bit_positions(self._top_functional())]
         monos = self.monomials(d)
         co_monos = self.monomials(co)
-        idx_top = self._mono_index[self.n]
+        index = self._mono_index[d]
         frows = []
         for b in self._basis_idx[co]:
             nu = co_monos[b]
             bits = 0
-            for idx, mono in enumerate(monos):
-                if (top >> idx_top[mono + nu]) & 1:
-                    bits |= 1 << idx
+            # exact: t - nu is a degree-d key only when nu divides t
+            for t in support:
+                i = index.get(t - nu)
+                if i is not None:
+                    bits |= 1 << i
             frows.append(bits)
         pairing = BitMatrix(len(frows), len(monos), tuple(frows))
         columns = pairing.column_bits()

@@ -220,22 +220,37 @@ def bit_positions(bits: int) -> list[int]:
 
 
 def echelon_insert(rows: dict[int, int], v: int) -> bool:
-    """Insert v into a reduced echelon basis keyed by lowest-bit pivot.
+    """Insert v into an echelon basis keyed by each row's lowest set bit.
 
-    Each row is zero at every other pivot, so reducing by the rows in any
-    order clears v's pivot bits.  True if the rank grew.
+    Walks up v's lowest set bit: the row keyed there clears it and changes
+    only higher bits.  v is stored at the first lowest bit with no row, and
+    no row is back-substituted (see reduce_echelon), so the cost follows the
+    bits of v, not the number of rows.  True if the rank grew.
     """
-    for p, row in rows.items():
-        if (v >> p) & 1:
-            v ^= row
-    if not v:
-        return False
-    p = (v & -v).bit_length() - 1
-    for q, row in rows.items():
-        if (row >> p) & 1:
-            rows[q] = row ^ v
-    rows[p] = v
-    return True
+    while v:
+        p = (v & -v).bit_length() - 1
+        row = rows.get(p)
+        if row is None:
+            rows[p] = v
+            return True
+        v ^= row
+    return False
+
+
+def reduce_echelon(rows: dict[int, int]) -> None:
+    """Back-substitute an echelon basis in place, highest pivot first.
+
+    Every row then is zero at every other pivot: the reduced echelon form,
+    which is unique for the span.  Keys and their order do not change.
+    """
+    above = 0
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        # rows above p are already reduced, so each XOR clears one pivot bit
+        for q in bit_positions(row & above):
+            row ^= rows[q]
+        rows[p] = row
+        above |= 1 << p
 
 
 def _echelonize(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -247,13 +262,15 @@ def _echelonize(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
     rows: dict[int, int] = {}
     for v in row_bits:
         echelon_insert(rows, v)
+    reduce_echelon(rows)
     pivots = sorted(rows)
     return [rows[p] for p in pivots], pivots
 
 
 def rank(a: BitMatrix) -> int:
-    """Row rank over GF(2)."""
-    return len(_echelonize(a.row_bits)[0])
+    """Row rank over GF(2): the inserts that grow an echelon basis."""
+    rows: dict[int, int] = {}
+    return sum(echelon_insert(rows, v) for v in a.row_bits)
 
 
 def kernel_basis(a: BitMatrix) -> list[BitVec]:

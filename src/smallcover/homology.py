@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalConsistencyError
-from .gf2 import _echelonize
+from .gf2 import echelon_insert
 from .simplicial import SimplicialComplex, SimplicialError
 
 
@@ -351,7 +351,10 @@ def reduced_cohomology(
         cols = {m: j for j, m in enumerate(m for m in faces[q] if m not in cleared)}
         rows = _coboundary_rows(faces[q + 1], cols)
         if coefficients == "Z2":
-            ranks[q] = len(_echelonize([sum(1 << j for j in row) for row in rows])[0])
+            echelon: dict[int, int] = {}
+            ranks[q] = sum(
+                echelon_insert(echelon, sum(1 << j for j in row)) for row in rows
+            )
             continue
         factors, unit_rows = _sparse_snf_factors(rows, len(cols))
         ranks[q] = sum(1 for f in factors if f)

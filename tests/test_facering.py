@@ -1,5 +1,6 @@
 """Graded ring: dimensions, products, squares, characteristic classes."""
 
+import hashlib
 import random
 from itertools import combinations, combinations_with_replacement
 
@@ -503,3 +504,97 @@ class TestMonomialEncoding:
             assert decoded == list(
                 combinations_with_replacement(range(ring.num_vars), d)
             ), (name, d)
+
+
+# sha256 of every degree's basis indices and normal-form rows (ring_digest),
+# recorded before the lazy echelon insert and the support-driven pairing rows
+RING_PINS = {
+    'bier9': '7718c8255ac11fc2590aebdec0e1db91dc8c6ef98bec6dfab36883a2bbbaec47',
+    'cross2': 'a3ddbc161731105f804f37517b8a7fa9e938584e674619ee04fa7266a66ba82f',
+    'cross2mixed': '697bb1b3e60a94cdfd872f7b7d9e9c556a132be2321020db332e61eb8b647b69',
+    'cross3': 'b3d1a6fa3f7c144bfe1f4f1c7a56877e8c061c1cb06d9e051edab0275493c4dd',
+    'cross3mixed': 'c5064692aa11de8eebc19cc7edca44b046c6d27d6a62622744ae24f9b6bfdd64',
+    'cross3notsimplex': '9f0ec72abfc5709f2c34621cd4884cfce0c475cea9927a4fa530339959f925ff',
+    'cross4': 'c419934ca72c0988804aaf46c3d174de9abf498f10e1b3a9953a32e772f3ed0b',
+    'cross4mixed': '7ca81b8fb6e54cdfe361372338e634ae5e9accc3a4b29e9028310820a242a390',
+    'cross5': '929b6393a1f22cbee13e48b81aaeabff0221ed25309dc082075a5f08c169aa3a',
+    'cross5mixed': '28c9761e6277fb6eaf61a91c6e0e0b66eed7190c4ab6b8e7479849fc458446bd',
+    'cross6': 'e965d408e27651dcc175b5c8d1c1b158799a857952b90a977b91b0a7d6457644',
+    'cross6mixed': 'f318da3e9e9e36ad25638eb2aee01ef6ee6b22f9b7dea7ac133cf12db428759c',
+    'deltas0': '35d24f10b15accca41048a40514d0e7f8576aaf3c7a7d255155ee08e2d197e76',
+    'gon10': '3114d786e3ea7f3ae9681c94bae4fff4ff1e2ac1a807014a86b0437bbc389915',
+    'gon10klein': '5b27fbd844bd1d7528ad1bdfafc5d4bb4b4defa29decfc9d121aa947b3232600',
+    'gon11': '6a1ff0875ca63897df8fb4d088dafdc01bdf9522b917c80829b300f89ae649c6',
+    'gon12': '090cf1287211b29fa6d367ce2b50f9649b2964a3c4b77c558d59c189fa20b21e',
+    'gon12klein': 'eb3584cf104b7915b292f8042b73c5b1993a32c85f3ce53751617ca6a4d9057b',
+    'gon4': 'a3ddbc161731105f804f37517b8a7fa9e938584e674619ee04fa7266a66ba82f',
+    'gon4klein': '697bb1b3e60a94cdfd872f7b7d9e9c556a132be2321020db332e61eb8b647b69',
+    'gon5': '366ad11fd0b264167d8f83117ec83369799011969c8920d46d2532f009b3d120',
+    'gon6': '035e6f7ccd1f36874078e35671fea16c9c7712a4468edf41cdc8546711b69d50',
+    'gon6klein': 'd95cea9757630fb7e5489323b6a7e1dcccf0274ec7f73065e97aeec8738389bf',
+    'gon7': 'a88f8503e57388a0e8eef70ea6f8c54165cf8dae4715aecfcba44e8364f58be7',
+    'gon8': '6dce43f2d35696a82e52ea3995d0f3336354e23868769ee9f7c1324d9c41150b',
+    'gon8klein': '9304790f5b36beea4e89a51beda631da0d159c89c9df8c5bc568c89495054311',
+    'gon9': 'c4bd2782b22099981cf73ca12278ed514c8fedeb03e3491cfbf162cea7c2a2c7',
+    'rp1': 'fc3a250ff5d2edec8508871d113fffc315a6e4f4d5acc0d7377dc46c1030ce3c',
+    'rp2': '24b7d09beccacc665fcfb04946c2a13ad94ee0d74aa065c72111beb9050cf63d',
+    'rp2xrp2': 'efbe612a9abd3d405e1d19582dbec64d0aa3911c4eb5ab3fce777e85a94f77ee',
+    'rp3': 'ce38f9b534d4c2199923eba78428f500e173d442a2631e8291b2d9d97a87ca70',
+    'rp4': 'b05761e5d1a1fa4bf099a08a5c2f8911ab90cb9d57dc5cf9ae2b63fb041562f6',
+    'rp5': 'f54496ff4f3c29d1a0ff95d13bb3cbb7a49b8539f9e421139f8c18ea57aa0033',
+    'rp6': '565ec1f1fc33fd5c2936572ddf8261a32d9e85fa91087eb83e74e983145d50b5',
+}
+
+
+def ring_digest(ring):
+    h = hashlib.sha256()
+    for d in range(ring.n + 1):
+        basis = ",".join(map(str, ring._basis_idx[d]))
+        rows = ",".join(format(r, "x") for r in ring._nf_rows[d])
+        h.update(f"{d}:{basis};{rows}\n".encode())
+    return h.hexdigest()
+
+
+def built_ring(name):
+    chi = catalog()[name].chi
+    ring = build_graded_basis(chi.complex, chi)
+    ring.verify_all_dimensions()
+    return ring
+
+
+class TestPinnedRing:
+    """Elimination order and pairing-row construction are free to change;
+    the reduced echelon form and the ring built from it are not."""
+
+    @pytest.mark.parametrize("name", sorted(RING_PINS))
+    def test_bases_and_normal_forms_match_pins(self, name):
+        assert ring_digest(built_ring(name)) == RING_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(RING_PINS))
+    def test_pivot_rows_are_reduced(self, name):
+        ring = built_ring(name)
+        for d, rows in ring._pivot_rows.items():
+            pivot_mask = sum(1 << p for p in rows)
+            for p, row in rows.items():
+                assert row & -row == 1 << p, (d, p)
+                assert row & pivot_mask == 1 << p, (d, p)
+
+    @pytest.mark.parametrize("chi", parity_instances())
+    def test_key_difference_is_a_monomial_exactly_on_division(self, chi):
+        # the pairing rows look up t - nu for every top monomial t; a borrow
+        # must never land on a key of the right degree
+        ring = build_graded_basis(chi.complex, chi)
+        n = ring.n
+
+        def exponents(key):
+            return [key // unit & ring._field for unit in ring._units]
+
+        tops = [exponents(t) for t in ring.monomials(n)]
+        for d in range(n + 1):
+            ring.monomials(d)
+            index = ring._mono_index[d]
+            for nu in ring.monomials(n - d):
+                e_nu = exponents(nu)
+                for t, e_t in zip(ring.monomials(n), tops):
+                    divides = all(a >= b for a, b in zip(e_t, e_nu))
+                    assert (t - nu in index) == divides, (d, t, nu)

@@ -18,6 +18,7 @@ from smallcover.gf2 import (
     invert,
     kernel_basis,
     rank,
+    reduce_echelon,
     row_space,
 )
 
@@ -263,8 +264,10 @@ def low_bit(v: int) -> int:
 
 
 class TestEchelonOracle:
-    """rank, kernel_basis, row_space and _echelonize, all built on
-    echelon_insert, against the brute-force span of the rows."""
+    """rank, kernel_basis, row_space and _echelonize, all built on the lazy
+    echelon_insert (each row keyed by its lowest bit, not back-substituted),
+    with reduce_echelon's one back-substitution where reduced rows are read,
+    against the brute-force span of the rows."""
 
     @ORACLE
     @given(bit_matrices())
@@ -288,6 +291,23 @@ class TestEchelonOracle:
         ]
         assert len(space) == 1 << rank(a)
         assert _echelonize(a.row_bits) == (expected, pivots)
+
+    @ORACLE
+    @given(bit_matrices(), st.randoms(use_true_random=False))
+    def test_shuffled_inserts_reduce_to_the_unique_form(self, a, rng):
+        space = span(a.row_bits)
+        pivots = sorted({low_bit(v) for v in space if v})
+        pivot_mask = sum(1 << p for p in pivots)
+        expected = {
+            p: next(v for v in space if (v & pivot_mask) == 1 << p) for p in pivots
+        }
+        order = list(a.row_bits)
+        rng.shuffle(order)
+        rows: dict[int, int] = {}
+        for v in order:
+            echelon_insert(rows, v)
+        reduce_echelon(rows)
+        assert rows == expected
 
     @ORACLE
     @given(bit_matrices())
