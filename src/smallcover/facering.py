@@ -16,10 +16,11 @@ ideal with lowest-bit pivots (lazy inserts, one back-substitution); its
 basis is the non-pivot set.  A larger degree of an instance whose K is a
 closed pseudomanifold with the Z_2-cohomology of a sphere is built by
 pairing against the basis of the complementary degree through the
-top-degree functional, which keeps the flagship 8-dimensional computation
-inside desk-scale arithmetic.  The pairing row of a basis monomial nu is
-read off the functional's support: each top monomial t with value 1 sets
-the bit of t/nu when nu divides t, looked up as the key t - nu (see below).
+top-degree functional.  A monomial not supported on a face of K lies in the
+ideal, so the functional enumerates, and its recursion follows, only
+face-supported monomials.  The pairing row of a basis monomial nu is read
+off the functional's support: each top monomial t with value 1 sets the bit
+of t/nu when nu divides t, looked up as the key t - nu (see below).
 Pairing columns are selected from the highest monomial downward; as the
 pairing is perfect, that is the same non-pivot set, so the route a degree
 takes never changes a basis, a normal form or a rendered class.
@@ -36,7 +37,7 @@ presentation and the top-degree evaluator share this key space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .charmap import CharacteristicMatrix, flip_supports
@@ -103,17 +104,14 @@ class GradedRingBasis:
         rewritten = chi.facet_coordinates(K.facet_masks[0])
         self.variables = tuple(v for v in self._labels if v not in set(self.pivot_facet))
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        k = len(self.variables)
-        self._subst: dict[int, int] = {}
-        for v in self.variables:
-            self._subst[v] = 1 << self._var_index[v]
+        self._subst = {v: 1 << i for v, i in self._var_index.items()}
         for r, u in enumerate(self.pivot_facet):
             bits = 0
             for j, v in enumerate(self._labels):
                 if v in self._var_index and (rewritten[r] >> j) & 1:
                     bits |= 1 << self._var_index[v]
             self._subst[u] = bits
-        self.num_vars = k
+        self.num_vars = len(self.variables)
         self._width = w = self.n.bit_length()
         self._field = (1 << w) - 1
         # the low bit of every field, where an odd exponent shows
@@ -124,7 +122,7 @@ class GradedRingBasis:
             v: [self._units[i] for i in bit_positions(b)] for v, b in self._subst.items()
         }
 
-        self._gens = self._minimal_nonfaces(max_size=self.n)
+        self._gens = _minimal_nonfaces(K, self.n)
         self._gen_vectors_cache: dict[int, list[int]] = {}
 
         self._monomials: dict[int, list[int]] = {}
@@ -134,38 +132,12 @@ class GradedRingBasis:
         self._basis_idx: dict[int, list[int]] = {}
         self._nf_rows: dict[int, list[int]] = {}
         self._gen_class_cache: dict[int, RingClass] = {}
-        self._top_row: int | None = None
-        self._top_memo: dict[int, int] = {}
+        self._top_keys: list[int] | None = None
         self._facet_for_support: dict[int, int] = {}
         self._facet_rewrite: dict[int, list[list[int]]] = {}
         self._dual_ok: bool | None = None
 
     # ----- combinatorial bookkeeping -------------------------------------
-
-    def _minimal_nonfaces(self, max_size: int) -> list[tuple[int, ...]]:
-        faces = self.K.all_face_masks()
-        out = []
-        nbits = len(self._labels)
-        for s in range(1, max_size + 1):
-            candidates: set[int] = set()
-            for fm in self.K.face_masks(s - 2):
-                for b in range(nbits):
-                    if not (fm >> b) & 1:
-                        m = fm | (1 << b)
-                        if m not in faces:
-                            candidates.add(m)
-            for m in sorted(candidates):
-                ok = True
-                bits = m
-                while bits:
-                    low = bits & -bits
-                    if (m ^ low) not in faces:
-                        ok = False
-                        break
-                    bits ^= low
-                if ok:
-                    out.append(tuple(self._labels[i] for i in bit_positions(m)))
-        return out
 
     def monomials(self, d: int) -> list[int]:
         """Keys of the degree-d monomials in the non-pivot variables, lexicographic."""
@@ -242,7 +214,7 @@ class GradedRingBasis:
             for b in bit_positions(row ^ (1 << p)):
                 nf_rows[pos[b]] |= 1 << p
         self._pivot_rows[d] = rows
-        self._store_degree(d, basis, nf_rows)
+        self._basis_idx[d], self._nf_rows[d] = basis, nf_rows
 
     def _build_dual(self, d: int) -> None:
         if not self._duality_available():
@@ -257,8 +229,7 @@ class GradedRingBasis:
         if len(self.monomials(co)) > _DIRECT_LIMIT:
             raise RingError(f"instance too large: both degree {d} and {co} exceed limits")
         self._ensure_degree(co)
-        top_monos = self.monomials(self.n)
-        support = [top_monos[i] for i in bit_positions(self._top_functional())]
+        support = self._top_support()
         monos = self.monomials(d)
         co_monos = self.monomials(co)
         index = self._mono_index[d]
@@ -293,11 +264,7 @@ class GradedRingBasis:
         square = BitMatrix.from_column_bits(nrows, [columns[j] for j in selected])
         rows = list((invert(square) @ pairing).row_bits)
         self._validate_dual_degree(d, rows)
-        self._store_degree(d, selected, rows)
-
-    def _store_degree(self, d: int, basis: list[int], nf_rows: list[int]) -> None:
-        self._basis_idx[d] = basis
-        self._nf_rows[d] = nf_rows
+        self._basis_idx[d], self._nf_rows[d] = selected, rows
 
     def _duality_available(self) -> bool:
         if self._dual_ok is None:
@@ -327,14 +294,11 @@ class GradedRingBasis:
 
     def _facet_containing(self, mask: int) -> int:
         """Mask of the first facet containing the face with mask `mask`."""
-        if mask not in self._facet_for_support:
-            for fm in self.K.facet_masks:
-                if fm & mask == mask:
-                    self._facet_for_support[mask] = fm
-                    break
-            else:
-                raise RingError("support unexpectedly not contained in any facet")
-        return self._facet_for_support[mask]
+        fm = self._facet_for_support.get(mask)
+        if fm is None:
+            fm = next(f for f in self.K.facet_masks if f & mask == mask)
+            self._facet_for_support[mask] = fm
+        return fm
 
     def _rewrite_rows_for(self, fm: int) -> list[list[int]]:
         """Per facet vertex, the label positions off the facet in its coordinate row."""
@@ -344,50 +308,54 @@ class GradedRingBasis:
             ]
         return self._facet_rewrite[fm]
 
-    def _eval_top_monomial(self, key: int, mask: int) -> int:
-        """Value of the degree-n monomial `key`, with support `mask`, in the
-        one-dimensional top degree.
+    def _top_support(self) -> list[int]:
+        """Keys of the degree-n monomials in the non-pivot variables of value 1.
 
-        One factor of a repeated variable is rewritten in the basis of a
-        facet containing the support; squarefree facet monomials all
-        represent the generator.
+        Each face sigma off the pivot facet with |sigma| <= n carries the
+        C(n-1, |sigma|-1) exponent vectors of support sigma.  One factor of
+        the lowest repeated variable is rewritten in the basis of a facet
+        containing the support; squarefree facet monomials are the generator.
         """
-        memo = self._top_memo
-        value = memo.get(key)
-        if value is not None:
-            return value
-        if mask not in self.K.all_face_masks():
-            value = 0
-        elif mask.bit_count() == self.n:
-            value = 1
-        else:
-            w = self._width
-            high = key & self._high_bits
-            rep = ((high & -high).bit_length() - 1) // w
-            fm = self._facet_containing(mask)
-            r = (fm & ((1 << rep) - 1)).bit_count()
-            rest = key - (1 << w * rep)
-            value = 0
-            for q in self._rewrite_rows_for(fm)[r]:
-                value ^= self._eval_top_monomial(rest + (1 << w * q), mask | 1 << q)
-        memo[key] = value
-        return value
+        if self._top_keys is None:
+            faces = self.K.all_face_masks()
+            n, w, high_bits = self.n, self._width, self._high_bits
+            memo: dict[int, int] = {}
 
-    def _top_functional(self) -> int:
-        if self._top_row is None:
-            monos = self.monomials(self.n)
-            w = self._width
-            bits = 0
-            for idx, key in enumerate(monos):
-                mask = 0
-                for b in bit_positions(key):
-                    mask |= 1 << b // w
-                if self._eval_top_monomial(key, mask):
-                    bits |= 1 << idx
-            if bits == 0 and monos:
+            def value(key: int, mask: int) -> int:
+                got = memo.get(key)
+                if got is None:
+                    if mask.bit_count() == n:
+                        got = 1
+                    else:
+                        got = 0
+                        high = key & high_bits
+                        rep = ((high & -high).bit_length() - 1) // w
+                        fm = self._facet_containing(mask)
+                        rest = key - (1 << w * rep)
+                        row = self._rewrite_rows_for(fm)[(fm & (1 << rep) - 1).bit_count()]
+                        for q in row:
+                            if mask | 1 << q in faces:
+                                got ^= value(rest + (1 << w * q), mask | 1 << q)
+                    memo[key] = got
+                return got
+
+            keys = []
+            pivot = self.K.facet_masks[0]
+            for sigma in faces:
+                size = sigma.bit_count()
+                if sigma & pivot or not 0 < size <= n:
+                    continue
+                units = [1 << w * p for p in bit_positions(sigma)]
+                # stars and bars: n - 1 gaps, size - 1 of them cut
+                for cuts in combinations(range(1, n), size - 1):
+                    ends = zip((0, *cuts), (*cuts, n))
+                    key = sum(u * (b - a) for u, (a, b) in zip(units, ends))
+                    if value(key, sigma):
+                        keys.append(key)
+            if not keys:
                 raise RingError("top-degree functional vanished identically")
-            self._top_row = bits
-        return self._top_row
+            self._top_keys = keys
+        return self._top_keys
 
     # ----- normal forms and ring operations -------------------------------
 
@@ -600,6 +568,23 @@ class GradedRingBasis:
                 parts.append(f"v{v}" if e == 1 else f"v{v}^{e}")
             terms.append("*".join(parts))
         return " + ".join(terms)
+
+
+def _minimal_nonfaces(K: SimplicialComplex, max_size: int) -> list[tuple[int, ...]]:
+    """Non-faces of at most max_size vertices whose proper subsets are all
+    faces, by size, then mask.  Each is met once, as the face left when its
+    highest vertex is removed plus that vertex."""
+    faces = K.all_face_masks()
+    out = []
+    for s in range(1, max_size + 1):
+        found = []
+        for fm in K.face_masks(s - 2):
+            for b in range(fm.bit_length(), K.vertex_count):
+                m = fm | 1 << b
+                if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(fm)):
+                    found.append(m)
+        out += [tuple(K.labels[i] for i in bit_positions(m)) for m in sorted(found)]
+    return out
 
 
 def _is_z2_homology_sphere(K: SimplicialComplex) -> bool:

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,23 @@ class TestAnalyze:
         assert out == ascending_out
         assert "classification: linear-model" in out
         assert "verdict: equivalent-true" in out
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("name", ["rp3", "deltas0"])
+    def test_python_dash_m_matches_main(self, name, emit, capsys):
+        path = emit(name)
+        code = main(["analyze", path, "--format", "json"])
+        expected = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallcover", "analyze", path, "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, expected)
 
 
 class TestRingExitCodes:

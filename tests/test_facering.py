@@ -18,7 +18,7 @@ from smallcover.charmap import (
 )
 from smallcover.cli import sample_random_instance
 from smallcover.facering import RingError, build_graded_basis, find_sq1_witness
-from smallcover.gf2 import BitMatrix, BitVec
+from smallcover.gf2 import BitMatrix, BitVec, bit_positions
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
 
 
@@ -598,3 +598,147 @@ class TestPinnedRing:
                 for t, e_t in zip(ring.monomials(n), tops):
                     divides = all(a >= b for a, b in zip(e_t, e_nu))
                     assert (t - nu in index) == divides, (d, t, nu)
+
+
+def shuffled_labels(chi, rng):
+    """The same instance over a shuffled declared label order, each label
+    keeping its column."""
+    K = chi.complex
+    labels = list(K.labels)
+    rng.shuffle(labels)
+    column = dict(zip(K.labels, chi.matrix.column_bits()))
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, K.facets),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
+
+
+def full_scan_top_support(ring):
+    """The top functional as first written: every degree-n monomial goes
+    through the unpruned recursion, and a support that is not a face reads 0.
+    Returns the sorted keys of value 1."""
+    K, n, w = ring.K, ring.n, ring._width
+    faces = K.all_face_masks()
+    memo = {}
+
+    def value(key, mask):
+        if key not in memo:
+            if mask not in faces:
+                memo[key] = 0
+            elif mask.bit_count() == n:
+                memo[key] = 1
+            else:
+                high = key & ring._high_bits
+                rep = ((high & -high).bit_length() - 1) // w
+                fm = next(f for f in K.facet_masks if f & mask == mask)
+                row = ring.chi.facet_coordinates(fm)[(fm & ((1 << rep) - 1)).bit_count()]
+                rest = key - (1 << w * rep)
+                memo[key] = 0
+                for q in bit_positions(row & ~fm):
+                    memo[key] ^= value(rest + (1 << w * q), mask | 1 << q)
+        return memo[key]
+
+    out = []
+    for key in ring.monomials(n):
+        mask = sum(1 << p for p in range(K.vertex_count) if key >> w * p & ring._field)
+        if value(key, mask):
+            out.append(key)
+    return sorted(out)
+
+
+def duality_rings():
+    out = []
+    for name, entry in sorted(catalog().items()):
+        if entry.chi is not None:
+            ring = build_graded_basis(entry.complex, entry.chi)
+            if ring._duality_available() and ring.h[ring.n] == 1:
+                out.append(name)
+    return out
+
+
+# sha256 of bier9's sorted top support, recorded with the full-scan functional
+BIER9_TOP_SUPPORT = "8329c7eba135e34ea847300e8c14c5064728d3ca43661f6af1480fb25a1e7927"
+
+
+class TestTopSupport:
+    """Face-supported enumeration with pruned children skips only terms of
+    the Stanley-Reisner ideal, so it must equal the full scan."""
+
+    @pytest.mark.parametrize("name", duality_rings())
+    def test_catalog_matches_full_scan(self, name):
+        chi = catalog()[name].chi
+        ring = build_graded_basis(chi.complex, chi)
+        assert sorted(ring._top_support()) == full_scan_top_support(ring)
+
+    def test_every_catalog_ring_is_checked(self):
+        names = duality_rings()
+        assert "bier9" in names
+        assert len(names) == sum(e.chi is not None for e in catalog().values())
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["cross4", "cross5mixed"]),
+        st.integers(0, 2**32 - 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_sampled_and_relabelled_match_full_scan(self, name, seed, rng):
+        chi, _ = sample_random_instance(name, random.Random(seed))
+        for instance in (chi, shuffled_labels(chi, rng)):
+            ring = build_graded_basis(instance.complex, instance)
+            assert sorted(ring._top_support()) == full_scan_top_support(ring)
+
+    def test_bier9_support_matches_pin(self):
+        chi = catalog()["bier9"].chi
+        ring = build_graded_basis(chi.complex, chi)
+        keys = sorted(ring._top_support())
+        assert len(keys) == 1765
+        digest = hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest()
+        assert digest == BIER9_TOP_SUPPORT
+        # the degree-n monomial list is left to the degree that needs it
+        assert ring.n not in ring._monomials
+
+    def test_vanished_functional_raises(self, monkeypatch):
+        # the only top monomial of a simplex boundary repeats its one variable
+        chi = lambda_boundary_simplex(3)
+        ring = build_graded_basis(chi.complex, chi)
+        monkeypatch.setattr(ring, "_rewrite_rows_for", lambda fm: [[]] * ring.n)
+        with pytest.raises(RingError, match="top-degree functional vanished identically"):
+            ring._top_support()
+
+
+def minimal_nonfaces_oracle(K, max_size):
+    """Vertex sets of size <= max_size that are not faces but lose that by
+    dropping any one vertex, by size, then mask."""
+    faces = K.all_face_masks()
+    out = []
+    for size in range(1, max_size + 1):
+        masks = sorted(sum(1 << i for i in c) for c in combinations(range(K.vertex_count), size))
+        for m in masks:
+            if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(m)):
+                out.append(tuple(K.labels[i] for i in bit_positions(m)))
+    return out
+
+
+class TestMinimalNonfaces:
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, e in catalog().items() if e.complex.vertex_count <= 12)
+    )
+    def test_catalog_matches_oracle(self, name):
+        K = catalog()[name].complex
+        n = K.dim + 1
+        assert facering._minimal_nonfaces(K, n) == minimal_nonfaces_oracle(K, n)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_generated_with_ghosts_and_shuffled_labels(self, rng):
+        # some declared labels lie in no generator: ghost vertices, which are
+        # minimal non-faces of size one
+        labels = rng.sample(range(1, 30), rng.randint(3, 9))
+        used = labels[: rng.randint(1, len(labels))]
+        gens = [
+            rng.sample(used, rng.randint(1, min(4, len(used))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        K = SimplicialComplex(labels, gens)
+        for size in (1, K.dim + 1, K.dim + 2):
+            assert facering._minimal_nonfaces(K, size) == minimal_nonfaces_oracle(K, size)
