@@ -63,6 +63,7 @@ from .homology import (
 from .instancefile import InstanceFile, emit_instance, parse_instance
 from .shelling import (
     Shelling,
+    ShellingBudgetExceeded,
     ShellingError,
     critical_generators,
     find_shelling,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Commands: analyze, table1, fuzz, catalog, shelling, bier.  Exit codes:
-0 success, 1 input error, 2 property violation (fuzz disagreement, table1
-mismatch, shelling verification failure), 3 internal-consistency error.
+0 success, 1 input error or an input past a declared limit (ring degree
+size, shelling search budget), 2 property violation (fuzz disagreement,
+table1 mismatch, shelling verification failure), 3 internal-consistency
+error.
 Reports are deterministic; timing goes to stderr only.
 """
 
@@ -27,7 +29,7 @@ from .cover import ConditionReport, RealToricSpace, evaluate_conditions
 from .errors import InputError, InternalConsistencyError, PropertyViolation
 from .gf2 import BitMatrix, GF2Error
 from .instancefile import emit_instance, parse_instance
-from .shelling import ShellingError, find_shelling, verify_shelling
+from .shelling import ShellingBudgetExceeded, ShellingError, find_shelling, verify_shelling
 from .simplicial import SimplicialError
 
 
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
     except ShellingError as exc:
         print(f"shelling verification failed: {exc}", file=sys.stderr)
         return 2
+    except ShellingBudgetExceeded as exc:
+        print(f"shelling search stopped: {exc}", file=sys.stderr)
+        return 1
     except (InputError, SimplicialError, CharMapError, GF2Error, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -23,20 +23,31 @@ from .charmap import (
 )
 from .errors import InternalConsistencyError
 from .homology import CohomologyProfile, FinAbGroup, reduced_cohomology
-from .shelling import Shelling, find_shelling
+from .shelling import Shelling, ShellingBudgetExceeded, find_shelling
 from .simplicial import SimplicialComplex
+
+# Hypotheses.shelling_found when the search ran out of its budget
+BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass(frozen=True)
 class Hypotheses:
-    """Which structural hypotheses of the equivalence were verified."""
+    """Which structural hypotheses of the equivalence were verified.
+
+    shelling_found is True, False after an exhausted search, or
+    BUDGET_EXCEEDED when the search stopped at its budget.
+    """
 
     closed_pseudomanifold: bool
     strongly_connected: bool
-    shelling_found: bool
+    shelling_found: bool | str
 
     def all_hold(self) -> bool:
-        return self.closed_pseudomanifold and self.strongly_connected and self.shelling_found
+        return (
+            self.closed_pseudomanifold
+            and self.strongly_connected
+            and self.shelling_found is True
+        )
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,7 @@ class RealToricSpace:
         self.complex = K
         self.chi = chi
         self.n = chi.n
+        self.shelling_budget_exceeded = False
 
     @cached_property
     def classification(self) -> PullbackClass:
@@ -100,14 +112,27 @@ class RealToricSpace:
 
     @cached_property
     def shelling(self) -> Shelling | None:
-        return find_shelling(self.complex)
+        try:
+            return find_shelling(self.complex)
+        except ShellingBudgetExceeded:
+            self.shelling_budget_exceeded = True
+            return None
+
+    @cached_property
+    def sphere_certified(self) -> bool:
+        """K is a closed pseudomanifold with a shelling, hence a PL sphere
+        (Danaraj-Klee, Duke Math. J. 41, 1974)."""
+        return self.hypotheses.closed_pseudomanifold and self.shelling is not None
 
     @cached_property
     def hypotheses(self) -> Hypotheses:
+        closed = self.complex.is_closed_pseudomanifold()
+        connected = self.complex.is_strongly_connected()
+        found = self.shelling is not None  # the search sets the budget flag
         return Hypotheses(
-            closed_pseudomanifold=self.complex.is_closed_pseudomanifold(),
-            strongly_connected=self.complex.is_strongly_connected(),
-            shelling_found=self.shelling is not None,
+            closed_pseudomanifold=closed,
+            strongly_connected=connected,
+            shelling_found=BUDGET_EXCEEDED if self.shelling_budget_exceeded else found,
         )
 
     @cached_property
@@ -217,6 +242,21 @@ def is_orientable_3d(M: RealToricSpace) -> bool:
 ALL_CONDITIONS = (1, 2, 3, 4, 5, 6, 7)
 
 
+def highest_ring_degree(M: RealToricSpace, requested) -> int:
+    """The highest ring degree that evaluate_conditions may build for the
+    requested conditions: Sq1 on each even degree on its side (condition 4
+    takes every even degree, 5 degree 2), and degree 3 for the Sq1 witness
+    on a strongly connected closed pseudomanifold.  0 when no ring is built."""
+    degrees = set(range(0, M.n + 1, 2)) if 4 in requested else set()
+    if 5 in requested:
+        degrees.add(2)
+    top = max((facering.sq1_degree(M.n, d, M.sphere_certified) for d in degrees), default=0)
+    hyp = M.hypotheses
+    if degrees and hyp.closed_pseudomanifold and hyp.strongly_connected:
+        top = max(top, min(3, M.n))
+    return top
+
+
 def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     """Evaluate the requested equivalence conditions (default: all seven).
 
@@ -237,6 +277,9 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     profile = None
     torsion_witness: dict[int, tuple[int, ...]] = {}
     sq1_witness = None
+
+    if {4, 5} & set(requested):
+        facering.check_ring_size(M.chi.m - n, highest_ring_degree(M, requested))
 
     if 1 in requested:
         results[1] = M.classification.is_simplex_pullback
@@ -266,11 +309,12 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
             results[7] = diffs_ok[1]
     if {4, 5} & set(requested):
         ring = M.ring
+        certified = M.sphere_certified
         if 5 in requested:
-            results[5] = ring.sq1_vanishes_on_degree(2) if n >= 1 else True
+            results[5] = ring.sq1_vanishes_on_degree(2, certified)
         if 4 in requested:
             results[4] = all(
-                ring.sq1_vanishes_on_degree(d) for d in range(0, n + 1, 2)
+                ring.sq1_vanishes_on_degree(d, certified) for d in range(0, n + 1, 2)
             )
         hyp = M.hypotheses
         if hyp.closed_pseudomanifold and hyp.strongly_connected:

@@ -14,8 +14,21 @@ from .errors import InternalConsistencyError
 from .simplicial import SimplicialComplex, SimplicialError
 
 
+# Facets the search may place, counting every placement again after a
+# backtrack.  A search without backtracking places each facet once: 365 on
+# the flagship Bier sphere.  The 6-vertex projective plane is exhausted
+# after 760; the 36-facet staircase S^1 x S^2, which no search can shell,
+# reaches the budget in about a second.
+SHELLING_BUDGET = 20_000
+
+
 class ShellingError(ValueError):
     """Order fails the shelling condition; message names the first bad index."""
+
+
+class ShellingBudgetExceeded(RuntimeError):
+    """The search placed its budget of facets without finishing: the complex
+    may or may not be shellable."""
 
 
 @dataclass(frozen=True)
@@ -90,11 +103,12 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     return shelling
 
 
-def find_shelling(K: SimplicialComplex) -> Shelling | None:
+def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelling | None:
     """Depth-first backtracking over facet orders with lexicographic branching.
 
     Returns the first shelling found, or None only after exhausting the
-    search tree.
+    search tree.  Raises ShellingBudgetExceeded when the search would place
+    a facet for the (budget + 1)-th time.
     """
     if not K.is_pure():
         raise SimplicialError("shellings are defined for pure complexes")
@@ -105,10 +119,17 @@ def find_shelling(K: SimplicialComplex) -> Shelling | None:
     prefix_idx: list[int] = []
     used = [False] * total
     iters = [iter(range(total))]
+    placed = 0
     while iters:
         for i in iters[-1]:
             if used[i] or _restriction_mask(table, used, prefix, facets[i]) is None:
                 continue
+            if placed == budget:
+                raise ShellingBudgetExceeded(
+                    f"no shelling found within the search budget of {budget} facet "
+                    f"placements ({total} facets); the complex may still be shellable"
+                )
+            placed += 1
             prefix.append(facets[i])
             prefix_idx.append(i)
             used[i] = True

@@ -10,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from smallcover import charmap, cli
+from functools import partial
+
+from smallcover import charmap, cli, cover, facering
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis
+from smallcover.shelling import find_shelling
+from oracles import circle_times_tetrahedron_boundary
 from smallcover.instancefile import emit_instance, parse_instance
 
 
@@ -231,6 +235,48 @@ class TestSampler:
         assert "exceeded 1e6 attempts" in capsys.readouterr().err
 
 
+class TestLimits:
+    def test_ring_size_checked_before_any_work(self, emit, monkeypatch, capsys):
+        # cross4 builds up to degree 3: C(4 + 3 - 1, 3) = 20 monomials
+        def boom(*args):
+            raise AssertionError("homology or ring work ran before the size check")
+
+        monkeypatch.setattr(facering, "MAX_DEGREE_MONOMIALS", 19)
+        monkeypatch.setattr(cover, "reduced_cohomology", boom)
+        monkeypatch.setattr(facering, "build_graded_basis", boom)
+        assert main(["analyze", emit("cross4")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "input error: ring degree 3 has 20 monomials, over the limit of 19 for one degree"
+        )
+
+    def test_ring_size_at_the_limit_runs(self, emit, monkeypatch, capsys):
+        monkeypatch.setattr(facering, "MAX_DEGREE_MONOMIALS", 20)
+        assert main(["analyze", emit("cross4")]) == 0
+
+    def test_ring_free_conditions_skip_the_size_check(self, emit, monkeypatch):
+        monkeypatch.setattr(facering, "MAX_DEGREE_MONOMIALS", 0)
+        assert main(["analyze", emit("cross4"), "--conditions", "1,2,3,6,7"]) == 0
+
+    def test_flagship_fits_the_limit(self):
+        # bier9's degree 8 must stay buildable directly for the ring pins
+        assert facering.MAX_DEGREE_MONOMIALS >= 24310
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_exhausted_budget_is_reported(self, emit, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(cover, "find_shelling", partial(find_shelling, budget=2))
+        assert main(["analyze", emit("rp3"), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["hypotheses"]["shelling_found"] == "budget-exceeded"
+            assert doc["verdict"] == "hypotheses-not-verified"
+        else:
+            assert "shelling found = budget-exceeded" in out
+            assert "verdict: hypotheses-not-verified" in out
+
+
 class TestShelling:
     def test_search(self, emit, capsys):
         path = emit("cross3")
@@ -278,6 +324,18 @@ class TestShelling:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["shelling", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"found": False}
+
+    def test_budget_exceeded_exits_one(self, tmp_path, capsys):
+        chi = circle_times_tetrahedron_boundary()
+        path = tmp_path / "staircase.json"
+        path.write_text(emit_instance("staircase", chi.complex, None), encoding="utf-8")
+        assert main(["shelling", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "shelling search stopped: no shelling found within the search budget "
+            "of 20000 facet placements (36 facets); the complex may still be shellable\n"
+        )
 
 
 class TestBier:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from smallcover.catalog import get_entry
+from smallcover.catalog import catalog, get_entry
 from smallcover.cover import (
+    ALL_CONDITIONS,
     RealToricSpace,
     betti_table,
     evaluate_conditions,
+    highest_ring_degree,
     integral_cohomology,
     is_orientable_3d,
     mod2_betti,
@@ -144,6 +146,29 @@ class TestConditions:
             assert report.agree(), (name, report.conditions)
 
 
+class TestRingDegreePlan:
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, e in catalog().items() if e.chi is not None)
+    )
+    def test_preflight_degree_bounds_the_built_ring(self, name):
+        # the size check reads this degree before any ring work, so no
+        # degree above it may be built
+        M = space(name)
+        top = highest_ring_degree(M, ALL_CONDITIONS)
+        report = evaluate_conditions(M)
+        assert M.sphere_certified
+        assert M.ring.num_vars == M.chi.m - M.n
+        assert max(M.ring._nf_rows) <= top <= max(3, (M.n + 1) // 2)
+        if report.sq1_witness is not None:
+            assert max(M.ring._nf_rows) == top
+
+    def test_flagship_stops_at_degree_four(self):
+        M = space("bier9")
+        assert highest_ring_degree(M, ALL_CONDITIONS) == 4
+        assert highest_ring_degree(M, (5,)) == 3
+        assert highest_ring_degree(M, (1, 2, 3, 6, 7)) == 0
+
+
 class TestOrientability:
     def test_projective_three_space(self):
         assert is_orientable_3d(space("rp3"))
@@ -157,6 +182,13 @@ class TestOrientability:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             is_orientable_3d(space("rp2"))
+
+    def test_wu_side_at_degree_zero_is_orientability(self):
+        # for n = 3, Sq1 on degree 2 is decided as Sq1 + w_1 = 0 on degree 0,
+        # that is w_1 = 0
+        for name in ("rp3", "cross3", "cross3mixed", "cross3notsimplex", "deltas0"):
+            M = space(name)
+            assert M.ring.wu_vanishes_on_degree(0) == is_orientable_3d(M), name
 
     def test_agrees_with_degree_three_torsion(self):
         for name in ("rp3", "cross3", "cross3mixed", "cross3notsimplex", "deltas0"):

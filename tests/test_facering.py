@@ -2,24 +2,37 @@
 
 import hashlib
 import random
+import time
 from itertools import combinations, combinations_with_replacement
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcover import facering
+from smallcover.bier import bier_instance
 from smallcover.catalog import catalog
 from smallcover.charmap import (
     CharacteristicMatrix,
     block_product,
     classify_pullback,
+    first_dependent_facet,
     lambda_boundary_simplex,
 )
-from smallcover.cli import sample_random_instance
-from smallcover.facering import RingError, build_graded_basis, find_sq1_witness
+from smallcover.cli import main, sample_random_instance
+from smallcover.cover import RealToricSpace, evaluate_conditions
+from smallcover.facering import (
+    GradedRingBasis,
+    RingError,
+    build_graded_basis,
+    find_sq1_witness,
+    sq1_degree,
+)
 from smallcover.gf2 import BitMatrix, BitVec, bit_positions
+from smallcover.instancefile import emit_instance
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
+from oracles import circle_times_tetrahedron_boundary
 
 
 def octahedron_linear():
@@ -44,6 +57,12 @@ def parity_instances():
         if entry.chi is not None and entry.n <= 6
     ]
     return out + [pytest.param(join_negative(), id="join_negative")]
+
+
+def rp2_six_vertex():
+    """The 6-vertex projective plane with a sampled matrix: a closed
+    pseudomanifold that no search shells."""
+    return sample_random_instance("rp2_6v", random.Random(0))[0]
 
 
 def ring_instances():
@@ -78,93 +97,22 @@ class TestDimensions:
         assert basis.dimension(3) == 0
         assert basis.dimension(-1) == 0
 
-    def test_dual_route_matches_direct(self, monkeypatch):
-        # force the pairing route on a small sphere and compare dimensions and
-        # products against the plain elimination route
-        chi = octahedron_linear()
-        direct = build_graded_basis(chi.complex, chi)
-        monkeypatch.setattr(facering, "_DIRECT_LIMIT", 4)
-        dual = build_graded_basis(chi.complex, chi)
-        dual.verify_all_dimensions()
-        monkeypatch.undo()
-        direct.verify_all_dimensions()
-        assert any(len(dual.monomials(d)) > 4 for d in range(4))
-        for v in chi.complex.labels:
-            for w in chi.complex.labels:
-                a = direct.multiply(direct.express([v]), direct.express([w]))
-                b = dual.multiply(dual.express([v]), dual.express([w]))
-                ra = direct.render(a)
-                rb = dual.render(b)
-                assert ra == rb, (v, w, ra, rb)
-
-    @pytest.mark.parametrize("make", [octahedron_linear, join_negative])
-    def test_dual_route_full_tables_match(self, make, monkeypatch):
-        # classes are carried across routes by re-reducing their basis
-        # monomials in the other route, so the product and Sq1 tables are
-        # compared without assuming the two routes share a basis
-        chi = make()
-        n = chi.n
-        direct = build_graded_basis(chi.complex, chi)
-        limit = len(direct.monomials(n // 2))
-        monkeypatch.setattr(facering, "_DIRECT_LIMIT", limit)
-        dual = build_graded_basis(chi.complex, chi)
-        dual.verify_all_dimensions()
-        monkeypatch.undo()
-        direct.verify_all_dimensions()
-        assert any(len(dual.monomials(d)) > limit for d in range(n + 1))
-
-        def crossed(cls):
-            acc = 0
-            for pos in range(direct.dimension(cls.degree)):
-                if (cls.bits >> pos) & 1:
-                    idx = direct._basis_idx[cls.degree][pos]
-                    acc ^= dual._reduce_monomial(cls.degree, idx)
-            return acc
-
-        for d1 in range(n + 1):
-            for d2 in range(d1, n + 1):
-                if d1 + d2 > n:
-                    continue
-                for x1 in direct.basis_classes(d1):
-                    for x2 in direct.basis_classes(d2):
-                        y1 = type(x1)(d1, crossed(x1))
-                        y2 = type(x2)(d2, crossed(x2))
-                        p_direct = direct.multiply(x1, x2)
-                        p_dual = dual.multiply(y1, y2)
-                        assert crossed(p_direct) == p_dual.bits, (d1, d2)
-        for d in range(n):
-            for x in direct.basis_classes(d):
-                y = type(x)(d, crossed(x))
-                assert crossed(direct.sq1(x)) == dual.sq1(y).bits, d
-
     @pytest.mark.parametrize("chi", parity_instances())
-    def test_route_does_not_change_the_ring(self, chi, monkeypatch):
-        # every degree above the middle goes through top-degree pairing when
-        # the limit is the middle degree's monomial count; bases, normal forms
-        # and everything derived from them must equal the default build
+    def test_route_does_not_change_the_ring(self, chi):
+        # deciding Sq1 on the cheaper side builds fewer degrees; each degree
+        # it builds, and each answer, equals that of the full direct ring
         n = chi.n
-        default = build_graded_basis(chi.complex, chi)
-        default.verify_all_dimensions()
-        limit = len(default.monomials(n // 2))
-        monkeypatch.setattr(facering, "_DIRECT_LIMIT", limit)
-        paired = build_graded_basis(chi.complex, chi)
-        paired.verify_all_dimensions()
-        monkeypatch.undo()
-        if default.num_vars >= 2:
-            assert any(len(paired.monomials(d)) > limit for d in range(n + 1))
-        for d in range(n + 1):
-            assert paired._basis_idx[d] == default._basis_idx[d], d
-            for idx in range(len(default.monomials(d))):
-                assert paired._reduce_monomial(d, idx) == default._reduce_monomial(
-                    d, idx
-                ), (d, idx)
-        for d1 in range(n + 1):
-            for x in default.basis_classes(d1):
-                assert paired.render(x) == default.render(x)
-                assert paired.sq1(x) == default.sq1(x)
-                for d2 in range(d1, n + 1 - d1):
-                    for y in default.basis_classes(d2):
-                        assert paired.multiply(x, y) == default.multiply(x, y)
+        full = build_graded_basis(chi.complex, chi)
+        full.verify_all_dimensions()
+        lazy = build_graded_basis(chi.complex, chi)
+        for d in range(0, n + 1, 2):
+            assert lazy.sq1_vanishes_on_degree(d, True) == full.sq1_vanishes_on_degree(d), d
+        assert max(lazy._nf_rows) == max(sq1_degree(n, d, True) for d in range(0, n + 1, 2))
+        for d in lazy._nf_rows:
+            assert lazy._basis_idx[d] == full._basis_idx[d], d
+            for idx in range(len(full.monomials(d))):
+                got = oracles.reduce_monomial(lazy, d, idx)
+                assert got == oracles.reduce_monomial(full, d, idx), (d, idx)
 
     def test_ghost_vertex_contributes_zero_class(self):
         K = SimplicialComplex([1, 2, 3], [(1,), (2,)])
@@ -176,31 +124,11 @@ class TestDimensions:
         assert basis.express([3]).is_zero()
 
 
-def circle_times_tetrahedron_boundary():
-    """Staircase triangulation of S^1 x S^2 with vertices 4a + b + 1 for a
-    in Z/3 and b in 0..3: a closed 3-manifold with H^1(K; Z_2) = Z_2."""
-
-    def v(a, b):
-        return 4 * a + b + 1
-
-    facets = []
-    for a in range(3):
-        a2 = (a + 1) % 3
-        for t0, t1, t2 in combinations(range(4), 3):
-            facets += [
-                (v(a, t0), v(a2, t0), v(a2, t1), v(a2, t2)),
-                (v(a, t0), v(a, t1), v(a2, t1), v(a2, t2)),
-                (v(a, t0), v(a, t1), v(a, t2), v(a2, t2)),
-            ]
-    K = SimplicialComplex(range(1, 13), facets)
-    cols = [2, 4, 14, 13, 12, 9, 3, 8, 7, 2, 8, 6]
-    return CharacteristicMatrix(K, BitMatrix.from_column_bits(4, cols))
-
-
 class TestSphereGate:
-    """Top-degree pairing is perfect only on a Z_2-homology sphere.  S^1 x S^2
-    meets the h-vector law in every degree but 3, so pairing there would
-    assert the wrong dimension h_3."""
+    """The Wu side reads the ring as the cohomology of a closed manifold with
+    a perfect pairing, which needs a certified sphere.  S^1 x S^2 is a closed
+    3-manifold that no search shells; it meets the h-vector law in every
+    degree but 3, and only building that degree directly shows it."""
 
     def test_default_routes_raise_the_dimension_law(self):
         chi = circle_times_tetrahedron_boundary()
@@ -210,12 +138,127 @@ class TestSphereGate:
         with pytest.raises(RingError, match="degree 3 dimension 12 does not match h_3 = 8"):
             ring.verify_all_dimensions()
 
-    def test_pairing_route_refused_off_a_sphere(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "make, shelling_found, h3",
+        [
+            pytest.param(rp2_six_vertex, False, "dimension 1 does not match h_3 = 0", id="rp2_6v"),
+            pytest.param(
+                circle_times_tetrahedron_boundary,
+                "budget-exceeded",
+                "dimension 12 does not match h_3 = 8",
+                id="staircase",
+            ),
+        ],
+    )
+    def test_wu_side_refused_off_a_sphere(self, make, shelling_found, h3, monkeypatch):
+        # uncertified controls: an exhausted search and a search that ran
+        # out of budget; every degree is built directly
+        chi = make()
+        M = RealToricSpace(chi.complex, chi)
+        monkeypatch.setattr(GradedRingBasis, "wu_vanishes_on_degree", refuse_wu_side)
+        with pytest.raises(RingError, match=f"degree 3 {h3}"):
+            evaluate_conditions(M)
+        assert M.hypotheses.shelling_found == shelling_found
+        assert M.complex.is_closed_pseudomanifold() and not M.sphere_certified
+
+    def test_analyze_exits_3_within_seconds(self, tmp_path, capsys):
         chi = circle_times_tetrahedron_boundary()
-        monkeypatch.setattr(facering, "_DIRECT_LIMIT", 100)
-        ring = build_graded_basis(chi.complex, chi)
-        with pytest.raises(RingError, match="Z_2-cohomology of a sphere"):
-            ring.verify_all_dimensions()
+        path = tmp_path / "staircase.json"
+        path.write_text(emit_instance("staircase", chi.complex, chi), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 3
+        # the unbudgeted search ran for minutes
+        assert time.perf_counter() - start < 60
+        assert "degree 3 dimension 12 does not match h_3 = 8" in capsys.readouterr().err
+
+
+def refuse_wu_side(ring, e):
+    raise AssertionError("the Wu side was taken without a sphere certificate")
+
+
+def check_wu_side(chi):
+    """On a certified sphere, the Wu side at every even d < n equals Sq1 on
+    degree d in the full direct ring."""
+    assert RealToricSpace(chi.complex, chi).sphere_certified
+    n = chi.n
+    full = build_graded_basis(chi.complex, chi)
+    full.verify_all_dimensions()
+    wu = build_graded_basis(chi.complex, chi)
+    answers = []
+    for d in range(0, n, 2):
+        direct = full.sq1_vanishes_on_degree(d)
+        assert wu.wu_vanishes_on_degree(n - d - 1) == direct, d
+        answers.append(direct)
+    return answers
+
+
+def random_bier_instance(rng):
+    """The Bier sphere of a random proper complex on at most 7 vertices, with
+    its canonical matrix moved by single-column redraws that keep it valid."""
+    ground = range(1, rng.randint(3, 7) + 1)
+    gens = [rng.sample(ground, rng.randint(1, len(ground) - 1)) for _ in range(rng.randint(1, 4))]
+    sphere, chi = bier_instance(SimplicialComplex(ground, gens))
+    cols = chi.matrix.column_bits()
+    for _ in range(3 * len(cols)):
+        trial = list(cols)
+        trial[rng.randrange(len(cols))] = rng.randrange(1, 1 << chi.n)
+        if first_dependent_facet(sphere, trial) is None:
+            cols = trial
+    return CharacteristicMatrix(sphere, BitMatrix.from_column_bits(chi.n, cols))
+
+
+JOIN_FACTORS = ["rp1", "rp2", "rp3", "gon4", "gon5", "gon6klein", "deltas0", "cross3mixed", "rp2xrp2"]
+JOIN_PAIRS = [
+    (a, b)
+    for a in JOIN_FACTORS
+    for b in JOIN_FACTORS
+    if catalog()[a].n + catalog()[b].n <= 7
+]
+
+
+class TestWuSide:
+    """Sq1 = 0 on degree d iff Sq1 + w_1 = 0 on degree n - d - 1, with the
+    full direct ring as the oracle.  Dropping w_1 or pairing with degree
+    n - d instead fails these tests."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, e in catalog().items() if e.chi is not None)
+    )
+    def test_catalog_matches_direct(self, name):
+        check_wu_side(catalog()[name].chi)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_bier_spheres_of_random_complexes(self, rng):
+        check_wu_side(random_bier_instance(rng))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.sampled_from(JOIN_PAIRS), st.integers(0, 2**32 - 1))
+    def test_joins_of_catalog_spheres(self, pair, seed):
+        rng = random.Random(seed)
+        a, b = (sample_random_instance(name, rng)[0] for name in pair)
+        chi = block_product(a, b)
+        for instance in (chi, shuffled_labels(chi, rng)):
+            check_wu_side(instance)
+
+    def test_generated_instances_reach_both_answers_at_both_parities(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(12):
+            chi = random_bier_instance(rng)
+            seen |= {(chi.n % 2, answer) for answer in check_wu_side(chi)}
+        for a, b in JOIN_PAIRS[:12]:
+            chi = block_product(catalog()[a].chi, catalog()[b].chi)
+            seen |= {(chi.n % 2, answer) for answer in check_wu_side(chi)}
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+    def test_side_degrees(self):
+        # the cheaper side; the Wu side only with the certificate
+        assert [sq1_degree(8, d, True) for d in range(0, 9, 2)] == [1, 3, 4, 2, 0]
+        assert [sq1_degree(8, d, False) for d in range(0, 9, 2)] == [1, 3, 5, 7, 0]
+        assert [sq1_degree(3, d, True) for d in (0, 2)] == [1, 1]
+        for n in range(1, 13):
+            assert max(sq1_degree(n, d, True) for d in range(0, n + 1, 2)) <= (n + 1) // 2
 
 
 class TestExpressAndMultiply:
@@ -329,7 +372,7 @@ class TestTauAndSquares:
             chi = lambda_boundary_simplex(n)
             basis = build_graded_basis(chi.complex, chi)
             coloring = classify_pullback(chi).coloring
-            taus = basis.tau_classes(coloring)
+            taus = oracles.tau_classes(basis, coloring)
             assert len(taus) == n + 1
             assert taus[0] == basis.express([1])
 
@@ -337,7 +380,7 @@ class TestTauAndSquares:
         chi = octahedron_linear()
         basis = build_graded_basis(chi.complex, chi)
         coloring = classify_pullback(chi).coloring
-        taus = basis.tau_classes(coloring)
+        taus = oracles.tau_classes(basis, coloring)
         assert len(taus) == 3
         assert all(t.is_zero() for t in taus)
 
@@ -345,7 +388,7 @@ class TestTauAndSquares:
         for chi in (lambda_boundary_simplex(3), octahedron_linear()):
             basis = build_graded_basis(chi.complex, chi)
             coloring = classify_pullback(chi).coloring
-            assert basis.square_identity_check(coloring)
+            assert oracles.square_identity_check(basis, coloring)
 
     def test_total_square_formula(self):
         # Sq(x) = (1 + tau)^q x for homogeneous x of degree q
@@ -354,10 +397,10 @@ class TestTauAndSquares:
         for n in (2, 3, 4):
             chi = lambda_boundary_simplex(n)
             basis = build_graded_basis(chi.complex, chi)
-            tau = basis.tau(classify_pullback(chi).coloring)
+            tau = oracles.tau(basis, classify_pullback(chi).coloring)
             for q in range(n + 1):
                 for x in basis.basis_classes(q)[:10]:
-                    total = basis.total_sq(x)
+                    total = oracles.total_sq(basis, x)
                     power = basis.one()
                     for i in range(n - q + 1):
                         if i > 0:
@@ -376,7 +419,7 @@ class TestStiefelWhitney:
         chi = lambda_boundary_simplex(2)
         basis = build_graded_basis(chi.complex, chi)
         u = basis.express([1])
-        sw = basis.total_sw()
+        sw = oracles.total_sw(basis)
         assert sw[0] == basis.one()
         assert sw[1] == u
         assert sw[2] == basis.multiply(u, u)
@@ -389,12 +432,12 @@ class TestStiefelWhitney:
         ):
             basis = build_graded_basis(chi.complex, chi)
             coloring = classify_pullback(chi).coloring
-            assert basis.sw_pullback_check(coloring)
+            assert oracles.sw_pullback_check(basis, coloring)
 
     def test_torus_is_stably_trivial(self):
         chi = octahedron_linear()
         basis = build_graded_basis(chi.complex, chi)
-        sw = basis.total_sw()
+        sw = oracles.total_sw(basis)
         assert sw[0] == basis.one()
         assert all(c.is_zero() for c in sw[1:])
 
@@ -405,7 +448,7 @@ class TestStiefelWhitney:
         cols = [BitVec.unit(2, 0), BitVec.unit(2, 1)] * 2
         chi = CharacteristicMatrix(K, BitMatrix.from_columns(cols))
         basis = build_graded_basis(K, chi)
-        sw = basis.total_sw()
+        sw = oracles.total_sw(basis)
         assert sw[0] == basis.one()
         assert sw[1].is_zero() and sw[2].is_zero()
 
@@ -469,7 +512,7 @@ def total_sq_oracle(ring, x):
 def check_total_sq(ring):
     for d in range(ring.n + 1):
         for x in ring.basis_classes(d):
-            got = ring.total_sq(x)
+            got = oracles.total_sq(ring, x)
             assert {deg: c.bits for deg, c in got.items()} == total_sq_oracle(ring, x), d
             if d < ring.n:
                 assert got.get(d + 1, ring.zero(d + 1)) == ring.sq1(x), d
@@ -579,27 +622,6 @@ class TestPinnedRing:
                 assert row & -row == 1 << p, (d, p)
                 assert row & pivot_mask == 1 << p, (d, p)
 
-    @pytest.mark.parametrize("chi", parity_instances())
-    def test_key_difference_is_a_monomial_exactly_on_division(self, chi):
-        # the pairing rows look up t - nu for every top monomial t; a borrow
-        # must never land on a key of the right degree
-        ring = build_graded_basis(chi.complex, chi)
-        n = ring.n
-
-        def exponents(key):
-            return [key // unit & ring._field for unit in ring._units]
-
-        tops = [exponents(t) for t in ring.monomials(n)]
-        for d in range(n + 1):
-            ring.monomials(d)
-            index = ring._mono_index[d]
-            for nu in ring.monomials(n - d):
-                e_nu = exponents(nu)
-                for t, e_t in zip(ring.monomials(n), tops):
-                    divides = all(a >= b for a, b in zip(e_t, e_nu))
-                    assert (t - nu in index) == divides, (d, t, nu)
-
-
 def shuffled_labels(chi, rng):
     """The same instance over a shuffled declared label order, each label
     keeping its column."""
@@ -611,99 +633,6 @@ def shuffled_labels(chi, rng):
         SimplicialComplex(labels, K.facets),
         BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
     )
-
-
-def full_scan_top_support(ring):
-    """The top functional as first written: every degree-n monomial goes
-    through the unpruned recursion, and a support that is not a face reads 0.
-    Returns the sorted keys of value 1."""
-    K, n, w = ring.K, ring.n, ring._width
-    faces = K.all_face_masks()
-    memo = {}
-
-    def value(key, mask):
-        if key not in memo:
-            if mask not in faces:
-                memo[key] = 0
-            elif mask.bit_count() == n:
-                memo[key] = 1
-            else:
-                high = key & ring._high_bits
-                rep = ((high & -high).bit_length() - 1) // w
-                fm = next(f for f in K.facet_masks if f & mask == mask)
-                row = ring.chi.facet_coordinates(fm)[(fm & ((1 << rep) - 1)).bit_count()]
-                rest = key - (1 << w * rep)
-                memo[key] = 0
-                for q in bit_positions(row & ~fm):
-                    memo[key] ^= value(rest + (1 << w * q), mask | 1 << q)
-        return memo[key]
-
-    out = []
-    for key in ring.monomials(n):
-        mask = sum(1 << p for p in range(K.vertex_count) if key >> w * p & ring._field)
-        if value(key, mask):
-            out.append(key)
-    return sorted(out)
-
-
-def duality_rings():
-    out = []
-    for name, entry in sorted(catalog().items()):
-        if entry.chi is not None:
-            ring = build_graded_basis(entry.complex, entry.chi)
-            if ring._duality_available() and ring.h[ring.n] == 1:
-                out.append(name)
-    return out
-
-
-# sha256 of bier9's sorted top support, recorded with the full-scan functional
-BIER9_TOP_SUPPORT = "8329c7eba135e34ea847300e8c14c5064728d3ca43661f6af1480fb25a1e7927"
-
-
-class TestTopSupport:
-    """Face-supported enumeration with pruned children skips only terms of
-    the Stanley-Reisner ideal, so it must equal the full scan."""
-
-    @pytest.mark.parametrize("name", duality_rings())
-    def test_catalog_matches_full_scan(self, name):
-        chi = catalog()[name].chi
-        ring = build_graded_basis(chi.complex, chi)
-        assert sorted(ring._top_support()) == full_scan_top_support(ring)
-
-    def test_every_catalog_ring_is_checked(self):
-        names = duality_rings()
-        assert "bier9" in names
-        assert len(names) == sum(e.chi is not None for e in catalog().values())
-
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-    @given(
-        st.sampled_from(["cross4", "cross5mixed"]),
-        st.integers(0, 2**32 - 1),
-        st.randoms(use_true_random=False),
-    )
-    def test_sampled_and_relabelled_match_full_scan(self, name, seed, rng):
-        chi, _ = sample_random_instance(name, random.Random(seed))
-        for instance in (chi, shuffled_labels(chi, rng)):
-            ring = build_graded_basis(instance.complex, instance)
-            assert sorted(ring._top_support()) == full_scan_top_support(ring)
-
-    def test_bier9_support_matches_pin(self):
-        chi = catalog()["bier9"].chi
-        ring = build_graded_basis(chi.complex, chi)
-        keys = sorted(ring._top_support())
-        assert len(keys) == 1765
-        digest = hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest()
-        assert digest == BIER9_TOP_SUPPORT
-        # the degree-n monomial list is left to the degree that needs it
-        assert ring.n not in ring._monomials
-
-    def test_vanished_functional_raises(self, monkeypatch):
-        # the only top monomial of a simplex boundary repeats its one variable
-        chi = lambda_boundary_simplex(3)
-        ring = build_graded_basis(chi.complex, chi)
-        monkeypatch.setattr(ring, "_rewrite_rows_for", lambda fm: [[]] * ring.n)
-        with pytest.raises(RingError, match="top-degree functional vanished identically"):
-            ring._top_support()
 
 
 def minimal_nonfaces_oracle(K, max_size):

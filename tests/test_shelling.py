@@ -13,6 +13,8 @@ from smallcover.charmap import classify_pullback, lambda_boundary_simplex
 from smallcover.cli import main
 from smallcover.homology import reduced_cohomology
 from smallcover.shelling import (
+    SHELLING_BUDGET,
+    ShellingBudgetExceeded,
     ShellingError,
     critical_generators,
     find_shelling,
@@ -78,6 +80,33 @@ class TestSearch:
         s = find_shelling(K)
         again = verify_shelling(K, list(s.order))
         assert again.restriction == s.restriction
+
+    def test_budget_counts_facet_placements(self):
+        # the octahedron shells with no backtracking: one placement per facet
+        K = cross_polytope_boundary(3)
+        assert find_shelling(K, budget=8) is not None
+        with pytest.raises(ShellingBudgetExceeded, match="budget of 7 facet placements"):
+            find_shelling(K, budget=7)
+        with pytest.raises(ShellingBudgetExceeded):
+            find_shelling(K, budget=0)
+
+    def test_budget_exceeded_is_no_input_error(self):
+        assert not issubclass(ShellingBudgetExceeded, ValueError)
+
+    def test_projective_plane_exhausts_after_760_placements(self):
+        K = catalog()["rp2_6v"].complex
+        assert find_shelling(K) is None
+        assert find_shelling(K, budget=760) is None
+        with pytest.raises(ShellingBudgetExceeded):
+            find_shelling(K, budget=759)
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k in catalog() if k != "rp2_6v")
+    )
+    def test_catalog_shells_without_backtracking(self, name):
+        K = catalog()[name].complex
+        assert len(K.facets) <= SHELLING_BUDGET
+        assert find_shelling(K, budget=len(K.facets)) is not None
 
     def test_restriction_histogram_is_h_vector(self):
         for K in (boundary_of_simplex(4), cross_polytope_boundary(4)):
