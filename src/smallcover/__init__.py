@@ -65,9 +65,7 @@ from .shelling import (
     Shelling,
     ShellingBudgetExceeded,
     ShellingError,
-    critical_generators,
     find_shelling,
-    two_degree_concentration_check,
     verify_shelling,
 )
 from .simplicial import (

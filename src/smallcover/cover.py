@@ -270,7 +270,7 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     """
     requested = tuple(sorted(set(conditions or ALL_CONDITIONS)))
     if any(c not in ALL_CONDITIONS for c in requested):
-        raise ValueError(f"unknown condition in {requested}")
+        raise InternalConsistencyError(f"unknown condition in {requested}")
     n = M.n
     results: dict[int, bool] = {}
     table = None
@@ -310,11 +310,14 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     if {4, 5} & set(requested):
         ring = M.ring
         certified = M.sphere_certified
+        # each even degree is decided once: condition 4 reuses condition 5's
+        vanishes: dict[int, bool] = {}
         if 5 in requested:
-            results[5] = ring.sq1_vanishes_on_degree(2, certified)
+            results[5] = vanishes[2] = ring.sq1_vanishes_on_degree(2, certified)
         if 4 in requested:
             results[4] = all(
-                ring.sq1_vanishes_on_degree(d, certified) for d in range(0, n + 1, 2)
+                vanishes[d] if d in vanishes else ring.sq1_vanishes_on_degree(d, certified)
+                for d in range(0, n + 1, 2)
             )
         hyp = M.hypotheses
         if hyp.closed_pseudomanifold and hyp.strongly_connected:

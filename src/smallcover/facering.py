@@ -13,6 +13,10 @@ has one basis rule and one normal-form representation:
   bit i of row k is the coefficient of basis monomial k in the normal form
   of monomial i.  Reducing a vector is one parity per row.
 
+The generators of the monomial ideal, the minimal non-faces, are found one
+size at a time, when the degree of that size is built, so a ring built up
+to degree 4 never looks at larger vertex sets.
+
 A degree's echelon grows with the square of its monomial count;
 evaluate_conditions checks the largest degree it will build against
 MAX_DEGREE_MONOMIALS before any homology or ring work.
@@ -119,7 +123,6 @@ class GradedRingBasis:
             v: [self._units[i] for i in bit_positions(b)] for v, b in self._subst.items()
         }
 
-        self._gens = _minimal_nonfaces(K, self.n)
         self._gen_vectors_cache: dict[int, list[int]] = {}
 
         self._monomials: dict[int, list[int]] = {}
@@ -144,9 +147,7 @@ class GradedRingBasis:
         """Rewritten monomial-ideal generators of degree exactly d."""
         if d not in self._gen_vectors_cache:
             vectors = []
-            for gen in self._gens:
-                if len(gen) != d:
-                    continue
+            for gen in _minimal_nonfaces(self.K, d):
                 vec = 1
                 for deg, label in enumerate(gen):
                     nxt = 0
@@ -340,21 +341,18 @@ class GradedRingBasis:
         return " + ".join(terms)
 
 
-def _minimal_nonfaces(K: SimplicialComplex, max_size: int) -> list[tuple[int, ...]]:
-    """Non-faces of at most max_size vertices whose proper subsets are all
-    faces, by size, then mask.  Each is met once, as the face left when its
-    highest vertex is removed plus that vertex."""
+def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[tuple[int, ...]]:
+    """Non-faces of `size` vertices whose proper subsets are all faces, by
+    mask.  Each is met once, as the face left when its highest vertex is
+    removed plus that vertex."""
     faces = K.all_face_masks()
-    out = []
-    for s in range(1, max_size + 1):
-        found = []
-        for fm in K.face_masks(s - 2):
-            for b in range(fm.bit_length(), K.vertex_count):
-                m = fm | 1 << b
-                if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(fm)):
-                    found.append(m)
-        out += [tuple(K.labels[i] for i in bit_positions(m)) for m in sorted(found)]
-    return out
+    found = []
+    for fm in K.face_masks(size - 2):
+        for b in range(fm.bit_length(), K.vertex_count):
+            m = fm | 1 << b
+            if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(fm)):
+                found.append(m)
+    return [tuple(K.labels[i] for i in bit_positions(m)) for m in sorted(found)]
 
 
 def sq1_degree(n: int, d: int, certified: bool) -> int:
@@ -395,7 +393,9 @@ def find_sq1_witness(
     instance is a pullback from the simplex.
     """
     if not K.is_closed_pseudomanifold() or not K.is_strongly_connected():
-        raise ValueError("witness search needs a strongly connected closed pseudomanifold")
+        raise InternalConsistencyError(
+            "witness search needs a strongly connected closed pseudomanifold"
+        )
     full = frozenset(range(1, chi.n + 1))
     for facet, i, s_set in flip_supports(chi):
         if s_set != frozenset({i}) and s_set != full:

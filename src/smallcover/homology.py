@@ -63,12 +63,14 @@ class FinAbGroup:
 
     def __post_init__(self) -> None:
         if self.rank < 0:
-            raise ValueError(f"negative rank {self.rank}")
+            raise InternalConsistencyError(f"negative rank {self.rank}")
         for t in self.torsion:
             if not _is_prime_power(t):
-                raise ValueError(f"torsion order {t} is not a prime power >= 2")
+                raise InternalConsistencyError(
+                    f"torsion order {t} is not a prime power >= 2"
+                )
         if tuple(sorted(self.torsion)) != self.torsion:
-            raise ValueError("torsion orders must be sorted ascending")
+            raise InternalConsistencyError("torsion orders must be sorted ascending")
 
     @classmethod
     def free(cls, rank: int) -> "FinAbGroup":

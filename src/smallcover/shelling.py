@@ -1,13 +1,20 @@
-"""Shelling verification and search, restriction faces, critical generators.
+"""Shelling verification and search, with restriction faces.
 
 A shelling is a facet order in which every facet meets the union of its
 predecessors in a nonempty union of its own ridges.  The restriction face of
 each step is the unique minimal new face; the intervals [restriction face,
 facet] partition the whole face set.
+
+The search is incremental.  Placed facets form one bitmask over K's facet
+order; each facet carries the bits of its vertices v whose ridge (facet
+minus v) lies in a placed facet, kept up to date on every placement and
+backtrack; and a face is old exactly when some placed facet holds it, which
+is one AND of the vertices' star masks with the placed mask.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
@@ -18,7 +25,7 @@ from .simplicial import SimplicialComplex, SimplicialError
 # backtrack.  A search without backtracking places each facet once: 365 on
 # the flagship Bier sphere.  The 6-vertex projective plane is exhausted
 # after 760; the 36-facet staircase S^1 x S^2, which no search can shell,
-# reaches the budget in about a second.
+# reaches the budget in about 0.3 s on a 2-core Xeon.
 SHELLING_BUDGET = 20_000
 
 
@@ -43,29 +50,25 @@ class Shelling:
         return sum(1 << (len(s) - len(r)) for s, r in zip(self.order, self.restriction))
 
 
-def _restriction_mask(
-    table: dict[int, tuple[int, ...]], used: list[bool], prefix: list[int], fm: int
-) -> int | None:
-    """Mask of the minimal new face of fm against the earlier facets, or None
-    if the shelling condition fails at this step.
+def _stars(K: SimplicialComplex) -> dict[int, int]:
+    """Vertex bit -> bitmask over K.facet_masks of the facets holding it."""
+    star = {1 << i: 0 for i in range(K.vertex_count)}
+    for j, fm in enumerate(K.facet_masks):
+        bits = fm
+        while bits:
+            low = bits & -bits
+            star[low] |= 1 << j
+            bits ^= low
+    return star
 
-    prefix holds the earlier facet masks and used[j] marks facet j of
-    K.facet_masks as earlier; table is K's ridge table.  K is pure, so a
-    ridge of fm lies in an earlier facet exactly when an earlier facet holds
-    it in the table.
-    """
-    d = 0
-    bits = fm
-    while bits:
-        low = bits & -bits
-        for j in table[fm ^ low]:
-            if used[j]:
-                d |= low
-                break
-        bits ^= low
-    if prefix and (d == 0 or any(d & old == d for old in prefix)):
-        return None
-    return d
+
+def _is_old(d: int, placed: int, star: dict[int, int]) -> bool:
+    """Whether a placed facet holds the face d."""
+    while d and placed:
+        low = d & -d
+        placed &= star[low]
+        d ^= low
+    return placed != 0
 
 
 def verify_shelling(K: SimplicialComplex, order) -> Shelling:
@@ -79,18 +82,31 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     masks = [K._face_to_mask(f) for f in order]
     if sorted(masks) != sorted(K.facet_masks):
         raise ShellingError("order is not a permutation of the facets")
+    return _verified(K, masks, _stars(K))
+
+
+def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> Shelling:
+    """verify_shelling on a permutation of K.facet_masks."""
     table = K.ridge_table()
     index = {fm: j for j, fm in enumerate(K.facet_masks)}
-    used = [False] * len(masks)
-    prefix: list[int] = []
+    placed = 0
     restriction = []
     for idx, fm in enumerate(masks, start=1):
-        r = _restriction_mask(table, used, prefix, fm)
-        if r is None:
+        # K is pure, so a ridge of fm lies in a placed facet exactly when a
+        # placed facet holds it in the ridge table
+        d = 0
+        bits = fm
+        while bits:
+            low = bits & -bits
+            for j in table[fm ^ low]:
+                if placed >> j & 1:
+                    d |= low
+                    break
+            bits ^= low
+        if placed and (d == 0 or _is_old(d, placed, star)):
             raise ShellingError(f"shelling condition fails at index {idx}")
-        restriction.append(r)
-        used[index[fm]] = True
-        prefix.append(fm)
+        restriction.append(d)
+        placed |= 1 << index[fm]
     shelling = Shelling(
         K,
         tuple(K._mask_to_face(m) for m in masks),
@@ -106,82 +122,82 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
 def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelling | None:
     """Depth-first backtracking over facet orders with lexicographic branching.
 
-    Returns the first shelling found, or None only after exhausting the
-    search tree.  Raises ShellingBudgetExceeded when the search would place
-    a facet for the (budget + 1)-th time.
+    At each depth the candidates are tried in facet order: every facet at
+    depth 0, then only the frontier, the unplaced facets sharing a ridge
+    with a placed one.  Returns the first shelling found, or None only
+    after exhausting the search tree.  Raises ShellingBudgetExceeded when
+    the search would place a facet for the (budget + 1)-th time.
     """
     if not K.is_pure():
         raise SimplicialError("shellings are defined for pure complexes")
     facets = K.facet_masks
     total = len(facets)
     table = K.ridge_table()
-    prefix: list[int] = []
-    prefix_idx: list[int] = []
-    used = [False] * total
-    iters = [iter(range(total))]
+    star = _stars(K)
+    width = K.vertex_count
+    # ridge bits of facet j: its vertices v with facet_j - v in a placed facet;
+    # count[j * width + v] is the number of such placed facets, so a ridge in
+    # three or more facets keeps its bit until the last of them is unplaced;
+    # 4-byte counts keep the search state small
+    new = [0] * total
+    count = array("i", bytes(4 * total * width))
     placed = 0
-    while iters:
-        for i in iters[-1]:
-            if used[i] or _restriction_mask(table, used, prefix, facets[i]) is None:
-                continue
-            if placed == budget:
-                raise ShellingBudgetExceeded(
-                    f"no shelling found within the search budget of {budget} facet "
-                    f"placements ({total} facets); the complex may still be shellable"
-                )
-            placed += 1
-            prefix.append(facets[i])
-            prefix_idx.append(i)
-            used[i] = True
-            if len(prefix) == total:
-                return verify_shelling(K, [K._mask_to_face(m) for m in prefix])
-            iters.append(iter(range(total)))
-            break
+    order: list[int] = []
+    # the frontier at each depth; depth 0 tries every facet
+    frontier = [0]
+    everything = (1 << total) - 1
+
+    def move(i: int, step: int) -> int:
+        """Add step to the counts of the ridges of facet i in the other
+        facets; return the mask of those facets."""
+        fm = facets[i]
+        touched = 0
+        bits = fm
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            ridge = fm ^ low
+            for j in table[ridge]:
+                if j != i:
+                    b = facets[j] ^ ridge
+                    slot = j * width + b.bit_length() - 1
+                    c = count[slot] + step
+                    count[slot] = c
+                    # the bit flips when the count moves between 0 and 1
+                    if c == step or not c:
+                        new[j] ^= b
+                    touched |= 1 << j
+        return touched
+
+    placements = 0
+    start = 0  # candidates below this index were tried at this depth
+    while True:
+        left = (frontier[-1] if order else everything) >> start << start
+        while left:
+            bit = left & -left
+            left ^= bit
+            i = bit.bit_length() - 1
+            # past depth 0 every candidate has ridge bits: it is on the frontier
+            if not (placed and _is_old(new[i], placed, star)):
+                break
         else:
-            iters.pop()
-            if prefix_idx:
-                used[prefix_idx.pop()] = False
-                prefix.pop()
-    return None
-
-
-def critical_generators(shelling: Shelling, w) -> list[tuple[int, int]]:
-    """Indices i (1-based) with facet_i intersect W equal to the restriction
-    face, each tagged with cochain degree |restriction| - 1."""
-    wset = set(w)
-    for v in wset:
-        if v not in shelling.complex.labels:
-            raise SimplicialError(f"unknown vertex label {v}")
-    out = []
-    for i, (facet, restr) in enumerate(zip(shelling.order, shelling.restriction), start=1):
-        if set(facet) & wset == set(restr):
-            out.append((i, len(restr) - 1))
-    return out
-
-
-def two_degree_concentration_check(
-    shelling: Shelling, coloring: dict[int, int], chi
-) -> bool:
-    """Critical generators for W = coloring preimage of chi sit in degrees
-    |chi| - 2 and |chi| - 1; also re-checks the facet intersection sizes
-    against whether the facet's missed color lies in chi."""
-    chi = frozenset(chi)
-    if len(chi) % 2:
-        raise ValueError(f"chi {sorted(chi)} must be an even subset")
-    n = len(shelling.order[0]) if shelling.order else 0
-    n_plus_1 = n + 1
-    w = {v for v, c in coloring.items() if c in chi}
-    for facet in shelling.order:
-        facet_colors = {coloring[v] for v in facet}
-        if len(facet_colors) != len(facet):
-            return False
-        missed = set(range(1, n_plus_1 + 1)) - facet_colors
-        if len(missed) != 1:
-            return False
-        p = next(iter(missed))
-        eta = set(facet) & w
-        expected = len(chi) - 1 if p in chi else len(chi)
-        if len(eta) != expected:
-            return False
-    allowed = {len(chi) - 2, len(chi) - 1}
-    return all(deg in allowed for _, deg in critical_generators(shelling, w))
+            frontier.pop()
+            if not order:
+                return None
+            i = order.pop()
+            placed ^= 1 << i
+            move(i, -1)
+            start = i + 1
+            continue
+        if placements == budget:
+            raise ShellingBudgetExceeded(
+                f"no shelling found within the search budget of {budget} facet "
+                f"placements ({total} facets); the complex may still be shellable"
+            )
+        placements += 1
+        order.append(i)
+        placed |= bit
+        if len(order) == total:
+            return _verified(K, [facets[j] for j in order], star)
+        frontier.append((frontier[-1] | move(i, 1)) & ~placed)
+        start = 0

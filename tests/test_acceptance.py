@@ -26,7 +26,7 @@ from smallcover.cover import (
 from smallcover.facering import find_sq1_witness
 from smallcover.gf2 import BitVec, enumerate_gl
 from smallcover.homology import FinAbGroup, reduced_cohomology
-from smallcover.shelling import critical_generators, two_degree_concentration_check
+from oracles import critical_generators, two_degree_concentration_check
 
 FUZZ_PLAN = (
     ("cross3", 140, 101),

@@ -12,7 +12,7 @@ import pytest
 
 from functools import partial
 
-from smallcover import charmap, cli, cover, facering
+from smallcover import charmap, cli, cover, facering, homology
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis
 from smallcover.shelling import find_shelling
@@ -175,6 +175,43 @@ class TestRingExitCodes:
         monkeypatch.setattr(GradedRingBasis, "sq1", bad_sq1)
         assert main(["analyze", emit("rp3")]) == 3
         assert "internal consistency error" in capsys.readouterr().err
+
+    def test_broken_group_invariant_is_internal_error(self, emit, monkeypatch, capsys):
+        # a cohomology group with a torsion order that is no prime power is a
+        # bug in the homology code, not an input error
+        monkeypatch.setattr(homology, "_is_prime_power", lambda d: False)
+        assert main(["analyze", emit("rp3")]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency error" in err
+        assert "is not a prime power" in err
+
+
+# sha256 of `analyze --format json` stdout, recorded before condition 4
+# reused condition 5's degree-2 answer
+SQ1_REPORT_PINS = {
+    "bier9": "16080d387a4d6d08b709badee23cb6d62ad23c2ab0f5b43915ca5fd3274f8e16",
+    "cross4": "7b1347757d5709c7bc737fd6603edf27a3c0a44bde260b7548be57f2110cb479",
+    "rp3": "aa1569540b3cdf9d51476817dcd56f1ae916428dfa4911636ff60f2ed3bd5687",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQ1_REPORT_PINS))
+def test_each_even_degree_is_decided_once(name, emit, monkeypatch, capsys):
+    decided = []
+    decide = GradedRingBasis.sq1_vanishes_on_degree
+
+    def spy(ring, d, certified=False):
+        decided.append(d)
+        return decide(ring, d, certified)
+
+    monkeypatch.setattr(GradedRingBasis, "sq1_vanishes_on_degree", spy)
+    path = emit(name)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    n = json.loads(out)["n"]
+    # every condition holds on these three, so condition 4 reads every even degree
+    assert sorted(decided) == list(range(0, n + 1, 2))
+    assert hashlib.sha256(out.encode()).hexdigest() == SQ1_REPORT_PINS[name]
 
 
 class TestTable1:

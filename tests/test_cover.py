@@ -15,6 +15,7 @@ from smallcover.cover import (
     mu_profile,
     rational_betti,
 )
+from smallcover.errors import InternalConsistencyError
 from smallcover.homology import CohomologyProfile, FinAbGroup
 
 
@@ -132,7 +133,7 @@ class TestConditions:
         assert set(report.conditions) == {1, 7}
 
     def test_unknown_condition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalConsistencyError):
             evaluate_conditions(space("rp3"), conditions=(8,))
 
     def test_all_catalog_instances_agree(self):

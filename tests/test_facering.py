@@ -648,6 +648,11 @@ def minimal_nonfaces_oracle(K, max_size):
     return out
 
 
+def by_size(K, max_size):
+    """The per-size minimal non-faces of every size 1..max_size, in turn."""
+    return [g for size in range(1, max_size + 1) for g in facering._minimal_nonfaces(K, size)]
+
+
 class TestMinimalNonfaces:
     @pytest.mark.parametrize(
         "name", sorted(k for k, e in catalog().items() if e.complex.vertex_count <= 12)
@@ -655,7 +660,7 @@ class TestMinimalNonfaces:
     def test_catalog_matches_oracle(self, name):
         K = catalog()[name].complex
         n = K.dim + 1
-        assert facering._minimal_nonfaces(K, n) == minimal_nonfaces_oracle(K, n)
+        assert by_size(K, n + 1) == minimal_nonfaces_oracle(K, n + 1)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -669,5 +674,4 @@ class TestMinimalNonfaces:
             for _ in range(rng.randint(1, 6))
         ]
         K = SimplicialComplex(labels, gens)
-        for size in (1, K.dim + 1, K.dim + 2):
-            assert facering._minimal_nonfaces(K, size) == minimal_nonfaces_oracle(K, size)
+        assert by_size(K, K.dim + 2) == minimal_nonfaces_oracle(K, K.dim + 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallcover.errors import InternalConsistencyError
 from smallcover.homology import (
     FinAbGroup,
     coboundary_matrix,
@@ -78,7 +79,7 @@ class TestFinAbGroup:
         assert g.torsion == (3, 4, 5)
 
     def test_rejects_non_prime_power(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalConsistencyError):
             FinAbGroup(0, (6,))
 
     def test_mu_counts_even_orders_only(self):

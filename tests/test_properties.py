@@ -22,8 +22,9 @@ from smallcover.cover import (
 )
 from smallcover.gf2 import BitMatrix
 from smallcover.homology import reduced_cohomology
-from smallcover.shelling import critical_generators, verify_shelling
+from smallcover.shelling import verify_shelling
 from smallcover.simplicial import SimplicialComplex
+from oracles import critical_generators
 
 
 def light_instances():

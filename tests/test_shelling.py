@@ -7,6 +7,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallcover.catalog import catalog
 from smallcover.charmap import classify_pullback, lambda_boundary_simplex
@@ -16,9 +18,7 @@ from smallcover.shelling import (
     SHELLING_BUDGET,
     ShellingBudgetExceeded,
     ShellingError,
-    critical_generators,
     find_shelling,
-    two_degree_concentration_check,
     verify_shelling,
 )
 from smallcover.instancefile import emit_instance
@@ -27,6 +27,12 @@ from smallcover.simplicial import (
     SimplicialError,
     boundary_of_simplex,
     cross_polytope_boundary,
+)
+from oracles import (
+    circle_times_tetrahedron_boundary,
+    critical_generators,
+    shelling_search_reference,
+    two_degree_concentration_check,
 )
 
 
@@ -305,3 +311,148 @@ class TestRidgeTablePins:
             record.append((K.labels, K.facets, ridge_outcome(K), verify_outcomes(K)))
         digest = hashlib.sha256(repr(record).encode()).hexdigest()
         assert digest == "bf4e2f4a72852dcc4cb9968c51cc4a89c9b527fdd636fa83a4589548541751b2"
+
+
+def search_outcome(K, budget):
+    """The reference search's outcome, after checking that find_shelling
+    finds the same shelling (or none) with the same number of facet
+    placements, or stops at the budget with the same message."""
+    try:
+        ref, placements = shelling_search_reference(K, budget)
+    except ShellingBudgetExceeded as exc:
+        with pytest.raises(ShellingBudgetExceeded) as got:
+            find_shelling(K, budget)
+        assert str(got.value) == str(exc)
+        return "budget-exceeded"
+    found = find_shelling(K, budget=placements)
+    if placements:
+        with pytest.raises(ShellingBudgetExceeded):
+            find_shelling(K, budget=placements - 1)
+    if ref is None:
+        assert found is None
+        return "exhausted"
+    assert (found.order, found.restriction) == (ref.order, ref.restriction)
+    return "shelled"
+
+
+def stellar_subdivision(K, face, new):
+    """Subdivide the face at a new vertex: each facet F holding the face
+    becomes the facets F - v + new for v in the face."""
+    face = set(face)
+    facets = [f for f in K.facets if not face <= set(f)]
+    for f in K.facets:
+        if face <= set(f):
+            facets += [tuple(sorted(set(f) - {v} | {new})) for v in face]
+    return SimplicialComplex(list(K.labels) + [new], facets)
+
+
+def bistellar_moves(K):
+    """(sigma, tau) with 2 <= |sigma| < facet size, the link of sigma the
+    boundary of tau, and tau no face: sigma * boundary(tau) may become
+    boundary(sigma) * tau."""
+    size = K.dim + 1
+    out = []
+    for k in range(2, size):
+        for sigma in K.faces(k - 1):
+            link = [set(f) - set(sigma) for f in K.facets if set(sigma) <= set(f)]
+            tau = set().union(*link)
+            if (
+                len(tau) == size + 1 - k
+                and len(link) == len(tau)
+                and not K.contains_face(sorted(tau))
+            ):
+                out.append((sigma, tuple(sorted(tau))))
+    return out
+
+
+def bistellar_flip(K, sigma, tau):
+    sigma = set(sigma)
+    facets = [f for f in K.facets if not sigma <= set(f)]
+    facets += [tuple(sorted(sigma - {v} | set(tau))) for v in sigma]
+    return SimplicialComplex(K.labels, facets)
+
+
+def moved_sphere(rng):
+    """A simplex or cross-polytope boundary after a few stellar subdivisions
+    and bistellar flips, over a shuffled declared label order."""
+    K = rng.choice([
+        boundary_of_simplex(2), boundary_of_simplex(3), boundary_of_simplex(4),
+        cross_polytope_boundary(2), cross_polytope_boundary(3),
+        cross_polytope_boundary(4),
+    ])
+    for _ in range(rng.randint(1, 5)):
+        moves = bistellar_moves(K)
+        if moves and rng.random() < 0.6:
+            K = bistellar_flip(K, *rng.choice(moves))
+        else:
+            facet = rng.choice(K.facets)
+            face = rng.sample(facet, rng.randint(2, len(facet)))
+            K = stellar_subdivision(K, face, max(K.labels) + 1)
+    labels = list(K.labels)
+    rng.shuffle(labels)
+    return SimplicialComplex(labels, K.facets)
+
+
+def branching_complex(rng):
+    """A random pure complex with at least one ridge in three or more
+    facets."""
+    size = rng.randint(2, 4)
+    labels = list(range(1, rng.randint(size + 2, size + 4) + 1))
+    ridge = rng.sample(labels, size - 1)
+    rest = [v for v in labels if v not in ridge]
+    facets = {tuple(sorted(ridge + [v])) for v in rng.sample(rest, 3)}
+    pool = list(combinations(labels, size))
+    facets |= set(rng.sample(pool, rng.randint(0, min(12, len(pool)))))
+    rng.shuffle(labels)
+    return SimplicialComplex(labels, sorted(facets))
+
+
+def non_spheres():
+    rp2 = catalog()["rp2_6v"].complex
+    return {
+        "rp2_6v": rp2,
+        "rp2_6v*S0": rp2.join(boundary_of_simplex(1)),
+        "S0*rp2_6v": boundary_of_simplex(1).join(rp2),
+        "rp2_6v*S1": rp2.join(boundary_of_simplex(2)),
+        "staircase": circle_times_tetrahedron_boundary().complex,
+    }
+
+
+class TestIncrementalSearchOracle:
+    """find_shelling against the prefix-scan search it replaced: the same
+    shelling after the same number of facet placements."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_moved_spheres(self, rng):
+        assert search_outcome(moved_sphere(rng), 2_000) != "exhausted"
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_ridges_in_three_or_more_facets(self, rng):
+        K = branching_complex(rng)
+        assert not K.is_closed_pseudomanifold()
+        search_outcome(K, 2_000)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(non_spheres())), st.integers(0, 900))
+    def test_non_spheres_at_any_budget(self, name, budget):
+        assert search_outcome(non_spheres()[name], budget) != "shelled"
+
+    @pytest.mark.parametrize(
+        "name, budget, outcome",
+        [
+            ("rp2_6v", 760, "exhausted"),
+            ("rp2_6v", 759, "budget-exceeded"),
+            ("staircase", 300, "budget-exceeded"),
+        ],
+    )
+    def test_non_sphere_outcomes(self, name, budget, outcome):
+        assert search_outcome(non_spheres()[name], budget) == outcome
+
+    def test_branching_complexes_reach_every_outcome(self):
+        # the family shells, exhausts its tree after backtracking, and runs
+        # out of budget, each with ridges in three or more facets
+        rng = random.Random(7)
+        outcomes = {search_outcome(branching_complex(rng), 2_000) for _ in range(40)}
+        assert outcomes == {"shelled", "exhausted", "budget-exceeded"}
