@@ -20,7 +20,6 @@ from .charmap import (
     classify_via_flips,
     lambda_boundary_simplex,
     omega_descriptors,
-    ridge_flip_support,
 )
 from .cover import (
     BettiTable,
@@ -30,9 +29,7 @@ from .cover import (
     betti_table,
     evaluate_conditions,
     integral_cohomology,
-    is_orientable_3d,
     mod2_betti,
-    mu_profile,
     rational_betti,
 )
 from .errors import InputError, InternalConsistencyError, PropertyViolation
@@ -49,16 +46,13 @@ from .gf2 import (
     BitVec,
     GF2Error,
     find_basis_change,
-    kernel_basis,
     rank,
     row_space,
 )
 from .homology import (
     CohomologyProfile,
     FinAbGroup,
-    coboundary_matrix,
     reduced_cohomology,
-    smith_normal_form,
 )
 from .instancefile import InstanceFile, emit_instance, parse_instance
 from .shelling import (

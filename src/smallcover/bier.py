@@ -10,6 +10,7 @@ l+1..2l.  Labels that end up in no facet stay declared as ghosts.
 from __future__ import annotations
 
 from .charmap import CharacteristicMatrix
+from .errors import InternalConsistencyError
 from .gf2 import BitMatrix, BitVec, bit_positions
 from .simplicial import SimplicialComplex, SimplicialError
 
@@ -18,8 +19,8 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     """The deleted-join sphere of a proper complex on its ground set."""
     ground = tuple(sorted(K.labels))
     ell = len(ground)
-    if ell < 1:
-        raise SimplicialError("ground set is empty")
+    if ell < 2:
+        raise SimplicialError(f"a Bier sphere needs at least 2 labels, got {ell}")
     if K.contains_face(ground):
         raise SimplicialError("the full simplex has no Bier sphere")
     rank = {v: i + 1 for i, v in enumerate(ground)}
@@ -51,7 +52,7 @@ def lambda_bier(ell: int) -> BitMatrix:
     """Canonical columns over 2l labels: label i and l+i share e_i for
     i < l, and the two copies of label l carry the all-ones sum."""
     if ell < 2:
-        raise ValueError("need a ground set of at least 2")
+        raise InternalConsistencyError("need a ground set of at least 2")
     n = ell - 1
     ones = BitVec(n, (1 << n) - 1)
     half = [BitVec.unit(n, i) for i in range(n)] + [ones]

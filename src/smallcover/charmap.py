@@ -65,12 +65,6 @@ class CharacteristicMatrix:
     def m(self) -> int:
         return self.matrix.cols
 
-    def column_for_label(self, label: int) -> BitVec:
-        cols = self._columns_by_label
-        if label not in cols:
-            raise CharMapError(f"unknown vertex label {label}")
-        return cols[label]
-
     def facet_coordinates(self, fm: int) -> tuple[int, ...]:
         """The rows of B_F^-1 Lambda for the facet with mask fm, cached.
 
@@ -98,13 +92,6 @@ class CharacteristicMatrix:
     @cached_property
     def _facet_coordinates(self) -> dict[int, tuple[int, ...]]:
         return {}
-
-    @cached_property
-    def _columns_by_label(self) -> dict[int, BitVec]:
-        return {
-            v: BitVec(self.n, c)
-            for v, c in zip(self.complex.labels, self.matrix.column_bits())
-        }
 
 
 def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
@@ -224,23 +211,14 @@ def _facet_flip_supports(M: CharacteristicMatrix, fm: int) -> list[frozenset[int
 
 def flip_supports(M: CharacteristicMatrix):
     """Yield (facet, i, S) for every facet of K.facets in order and every
-    position i = 1..n, with S as in ridge_flip_support."""
+    position i = 1..n.  S is the subset of positions 1..n with lambda(p) =
+    the sum of the facet's columns at the positions in S, where p is the
+    vertex that replaces the facet's i-th vertex (in declared label order)
+    across the ridge left when that vertex is dropped."""
     K = M.complex
     for facet, fm in zip(K.facets, K.facet_masks):
         for i, s in enumerate(_facet_flip_supports(M, fm), start=1):
             yield facet, i, s
-
-
-def ridge_flip_support(M: CharacteristicMatrix, facet, i: int) -> frozenset[int]:
-    """The subset S of positions 1..n with lambda(flip vertex) = sum of facet
-    columns at the positions in S.
-
-    Position i is the i-th vertex of the facet in declared label order, the
-    order of K.ridge_flip and of K.facets.
-    """
-    K = M.complex
-    K.ridge_flip(facet, i)  # rejects a non-facet, a bad position or an open ridge
-    return _facet_flip_supports(M, K._face_to_mask(facet))[i - 1]
 
 
 def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:

@@ -41,6 +41,8 @@ def _read_text(path: str) -> str:
         return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _report_dict(name: str, M: RealToricSpace, report: ConditionReport) -> dict:
@@ -252,7 +254,11 @@ def cmd_catalog(args) -> int:
 def cmd_shelling(args) -> int:
     K, _ = parse_instance(_read_text(args.file))
     if args.order:
-        order_doc = json.loads(_read_text(args.order))
+        text = _read_text(args.order)
+        try:
+            order_doc = json.loads(text)
+        except ValueError as exc:  # a syntax error or a number past the digit limit
+            raise InputError(f"order file is not readable JSON: {exc}") from exc
         if not isinstance(order_doc, list) or not all(
             isinstance(f, list) and all(type(v) is int for v in f) for f in order_doc
         ):
@@ -338,7 +344,7 @@ def main(argv=None) -> int:
     except ShellingBudgetExceeded as exc:
         print(f"shelling search stopped: {exc}", file=sys.stderr)
         return 1
-    except (InputError, SimplicialError, CharMapError, GF2Error, ValueError) as exc:
+    except (InputError, SimplicialError, CharMapError, GF2Error) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except PropertyViolation as exc:

@@ -21,7 +21,7 @@ from .charmap import (
     classify_via_flips,  # noqa: F401  (hooked by name in bench/tracer.py)
     omega_descriptors,
 )
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .homology import CohomologyProfile, FinAbGroup, reduced_cohomology
 from .shelling import Shelling, ShellingBudgetExceeded, find_shelling
 from .simplicial import SimplicialComplex
@@ -96,11 +96,13 @@ class RealToricSpace:
 
     def __init__(self, K: SimplicialComplex, chi: CharacteristicMatrix):
         if chi.complex != K:
-            raise ValueError("characteristic matrix belongs to a different complex")
+            raise InternalConsistencyError(
+                "characteristic matrix belongs to a different complex"
+            )
         if not K.is_pure():
-            raise ValueError("real toric spaces here require a pure complex")
+            raise InputError("real toric spaces here require a pure complex")
         if chi.n != K.dim + 1:
-            raise ValueError(f"matrix rank {chi.n} != dim K + 1 = {K.dim + 1}")
+            raise InputError(f"matrix rank {chi.n} != dim K + 1 = {K.dim + 1}")
         self.complex = K
         self.chi = chi
         self.n = chi.n
@@ -143,7 +145,7 @@ class RealToricSpace:
     def omega_profiles(self) -> list[tuple[OmegaDescriptor, CohomologyProfile]]:
         coloring = self.classification.coloring
         return [
-            (desc, reduced_cohomology(self.complex, "Z", desc.support))
+            (desc, reduced_cohomology(self.complex, desc.support))
             for desc in omega_descriptors(self.chi, coloring)
         ]
 
@@ -220,23 +222,10 @@ def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
     return CohomologyProfile(groups)
 
 
-def mu_profile(profile: CohomologyProfile) -> tuple[int, ...]:
-    """Counts of even-order cyclic summands per degree, 0..max degree."""
-    top = max(profile.max_degree(), 0)
-    return tuple(profile.mu(q) for q in range(top + 1))
-
-
 def betti_table(M: RealToricSpace) -> BettiTable:
     profile = M.integral_profile
     mu = [profile.mu(q) for q in range(M.n + 2)]
     return BettiTable(b=M.rational_betti_numbers, b_mod2=mod2_betti(M), mu=tuple(mu))
-
-
-def is_orientable_3d(M: RealToricSpace) -> bool:
-    """Orientability of a 3-dimensional instance: the simplex-pullback test."""
-    if M.n != 3:
-        raise ValueError(f"orientability test is for n = 3, got n = {M.n}")
-    return M.classification.is_simplex_pullback
 
 
 ALL_CONDITIONS = (1, 2, 3, 4, 5, 6, 7)

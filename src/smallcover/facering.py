@@ -90,14 +90,18 @@ class GradedRingBasis:
 
     def __init__(self, K: SimplicialComplex, chi: CharacteristicMatrix):
         if chi.complex is not K and chi.complex != K:
-            raise ValueError("characteristic matrix belongs to a different complex")
+            raise InternalConsistencyError(
+                "characteristic matrix belongs to a different complex"
+            )
         if not K.is_pure():
-            raise ValueError("graded basis requires a pure complex")
+            raise InternalConsistencyError("graded basis requires a pure complex")
         self.K = K
         self.chi = chi
         self.n = chi.n
         if self.n != K.dim + 1:
-            raise ValueError(f"matrix rank {self.n} != dim K + 1 = {K.dim + 1}")
+            raise InternalConsistencyError(
+                f"matrix rank {self.n} != dim K + 1 = {K.dim + 1}"
+            )
         self.h = K.h_vector().h
 
         self._labels = K.labels
@@ -219,9 +223,6 @@ class GradedRingBasis:
         self._ensure_degree(0)
         return RingClass(0, 1)
 
-    def zero(self, d: int) -> RingClass:
-        return RingClass(d, 0)
-
     def add(self, x: RingClass, y: RingClass) -> RingClass:
         if x.degree != y.degree:
             raise RingError("cannot add classes of different degrees")
@@ -262,7 +263,7 @@ class GradedRingBasis:
         got = self._gen_class_cache.get(label)
         if got is None:
             if label not in self._label_pos:
-                raise ValueError(f"unknown vertex label {label}")
+                raise InternalConsistencyError(f"unknown vertex label {label}")
             self._ensure_degree(1)
             got = RingClass(1, self._reduce_vector(1, self._subst[label]))
             self._gen_class_cache[label] = got
@@ -299,7 +300,7 @@ class GradedRingBasis:
         sq1_degree picks; `certified` says that K is a shelled closed
         pseudomanifold."""
         if d % 2:
-            raise ValueError(f"degree {d} is odd")
+            raise InternalConsistencyError(f"degree {d} is odd")
         if d < 0 or d + 1 > self.n:
             return True
         if sq1_degree(self.n, d, certified) < d + 1:
@@ -318,11 +319,6 @@ class GradedRingBasis:
         return all(
             self.sq1(y) == self.multiply(w1, y) for y in self.basis_classes(e)
         )
-
-    def verify_all_dimensions(self) -> None:
-        """Force-build every degree; RingError on any h-vector mismatch."""
-        for d in range(self.n + 1):
-            self._ensure_degree(d)
 
     def render(self, x: RingClass) -> str:
         if x.bits == 0:
@@ -382,9 +378,7 @@ def build_graded_basis(
 
 
 def find_sq1_witness(
-    K: SimplicialComplex,
-    chi: CharacteristicMatrix,
-    basis: GradedRingBasis | None = None,
+    K: SimplicialComplex, chi: CharacteristicMatrix, ring: GradedRingBasis
 ) -> Sq1Witness | None:
     """A degree-2 monomial class with nonzero first square, when one exists.
 
@@ -406,12 +400,11 @@ def find_sq1_witness(
     t = min(full - s_set)
     u_s = facet[s - 1]
     u_t = facet[t - 1]
-    b = basis if basis is not None else build_graded_basis(K, chi)
-    cs = b.express([u_s])
-    ct = b.express([u_t])
-    witness = b.multiply(cs, ct)
-    image = b.sq1(witness)
-    expected = b.multiply(witness, b.add(cs, ct))
+    cs = ring.express([u_s])
+    ct = ring.express([u_t])
+    witness = ring.multiply(cs, ct)
+    image = ring.sq1(witness)
+    expected = ring.multiply(witness, ring.add(cs, ct))
     if image != expected:
         raise RingError("Leibniz evaluation disagrees with the square of the witness")
     if image.is_zero():

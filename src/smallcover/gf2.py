@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+# The most rows row_space enumerates: the result has up to 2^rows elements.
+ROW_SPACE_GUARD = 30
+
+
 class GF2Error(ValueError):
     """Dimension mismatch, singular input, or size-guard violation."""
 
@@ -73,15 +77,6 @@ class BitVec:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __str__(self) -> str:
         return "".join(str(c) for c in self)
 
@@ -136,14 +131,6 @@ class BitMatrix:
                 raise GF2Error(f"column 0b{c:b} out of range for {rows} rows")
         return cls(rows, len(columns), tuple(_transpose_bits(columns, rows)))
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.row_bits[i])
 
@@ -158,12 +145,6 @@ class BitMatrix:
     def column_bits(self) -> list[int]:
         """Every column as a bit-packed int (bit i is row i), in one pass."""
         return _transpose_bits(self.row_bits, self.cols)
-
-    def columns(self) -> list[BitVec]:
-        return [BitVec(self.rows, c) for c in self.column_bits()]
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(self.column_bits()))
 
     def apply(self, x: BitVec) -> BitVec:
         """Matrix-vector product A @ x with x a column vector."""
@@ -253,51 +234,21 @@ def reduce_echelon(rows: dict[int, int]) -> None:
         above |= 1 << p
 
 
-def _echelonize(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    Pivot of each row is its lowest set bit; rows are fully reduced against
-    each other, so pivot columns appear in exactly one row.
-    """
-    rows: dict[int, int] = {}
-    for v in row_bits:
-        echelon_insert(rows, v)
-    reduce_echelon(rows)
-    pivots = sorted(rows)
-    return [rows[p] for p in pivots], pivots
-
-
 def rank(a: BitMatrix) -> int:
     """Row rank over GF(2): the inserts that grow an echelon basis."""
     rows: dict[int, int] = {}
     return sum(echelon_insert(rows, v) for v in a.row_bits)
 
 
-def kernel_basis(a: BitMatrix) -> list[BitVec]:
-    """Basis of the right kernel {x : A x = 0}, ascending as binary integers."""
-    rows, pivots = _echelonize(a.row_bits)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(a.cols):
-        if j in pivot_set:
-            continue
-        bits = 1 << j
-        for r, p in zip(rows, pivots):
-            if (r >> j) & 1:
-                bits |= 1 << p
-        basis.append(bits)
-    return [BitVec(a.cols, b) for b in sorted(basis)]
-
-
-def row_space(a: BitMatrix, limit: int = 30) -> list[tuple[BitVec, BitVec]]:
+def row_space(a: BitMatrix) -> list[tuple[BitVec, BitVec]]:
     """All elements of the row space, each paired with its coefficient vector.
 
     Coefficients are taken over the lexicographically first maximal
     independent subset of the rows; the result is ordered by ascending
     coefficient bitmask and always starts with the zero vector.
     """
-    if a.rows > limit:
-        raise GF2Error(f"row count {a.rows} exceeds enumeration guard {limit}")
+    if a.rows > ROW_SPACE_GUARD:
+        raise GF2Error(f"row count {a.rows} exceeds enumeration guard {ROW_SPACE_GUARD}")
     echelon: dict[int, int] = {}
     basis = [v for v in a.row_bits if echelon_insert(echelon, v)]
     r = len(basis)
@@ -350,23 +301,3 @@ def find_basis_change(vectors: Sequence[BitVec], n: int) -> BitMatrix:
         return invert(BitMatrix.from_columns(list(vectors)))
     except GF2Error:
         raise GF2Error("vectors are linearly dependent") from None
-
-
-def enumerate_gl(n: int) -> Iterator[BitMatrix]:
-    """All invertible n x n matrices, by recursive extension of independent rows.
-
-    Count grows like 2^(n^2); intended for brute-force cross-checks at n <= 4.
-    """
-    full = 1 << n
-
-    def extend(rows: tuple[int, ...], span: frozenset[int]) -> Iterator[BitMatrix]:
-        if len(rows) == n:
-            yield BitMatrix(n, n, rows)
-            return
-        for v in range(1, full):
-            if v in span:
-                continue
-            new_span = frozenset(s ^ v for s in span) | span
-            yield from extend(rows + (v,), new_span)
-
-    yield from extend((), frozenset([0]))

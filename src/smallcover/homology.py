@@ -1,4 +1,4 @@
-"""Reduced simplicial cohomology with Z, Q, and Z_2 coefficients.
+"""Reduced simplicial cohomology with integer coefficients.
 
 The cohomology of a full subcomplex K_W is computed on K's own face masks:
 the q-faces of K_W are the q-face masks of K that lie inside the vertex mask
@@ -18,8 +18,6 @@ images of the pivot columns together with the unpivoted faces are then a
 Z-basis of C^{q+1}, and delta_{q+1} vanishes on the image of delta_q, so the
 remaining columns span the same image lattice.  Rows pivoted in the dense
 phase are never cleared.
-Z_2 ranks come from GF(2) elimination of the uncleared coboundaries, which
-keeps them independent of the integer path.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalConsistencyError
-from .gf2 import echelon_insert
-from .simplicial import SimplicialComplex, SimplicialError
+from .simplicial import SimplicialComplex
 
 
 def _prime_power_parts(d: int) -> list[int]:
@@ -124,17 +121,8 @@ class CohomologyProfile:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.groups))
 
-    def betti(self, q: int) -> int:
-        return self.group(q).rank
-
     def mu(self, q: int) -> int:
         return self.group(q).mu()
-
-    def max_degree(self) -> int:
-        return max(self.groups, default=-1)
-
-    def reduced_euler_characteristic(self) -> int:
-        return sum((-1 if q % 2 else 1) * g.rank for q, g in self.groups.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomologyProfile):
@@ -165,20 +153,6 @@ def _coboundary_rows(faces: Sequence[int], cols: dict[int, int]) -> list[dict[in
             bits ^= low
         rows.append(row)
     return rows
-
-
-def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
-    """Matrix of delta: C^d -> C^{d+1} over Z.
-
-    Rows are (d+1)-dimensional faces, columns d-dimensional faces, both in
-    lexicographic label order; the entry for omitting the j-th vertex of the
-    row face is (-1)^j.  Degree -1 is the augmentation (columns = empty face).
-    """
-    if d < -1 or d > K.dim:
-        raise SimplicialError(f"degree {d} outside [-1, {K.dim}]")
-    cols = {m: j for j, m in enumerate(K.face_masks(d))}
-    rows = _coboundary_rows(K.face_masks(d + 1), cols)
-    return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
 
 
 def _sparse_snf_factors(
@@ -313,28 +287,10 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return out
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... (zeros last) of an integer matrix."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    row_dicts = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
-    return tuple(_sparse_snf_factors(row_dicts, ncols)[0])
-
-
-def reduced_cohomology(
-    K: SimplicialComplex, coefficients: str = "Z", w=None
-) -> CohomologyProfile:
-    """Reduced cohomology of the full subcomplex K_W on the vertex labels
-    ``w`` (default: all of K); for K_W = {empty face} only H^{-1} survives.
-
-    ``coefficients`` is one of "Z", "Q", "Z2".  Over Q and Z_2 the profile
-    carries dimensions in the rank slot and no torsion.
-    """
-    if coefficients not in ("Z", "Q", "Z2"):
-        raise ValueError(f"unsupported coefficients {coefficients!r}")
+def reduced_cohomology(K: SimplicialComplex, w=None) -> CohomologyProfile:
+    """Reduced integral cohomology of the full subcomplex K_W on the vertex
+    labels ``w`` (default: all of K); for K_W = {empty face} only H^{-1}
+    survives."""
     wm = (1 << K.vertex_count) - 1 if w is None else K._face_to_mask(w)
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
@@ -352,16 +308,9 @@ def reduced_cohomology(
     for q in range(-1, max(faces)):
         cols = {m: j for j, m in enumerate(m for m in faces[q] if m not in cleared)}
         rows = _coboundary_rows(faces[q + 1], cols)
-        if coefficients == "Z2":
-            echelon: dict[int, int] = {}
-            ranks[q] = sum(
-                echelon_insert(echelon, sum(1 << j for j in row)) for row in rows
-            )
-            continue
         factors, unit_rows = _sparse_snf_factors(rows, len(cols))
         ranks[q] = sum(1 for f in factors if f)
-        if coefficients == "Z":
-            torsion_at[q + 1] = [f for f in factors if f > 1]
+        torsion_at[q + 1] = [f for f in factors if f > 1]
         # Unit pivot rows of delta_q are left out as columns of delta_{q+1}.
         cleared = {faces[q + 1][r] for r in unit_rows}
     groups = {}

@@ -38,6 +38,8 @@ def parse_document(text: str) -> InstanceFile:
         raise InputError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"unreadable number: {exc}") from exc
     _require(isinstance(doc, dict), "document must be a JSON object")
     for key in ("name", "n", "vertices", "facets", "lambda"):
         _require(key in doc, f"missing field {key!r}")

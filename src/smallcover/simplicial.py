@@ -145,9 +145,6 @@ class SimplicialComplex:
         """Masks of d-dimensional faces in lexicographic label order."""
         return self._faces_by_dim().get(d, ())
 
-    def faces(self, d: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._mask_to_face(m) for m in self.face_masks(d))
-
     def all_face_masks(self) -> frozenset[int]:
         self._faces_by_dim()
         assert self._face_mask_set is not None
@@ -178,10 +175,6 @@ class SimplicialComplex:
             h.append(total)
         return FaceVector(f=f, h=tuple(h))
 
-    def reduced_euler_characteristic(self) -> int:
-        """Alternating face-count sum including the empty face."""
-        return sum((-1 if d % 2 else 1) * len(ms) for d, ms in self._faces_by_dim().items())
-
     def full_subcomplex(self, w) -> "SimplicialComplex":
         w = set(w)
         for v in w:
@@ -193,21 +186,11 @@ class SimplicialComplex:
         gens = [self._mask_to_face(m) for m in cut]
         return SimplicialComplex(sub_labels, gens)
 
-    def join(self, other: "SimplicialComplex", relabel: bool = True) -> "SimplicialComplex":
-        if relabel:
-            offset = max(self._labels, default=0)
-            other_labels = tuple(v + offset for v in other._labels)
-            shift = {v: v + offset for v in other._labels}
-        else:
-            if set(self._labels) & set(other._labels):
-                raise SimplicialError("label sets overlap; pass relabel=True")
-            other_labels = other._labels
-            shift = {v: v for v in other._labels}
-        labels = self._labels + other_labels
-        gens = []
-        for a in self.facets:
-            for b in other.facets:
-                gens.append(tuple(a) + tuple(shift[v] for v in b))
+    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
+        """The join, with other's labels shifted past this complex's largest."""
+        offset = max(self._labels, default=0)
+        labels = self._labels + tuple(v + offset for v in other._labels)
+        gens = [a + tuple(v + offset for v in b) for a in self.facets for b in other.facets]
         return SimplicialComplex(labels, gens)
 
     def ridge_table(self) -> dict[int, tuple[int, ...]]:
@@ -265,21 +248,6 @@ class SimplicialComplex:
             )
         a, b = (self._facet_masks[j] for j in holders)
         return (b if a == fm else a) ^ ridge
-
-    def ridge_flip(self, facet, i: int) -> int:
-        """The unique vertex p with (facet \\ {u_i}) + {p} a facet.
-
-        u_i is the i-th vertex of the facet (1-based) in declared label order:
-        the facet's mask bit order and the order K.facets lists it in.
-        """
-        fm = self._face_to_mask(facet)
-        if fm not in self._facet_masks:
-            raise SimplicialError(f"{tuple(sorted(facet))} is not a facet")
-        verts = self._mask_to_face(fm)
-        if not 1 <= i <= len(verts):
-            raise SimplicialError(f"position {i} outside [1, {len(verts)}]")
-        p = self.flip_bit(fm, 1 << self._index[verts[i - 1]])
-        return self._labels[p.bit_length() - 1]
 
     def ghost_labels(self) -> tuple[int, ...]:
         used = 0

@@ -3,16 +3,164 @@ functions of a GradedRingBasis: the total Steenrod square, the colour-class
 sum tau, the square identity, and the total Stiefel-Whitney class of a
 pullback.  The shelling lemmas: critical generators and the two-degree
 concentration.  The prefix-scan shelling search that the incremental search
-must match.  Also a closed 3-manifold that is not a sphere."""
+must match.  Also a closed 3-manifold that is not a sphere.
+
+Linear algebra and homology oracles: Smith normal form of a dense matrix
+through the package's sparse kernel, dense coboundary matrices, mod-2
+cohomology by GF(2) elimination (independent of the integer path), both
+reduced Euler characteristics, and the enumeration of GL(n, 2).
+Combinatorial lookups the commands never make: the ridge flip of a facet
+position, its flip support, a label's column, orientability for n = 3 and
+building every ring degree.
+"""
 
 from itertools import combinations
 from math import comb
+from typing import Iterator, Sequence
 
-from smallcover.charmap import CharacteristicMatrix
+from smallcover.charmap import CharacteristicMatrix, flip_supports
+from smallcover.cover import RealToricSpace
 from smallcover.facering import GradedRingBasis, RingClass, RingError
-from smallcover.gf2 import BitMatrix, bit_positions
+from smallcover.gf2 import BitMatrix, BitVec, bit_positions, echelon_insert
+from smallcover.homology import (
+    CohomologyProfile,
+    FinAbGroup,
+    _coboundary_rows,
+    _sparse_snf_factors,
+)
 from smallcover.shelling import Shelling, ShellingBudgetExceeded, verify_shelling
 from smallcover.simplicial import SimplicialComplex, SimplicialError
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (zeros last) of an integer matrix,
+    from the package's sparse kernel, dense phase included."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for row in matrix:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    row_dicts = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    return tuple(_sparse_snf_factors(row_dicts, ncols)[0])
+
+
+def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
+    """Matrix of delta: C^d -> C^{d+1} over Z.
+
+    Rows are (d+1)-dimensional faces, columns d-dimensional faces, both in
+    lexicographic label order; the entry for omitting the j-th vertex of the
+    row face is (-1)^j.  Degree -1 is the augmentation (columns = empty face).
+    """
+    if d < -1 or d > K.dim:
+        raise SimplicialError(f"degree {d} outside [-1, {K.dim}]")
+    cols = {m: j for j, m in enumerate(K.face_masks(d))}
+    rows = _coboundary_rows(K.face_masks(d + 1), cols)
+    return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
+
+
+def mod2_reduced_cohomology(K: SimplicialComplex, w=None) -> CohomologyProfile:
+    """Reduced cohomology of K_W with Z_2 coefficients, dimensions in the
+    rank slot: GF(2) elimination of every coboundary, none cleared."""
+    wm = (1 << K.vertex_count) - 1 if w is None else K._face_to_mask(w)
+    if not wm:
+        return CohomologyProfile({-1: FinAbGroup.free(1)})
+    if any(wm & f == wm for f in K.facet_masks):
+        return CohomologyProfile()
+    faces: dict[int, list[int]] = {}
+    for q in range(-1, min(K.dim, wm.bit_count() - 1) + 1):
+        fq = [m for m in K.face_masks(q) if m & wm == m]
+        if not fq:
+            break
+        faces[q] = fq
+    ranks: dict[int, int] = {}
+    for q in range(-1, max(faces)):
+        cols = {m: j for j, m in enumerate(faces[q])}
+        echelon: dict[int, int] = {}
+        ranks[q] = sum(
+            echelon_insert(echelon, sum(1 << j for j in row))
+            for row in _coboundary_rows(faces[q + 1], cols)
+        )
+    groups = {}
+    for q, fq in faces.items():
+        free = len(fq) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+        assert free >= 0, (K, w, q)
+        if free:
+            groups[q] = FinAbGroup.free(free)
+    return CohomologyProfile(groups)
+
+
+def complex_euler_characteristic(K: SimplicialComplex) -> int:
+    """Alternating face-count sum including the empty face."""
+    return sum((-1 if d % 2 else 1) * len(K.face_masks(d)) for d in range(-1, K.dim + 1))
+
+
+def profile_euler_characteristic(profile: CohomologyProfile) -> int:
+    """Alternating sum of the ranks of a reduced cohomology profile."""
+    return sum((-1 if q % 2 else 1) * g.rank for q, g in profile.groups.items())
+
+
+def enumerate_gl(n: int) -> Iterator[BitMatrix]:
+    """All invertible n x n matrices, by recursive extension of independent rows.
+
+    Count grows like 2^(n^2); intended for brute-force cross-checks at n <= 4.
+    """
+    full = 1 << n
+
+    def extend(rows: tuple[int, ...], span: frozenset[int]) -> Iterator[BitMatrix]:
+        if len(rows) == n:
+            yield BitMatrix(n, n, rows)
+            return
+        for v in range(1, full):
+            if v in span:
+                continue
+            new_span = frozenset(s ^ v for s in span) | span
+            yield from extend(rows + (v,), new_span)
+
+    yield from extend((), frozenset([0]))
+
+
+def ridge_flip(K: SimplicialComplex, facet, i: int) -> int:
+    """The unique vertex p with (facet \\ {u_i}) + {p} a facet.
+
+    u_i is the i-th vertex of the facet (1-based) in declared label order:
+    the facet's mask bit order and the order K.facets lists it in.
+    """
+    fm = K._face_to_mask(facet)
+    if fm not in K.facet_masks:
+        raise SimplicialError(f"{tuple(sorted(facet))} is not a facet")
+    verts = K._mask_to_face(fm)
+    if not 1 <= i <= len(verts):
+        raise SimplicialError(f"position {i} outside [1, {len(verts)}]")
+    p = K.flip_bit(fm, 1 << K._index[verts[i - 1]])
+    return K.labels[p.bit_length() - 1]
+
+
+def ridge_flip_support(chi: CharacteristicMatrix, facet, i: int) -> frozenset[int]:
+    """The subset S of positions 1..n with lambda(ridge_flip(facet, i)) =
+    sum of the facet's columns at the positions in S, read off
+    flip_supports."""
+    K = chi.complex
+    ridge_flip(K, facet, i)  # rejects a non-facet, a bad position or an open ridge
+    facet = K._mask_to_face(K._face_to_mask(facet))
+    return next(s for f, j, s in flip_supports(chi) if f == facet and j == i)
+
+
+def column_for_label(chi: CharacteristicMatrix, label: int) -> BitVec:
+    """The column of the vertex with this label."""
+    return chi.matrix.column(chi.complex.labels.index(label))
+
+
+def is_orientable_3d(M: RealToricSpace) -> bool:
+    """Orientability of a 3-dimensional instance: the simplex-pullback test."""
+    if M.n != 3:
+        raise ValueError(f"orientability test is for n = 3, got n = {M.n}")
+    return M.classification.is_simplex_pullback
+
+
+def verify_all_dimensions(ring: GradedRingBasis) -> None:
+    """Force-build every degree; RingError on any h-vector mismatch."""
+    for d in range(ring.n + 1):
+        ring._ensure_degree(d)
 
 
 def reduce_monomial(ring: GradedRingBasis, d: int, idx: int) -> int:
@@ -61,7 +209,7 @@ def tau_classes(ring: GradedRingBasis, coloring: dict[int, int]) -> list[RingCla
     expected = ring.n + 1 if (ring.n + 1) in colors else ring.n
     taus = []
     for color in range(1, expected + 1):
-        acc = ring.zero(1)
+        acc = RingClass(1, 0)
         for label, c in coloring.items():
             if c == color:
                 acc = ring.add(acc, ring._generator_class(label))
@@ -98,7 +246,7 @@ def total_sw(ring: GradedRingBasis) -> list[RingClass]:
             prev = nxt.get(deg + 1)
             nxt[deg + 1] = term if prev is None else ring.add(prev, term)
         element = nxt
-    return [element.get(d, ring.zero(d)) for d in range(ring.n + 1)]
+    return [element.get(d, RingClass(d, 0)) for d in range(ring.n + 1)]
 
 
 def sw_pullback_check(ring: GradedRingBasis, coloring: dict[int, int]) -> bool:
@@ -109,7 +257,7 @@ def sw_pullback_check(ring: GradedRingBasis, coloring: dict[int, int]) -> bool:
     for d in range(ring.n + 1):
         if d > 0:
             power = ring.multiply(power, t)
-        expected = power if comb(ring.n + 1, d) % 2 else ring.zero(d)
+        expected = power if comb(ring.n + 1, d) % 2 else RingClass(d, 0)
         if sw[d] != expected:
             return False
     return True

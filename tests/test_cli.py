@@ -14,7 +14,7 @@ from functools import partial
 
 from smallcover import charmap, cli, cover, facering, homology
 from smallcover.cli import main, sample_random_instance
-from smallcover.facering import GradedRingBasis
+from smallcover.facering import GradedRingBasis, RingClass
 from smallcover.shelling import find_shelling
 from oracles import circle_times_tetrahedron_boundary
 from smallcover.instancefile import emit_instance, parse_instance
@@ -90,7 +90,7 @@ class TestAnalyze:
         path = emit("rp3")
         assert main(["analyze", path, "--conditions", "9"]) == 1
 
-    def test_rank_dimension_mismatch_is_input_error(self, tmp_path):
+    def test_rank_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         doc = {
             "name": "bad-rank",
             "n": 3,
@@ -101,6 +101,7 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: matrix rank 3")
 
 
     def test_descending_labels_match_ascending(self, emit, tmp_path, capsys):
@@ -170,7 +171,7 @@ class TestRingExitCodes:
     def test_mixed_degree_sum_is_internal_error(self, emit, monkeypatch, capsys):
         # a bug that adds classes of different degrees must not read as bad input
         def bad_sq1(self, x):
-            return self.add(x, self.zero(x.degree + 1))
+            return self.add(x, RingClass(x.degree + 1, 0))
 
         monkeypatch.setattr(GradedRingBasis, "sq1", bad_sq1)
         assert main(["analyze", emit("rp3")]) == 3
@@ -403,3 +404,61 @@ class TestBier:
         path = tmp_path / "full.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["bier", str(path)]) == 1
+
+
+class TestExitCodes:
+    """Input errors exit 1 because they are InputError or one of the named
+    validation errors, not because they are some ValueError."""
+
+    def write(self, tmp_path, doc, name="doc.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_non_pure_analyze_document(self, tmp_path, capsys):
+        doc = {
+            "name": "non-pure",
+            "n": 3,
+            "vertices": [1, 2, 3, 4],
+            "facets": [[1, 2, 3], [1, 4]],
+            "lambda": [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+        }
+        assert main(["analyze", self.write(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: real toric spaces here require a pure complex\n"
+        )
+
+    @pytest.mark.parametrize("facets", [[], [[1]]])
+    def test_one_label_bier_document(self, tmp_path, capsys, facets):
+        doc = {"name": "one", "n": 1, "vertices": [1], "facets": facets, "lambda": None}
+        assert main(["bier", self.write(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_order_file_that_is_not_json(self, emit, tmp_path, capsys):
+        order = tmp_path / "order.json"
+        order.write_text("[[1, 2], [1, 3]", encoding="utf-8")
+        assert main(["shelling", emit("rp2"), "--order", str(order)]) == 1
+        assert capsys.readouterr().err.startswith("input error: order file is not")
+
+    def test_document_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "huge", "n": ' + "9" * 5000 + "}", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: unreadable number")
+
+    def test_bare_value_error_is_not_an_input_error(self, emit, monkeypatch, capsys):
+        # a ValueError inside the computation is a bug and must show as one
+        def broken(M, conditions=None):
+            raise ValueError("bug inside the computation")
+
+        monkeypatch.setattr(cli, "evaluate_conditions", broken)
+        path = emit("rp3")
+        with pytest.raises(ValueError, match="bug inside the computation"):
+            main(["analyze", path])
+        assert "input error" not in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import is_orientable_3d
 from smallcover.catalog import catalog, get_entry
 from smallcover.cover import (
     ALL_CONDITIONS,
@@ -10,9 +11,7 @@ from smallcover.cover import (
     evaluate_conditions,
     highest_ring_degree,
     integral_cohomology,
-    is_orientable_3d,
     mod2_betti,
-    mu_profile,
     rational_betti,
 )
 from smallcover.errors import InternalConsistencyError
@@ -78,21 +77,6 @@ class TestIntegralCohomology:
         profile = integral_cohomology(space("cross3"))
         assert [profile.group(q).rank for q in range(4)] == [1, 3, 3, 1]
         assert all(profile.group(q).is_torsion_free() for q in range(4))
-
-
-class TestMuProfile:
-    def test_projective_plane_pattern(self):
-        profile = CohomologyProfile(
-            {0: FinAbGroup.free(1), 2: FinAbGroup(0, (2,))}
-        )
-        assert mu_profile(profile) == (0, 0, 1)
-
-    def test_torsion_free(self):
-        assert mu_profile(CohomologyProfile({0: FinAbGroup.free(1)})) == (0,)
-
-    def test_odd_torsion_invisible(self):
-        profile = CohomologyProfile({2: FinAbGroup(0, (3, 4))})
-        assert mu_profile(profile) == (0, 0, 1)
 
 
 class TestBettiTable:
