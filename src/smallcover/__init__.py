@@ -36,7 +36,6 @@ from .errors import InputError, InternalConsistencyError, PropertyViolation
 from .facering import (
     GradedRingBasis,
     RingClass,
-    RingError,
     Sq1Witness,
     build_graded_basis,
     find_sq1_witness,
@@ -44,7 +43,6 @@ from .facering import (
 from .gf2 import (
     BitMatrix,
     BitVec,
-    GF2Error,
     find_basis_change,
     rank,
     row_space,
@@ -58,14 +56,12 @@ from .instancefile import InstanceFile, emit_instance, parse_instance
 from .shelling import (
     Shelling,
     ShellingBudgetExceeded,
-    ShellingError,
     find_shelling,
     verify_shelling,
 )
 from .simplicial import (
     FaceVector,
     SimplicialComplex,
-    SimplicialError,
     boundary_of_simplex,
     cross_polytope_boundary,
     polygon,

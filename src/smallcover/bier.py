@@ -10,9 +10,9 @@ l+1..2l.  Labels that end up in no facet stay declared as ghosts.
 from __future__ import annotations
 
 from .charmap import CharacteristicMatrix
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .gf2 import BitMatrix, BitVec, bit_positions
-from .simplicial import SimplicialComplex, SimplicialError
+from .simplicial import SimplicialComplex
 
 
 def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
@@ -20,9 +20,9 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     ground = tuple(sorted(K.labels))
     ell = len(ground)
     if ell < 2:
-        raise SimplicialError(f"a Bier sphere needs at least 2 labels, got {ell}")
+        raise InputError(f"a Bier sphere needs at least 2 labels, got {ell}")
     if K.contains_face(ground):
-        raise SimplicialError("the full simplex has no Bier sphere")
+        raise InputError("the full simplex has no Bier sphere")
     rank = {v: i + 1 for i, v in enumerate(ground)}
     face_masks = K.all_face_masks()
     gens = []
@@ -42,9 +42,11 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
             gens.append(tuple(sorted(facet)))
     sphere = SimplicialComplex(range(1, 2 * ell + 1), gens)
     if sphere.dim != ell - 2:
-        raise SimplicialError(f"construction produced dimension {sphere.dim}, not {ell - 2}")
+        raise InternalConsistencyError(
+            f"construction produced dimension {sphere.dim}, not {ell - 2}"
+        )
     if not sphere.is_closed_pseudomanifold():
-        raise SimplicialError("construction is not a closed pseudomanifold")
+        raise InternalConsistencyError("construction is not a closed pseudomanifold")
     return sphere
 
 

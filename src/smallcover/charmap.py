@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .gf2 import (
     BitMatrix,
     BitVec,
@@ -27,8 +27,9 @@ from .gf2 import (
 from .simplicial import SimplicialComplex
 
 
-class CharMapError(ValueError):
-    """Validation failure, dependent facet columns, or inconsistent coloring."""
+class CharMapError(InputError):
+    """A column count that differs from the label count, or dependent
+    columns on a facet."""
 
 
 class PullbackLabel(enum.Enum):
@@ -78,7 +79,7 @@ class CharacteristicMatrix:
         got = cache.get(fm)
         if got is None:
             if fm.bit_count() != self.n:
-                raise CharMapError(
+                raise InternalConsistencyError(
                     f"facet {self.complex._mask_to_face(fm)} has "
                     f"{fm.bit_count()} vertices, not n = {self.n}"
                 )
@@ -141,9 +142,9 @@ class PullbackClass:
 
     def __post_init__(self) -> None:
         if self.label is PullbackLabel.LINEAR_MODEL and not self.is_simplex_pullback:
-            raise CharMapError("linear model must be a simplex pullback")
+            raise InternalConsistencyError("linear model must be a simplex pullback")
         if self.is_simplex_pullback != (self.coloring is not None):
-            raise CharMapError("witness must be present exactly for simplex pullbacks")
+            raise InternalConsistencyError("witness must be present exactly for simplex pullbacks")
 
 
 def _distinct_columns(M: CharacteristicMatrix) -> list[int]:
@@ -181,7 +182,7 @@ def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
     distinct = _distinct_columns(M)
     d_matrix = BitMatrix(len(distinct), n, tuple(distinct))
     if rank(d_matrix) != n:
-        raise CharMapError("no facet provides a basis: distinct columns have low rank")
+        raise InternalConsistencyError("no facet provides a basis: distinct columns have low rank")
     if len(distinct) == n:
         g, coloring = _pullback_witness(M)
         return PullbackClass(PullbackLabel.LINEAR_MODEL, True, g, coloring)
@@ -229,9 +230,9 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
     """
     K = M.complex
     if not K.is_closed_pseudomanifold():
-        raise CharMapError("flip classification requires a closed pseudomanifold")
+        raise InternalConsistencyError("flip classification requires a closed pseudomanifold")
     if not K.is_strongly_connected():
-        raise CharMapError("flip classification requires a strongly connected complex")
+        raise InternalConsistencyError("flip classification requires a strongly connected complex")
     full = frozenset(range(1, M.n + 1))
     all_identity = True
     for _, i, s in flip_supports(M):
@@ -274,7 +275,7 @@ def omega_descriptors(
     """
     n = M.n
     if rank(M.matrix) != n:
-        raise CharMapError("matrix rows are dependent; descriptors need full rank")
+        raise InternalConsistencyError("matrix rows are dependent; descriptors need full rank")
     labels = M.complex.labels
     matrix = M.matrix
     if coloring is not None:
@@ -288,7 +289,7 @@ def omega_descriptors(
         matrix = BitMatrix(n, M.m, tuple(rows))
         stacked = BitMatrix(2 * n, M.m, M.matrix.row_bits + matrix.row_bits)
         if rank(stacked) != n:
-            raise CharMapError(
+            raise InternalConsistencyError(
                 "coloring describes a different row space than the matrix"
             )
     out = []
@@ -302,7 +303,7 @@ def omega_descriptors(
         if coloring is not None:
             expected = frozenset(v for v in labels if coloring[v] in chi)
             if expected != support:
-                raise CharMapError(
+                raise InternalConsistencyError(
                     f"coloring inconsistent with row space at coefficients {coeffs}: "
                     f"support {sorted(support)} != preimage {sorted(expected)}"
                 )

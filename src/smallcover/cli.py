@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands: analyze, table1, fuzz, catalog, shelling, bier.  Exit codes:
-0 success, 1 input error or an input past a declared limit (ring degree
-size, shelling search budget), 2 property violation (fuzz disagreement,
-table1 mismatch, shelling verification failure), 3 internal-consistency
-error.
+0 success; 1 InputError, for bad input or an input past a declared limit
+(ring degree size, row-space size), and ShellingBudgetExceeded, for the
+shelling search budget; 2 PropertyViolation (fuzz disagreement, shelling
+verification failure) and a table1 mismatch; 3 InternalConsistencyError.
+Each is raised where the fault is known; any other exception is a bug and
+propagates.
 Reports are deterministic; timing goes to stderr only.
 """
 
@@ -19,18 +21,12 @@ from pathlib import Path
 
 from . import bier as bier_mod
 from .catalog import TABLE1_MOD2, TABLE1_RATIONAL, catalog, get_entry
-from .charmap import (
-    CharacteristicMatrix,
-    CharMapError,
-    classify_via_flips,
-    first_dependent_facet,
-)
+from .charmap import CharacteristicMatrix, classify_via_flips, first_dependent_facet
 from .cover import ConditionReport, RealToricSpace, evaluate_conditions
 from .errors import InputError, InternalConsistencyError, PropertyViolation
-from .gf2 import BitMatrix, GF2Error
+from .gf2 import BitMatrix
 from .instancefile import emit_instance, parse_instance
-from .shelling import ShellingBudgetExceeded, ShellingError, find_shelling, verify_shelling
-from .simplicial import SimplicialError
+from .shelling import ShellingBudgetExceeded, find_shelling, verify_shelling
 
 
 def _read_text(path: str) -> str:
@@ -264,16 +260,13 @@ def cmd_shelling(args) -> int:
         ):
             raise InputError("order file must be a JSON list of facets, each a list of integers")
         shelling = verify_shelling(K, [tuple(f) for f in order_doc])
-        found = True
     else:
-        result = find_shelling(K)
-        if result is None:
+        shelling = find_shelling(K)
+        if shelling is None:
             print(json.dumps({"found": False}, indent=2))
             return 0
-        shelling = result
-        found = True
     doc = {
-        "found": found,
+        "found": True,
         "order": [list(f) for f in shelling.order],
         "restriction": [list(r) for r in shelling.restriction],
     }
@@ -283,10 +276,7 @@ def cmd_shelling(args) -> int:
 
 def cmd_bier(args) -> int:
     K, _ = parse_instance(_read_text(args.file))
-    try:
-        sphere, chi = bier_mod.bier_instance(K)
-    except SimplicialError as exc:
-        raise InputError(str(exc)) from exc
+    sphere, chi = bier_mod.bier_instance(K)
     sys.stdout.write(emit_instance(f"bier-of-{Path(args.file).stem}", sphere, chi))
     return 0
 
@@ -338,13 +328,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ShellingError as exc:
-        print(f"shelling verification failed: {exc}", file=sys.stderr)
-        return 2
     except ShellingBudgetExceeded as exc:
         print(f"shelling search stopped: {exc}", file=sys.stderr)
         return 1
-    except (InputError, SimplicialError, CharMapError, GF2Error) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except PropertyViolation as exc:

@@ -1,8 +1,13 @@
-"""Shared exception hierarchy; the CLI maps these onto exit codes."""
+"""One exception class per exit code; cli.main maps each onto its code.
+
+Code raises the class of the fault where it is known: bad input,
+a failed property, or a broken internal invariant.
+"""
 
 
 class InputError(ValueError):
-    """Malformed or semantically invalid input (exit code 1)."""
+    """Malformed or semantically invalid input, or input past a declared
+    limit (exit code 1)."""
 
 
 class PropertyViolation(RuntimeError):

@@ -52,10 +52,6 @@ from .simplicial import SimplicialComplex
 MAX_DEGREE_MONOMIALS = 25_000
 
 
-class RingError(InternalConsistencyError):
-    """Graded dimension mismatch or a falsified structural identity."""
-
-
 @dataclass(frozen=True)
 class RingClass:
     """Homogeneous ring element: coefficient bitmask over a degree's basis."""
@@ -85,7 +81,7 @@ class GradedRingBasis:
     """Per-degree bases and normal forms for the quotient ring.
 
     Degrees are built lazily.  Degree-d dimensions are asserted against the
-    h-vector; any mismatch raises RingError.
+    h-vector; any mismatch raises InternalConsistencyError.
     """
 
     def __init__(self, K: SimplicialComplex, chi: CharacteristicMatrix):
@@ -194,7 +190,7 @@ class GradedRingBasis:
         count = len(self.monomials(d))
         dim = count - len(rows)
         if dim != self.dimension(d):
-            raise RingError(
+            raise InternalConsistencyError(
                 f"degree {d} dimension {dim} does not match h_{d} = {self.dimension(d)}"
             )
         basis = [i for i in range(count) if i not in rows]
@@ -225,7 +221,7 @@ class GradedRingBasis:
 
     def add(self, x: RingClass, y: RingClass) -> RingClass:
         if x.degree != y.degree:
-            raise RingError("cannot add classes of different degrees")
+            raise InternalConsistencyError("cannot add classes of different degrees")
         return RingClass(x.degree, x.bits ^ y.bits)
 
     def basis_classes(self, d: int) -> list[RingClass]:
@@ -406,9 +402,11 @@ def find_sq1_witness(
     image = ring.sq1(witness)
     expected = ring.multiply(witness, ring.add(cs, ct))
     if image != expected:
-        raise RingError("Leibniz evaluation disagrees with the square of the witness")
+        raise InternalConsistencyError(
+            "Leibniz evaluation disagrees with the square of the witness"
+        )
     if image.is_zero():
-        raise RingError(
+        raise InternalConsistencyError(
             "flip support certifies a non-pullback but the witness square vanished"
         )
     return Sq1Witness(facet, i, s, t, u_s, u_t, witness, image)

@@ -2,7 +2,7 @@
 
 The cohomology of a full subcomplex K_W is computed on K's own face masks:
 the q-faces of K_W are the q-face masks of K that lie inside the vertex mask
-of W, already in lexicographic order, and the coboundary rows are built
+of W, already in ascending mask order, and the coboundary rows are built
 from a W-local mask -> column map.  A nonempty W inside one facet spans a
 simplex and is answered without enumerating any face.
 
@@ -118,9 +118,6 @@ class CohomologyProfile:
     def group(self, q: int) -> FinAbGroup:
         return self.groups.get(q, FinAbGroup())
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.groups))
-
     def mu(self, q: int) -> int:
         return self.group(q).mu()
 
@@ -128,11 +125,6 @@ class CohomologyProfile:
         if not isinstance(other, CohomologyProfile):
             return NotImplemented
         return self.groups == other.groups
-
-    def __str__(self) -> str:
-        if not self.groups:
-            return "0"
-        return ", ".join(f"H^{q} = {self.groups[q]}" for q in self.degrees())
 
 
 def _coboundary_rows(faces: Sequence[int], cols: dict[int, int]) -> list[dict[int, int]]:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .charmap import CharacteristicMatrix, CharMapError
+from .charmap import CharacteristicMatrix
 from .errors import InputError
 from .gf2 import BitMatrix
-from .simplicial import SimplicialComplex, SimplicialError
+from .simplicial import SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,10 @@ def parse_document(text: str) -> InstanceFile:
 def parse_instance(text: str) -> tuple[SimplicialComplex, CharacteristicMatrix | None]:
     """Parse and validate a document into a complex plus optional matrix."""
     doc = parse_document(text)
-    try:
-        K = SimplicialComplex(doc.vertices, doc.facets)
-    except SimplicialError as exc:
-        raise InputError(str(exc)) from exc
+    K = SimplicialComplex(doc.vertices, doc.facets)
     if doc.lambda_rows is None:
         return K, None
-    try:
-        chi = CharacteristicMatrix(K, BitMatrix.from_lists(doc.lambda_rows))
-    except CharMapError as exc:
-        raise InputError(str(exc)) from exc
-    return K, chi
+    return K, CharacteristicMatrix(K, BitMatrix.from_lists(doc.lambda_rows))
 
 
 def emit_instance(

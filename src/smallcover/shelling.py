@@ -17,8 +17,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError
-from .simplicial import SimplicialComplex, SimplicialError
+from .errors import InputError, InternalConsistencyError, PropertyViolation
+from .simplicial import SimplicialComplex
 
 
 # Facets the search may place, counting every placement again after a
@@ -27,10 +27,6 @@ from .simplicial import SimplicialComplex, SimplicialError
 # after 760; the 36-facet staircase S^1 x S^2, which no search can shell,
 # reaches the budget in about 0.3 s on a 2-core Xeon.
 SHELLING_BUDGET = 20_000
-
-
-class ShellingError(ValueError):
-    """Order fails the shelling condition; message names the first bad index."""
 
 
 class ShellingBudgetExceeded(RuntimeError):
@@ -74,14 +70,14 @@ def _is_old(d: int, placed: int, star: dict[int, int]) -> bool:
 def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     """Check a facet order and compute restriction faces.
 
-    Raises ShellingError at the first index where the new faces are not an
+    Raises PropertyViolation at the first index where the new faces are not an
     interval above a nonempty union of ridges (index 1-based).
     """
     if not K.is_pure():
-        raise SimplicialError("shellings are defined for pure complexes")
+        raise InputError("shellings are defined for pure complexes")
     masks = [K._face_to_mask(f) for f in order]
     if sorted(masks) != sorted(K.facet_masks):
-        raise ShellingError("order is not a permutation of the facets")
+        raise PropertyViolation("order is not a permutation of the facets")
     return _verified(K, masks, _stars(K))
 
 
@@ -104,7 +100,7 @@ def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> S
                     break
             bits ^= low
         if placed and (d == 0 or _is_old(d, placed, star)):
-            raise ShellingError(f"shelling condition fails at index {idx}")
+            raise PropertyViolation(f"shelling condition fails at index {idx}")
         restriction.append(d)
         placed |= 1 << index[fm]
     shelling = Shelling(
@@ -129,7 +125,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
     the search would place a facet for the (budget + 1)-th time.
     """
     if not K.is_pure():
-        raise SimplicialError("shellings are defined for pure complexes")
+        raise InputError("shellings are defined for pure complexes")
     facets = K.facet_masks
     total = len(facets)
     table = K.ridge_table()

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-
-class SimplicialError(ValueError):
-    """Bad labels, non-pure input, or a violated ridge condition."""
+from .errors import InputError, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -36,21 +34,21 @@ class SimplicialComplex:
     def __init__(self, labels, generators):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
-            raise SimplicialError("duplicate vertex labels")
+            raise InputError("duplicate vertex labels")
         for v in labels:
             if not isinstance(v, int) or v <= 0:
-                raise SimplicialError(f"label {v!r} is not a positive integer")
+                raise InputError(f"label {v!r} is not a positive integer")
         self._labels = labels
         self._index = {v: i for i, v in enumerate(labels)}
         masks = []
         for gen in generators:
             gen = tuple(gen)
             if len(set(gen)) != len(gen):
-                raise SimplicialError(f"duplicate vertices inside generator {gen}")
+                raise InputError(f"duplicate vertices inside generator {gen}")
             m = 0
             for v in gen:
                 if v not in self._index:
-                    raise SimplicialError(f"undeclared vertex label {v} in generator {gen}")
+                    raise InputError(f"undeclared vertex label {v} in generator {gen}")
                 m |= 1 << self._index[v]
             masks.append(m)
         uniq = set(masks)
@@ -74,7 +72,7 @@ class SimplicialComplex:
         m = 0
         for v in face:
             if v not in self._index:
-                raise SimplicialError(f"unknown vertex label {v}")
+                raise InputError(f"unknown vertex label {v}")
             m |= 1 << self._index[v]
         return m
 
@@ -120,29 +118,12 @@ class SimplicialComplex:
             by_dim: dict[int, list[int]] = {}
             for m in seen:
                 by_dim.setdefault(m.bit_count() - 1, []).append(m)
-            key = self._lex_key()
-            self._faces_by_dim_cache = {
-                d: tuple(sorted(ms, key=key)) for d, ms in by_dim.items()
-            }
+            self._faces_by_dim_cache = {d: tuple(sorted(ms)) for d, ms in by_dim.items()}
             self._face_mask_set = frozenset(seen)
         return self._faces_by_dim_cache
 
-    def _lex_key(self):
-        """Sort key on equal-size face masks giving the lex order of their label tuples.
-
-        With ascending labels, two faces first differ at the lowest index in
-        their symmetric difference, and the face holding it comes first; that
-        is the order of the complemented masks read from bit 0 up as strings.
-        Other label orders fall back to the label tuples.
-        """
-        if list(self._labels) != sorted(self._labels):
-            return self._mask_to_face
-        full = (1 << len(self._labels)) - 1
-        fmt = f"0{len(self._labels)}b"
-        return lambda m: format(full ^ m, fmt)[::-1]
-
     def face_masks(self, d: int) -> tuple[int, ...]:
-        """Masks of d-dimensional faces in lexicographic label order."""
+        """Masks of d-dimensional faces in ascending mask order."""
         return self._faces_by_dim().get(d, ())
 
     def all_face_masks(self) -> frozenset[int]:
@@ -164,7 +145,7 @@ class SimplicialComplex:
 
     def h_vector(self) -> FaceVector:
         if not self.is_pure():
-            raise SimplicialError("h-vector requires a pure complex")
+            raise InternalConsistencyError("h-vector requires a pure complex")
         f = self.f_vector()
         n = self.dim + 1
         h = []
@@ -179,7 +160,7 @@ class SimplicialComplex:
         w = set(w)
         for v in w:
             if v not in self._index:
-                raise SimplicialError(f"unknown vertex label {v} in subcomplex request")
+                raise InternalConsistencyError(f"unknown vertex label {v} in subcomplex request")
         wm = self._face_to_mask(w)
         cut = {m & wm for m in self._facet_masks}
         sub_labels = [v for v in self._labels if v in w]
@@ -203,7 +184,7 @@ class SimplicialComplex:
         """
         if self._ridge_table is None:
             if not self.is_pure():
-                raise SimplicialError("ridges are defined for pure complexes")
+                raise InternalConsistencyError("ridges are defined for pure complexes")
             table: dict[int, list[int]] = {}
             for idx, fm in enumerate(self._facet_masks):
                 bits = fm
@@ -243,7 +224,7 @@ class SimplicialComplex:
         ridge = fm ^ low
         holders = self.ridge_table()[ridge]
         if len(holders) != 2:
-            raise SimplicialError(
+            raise InternalConsistencyError(
                 f"ridge {self._mask_to_face(ridge)} lies in {len(holders)} facets, not 2"
             )
         a, b = (self._facet_masks[j] for j in holders)
@@ -286,7 +267,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
 def polygon(m: int) -> SimplicialComplex:
     """Boundary of an m-gon on labels 1..m."""
     if m < 3:
-        raise SimplicialError("polygon needs at least 3 vertices")
+        raise InternalConsistencyError("polygon needs at least 3 vertices")
     labels = range(1, m + 1)
     gens = [(i, i % m + 1) for i in range(1, m + 1)]
     return SimplicialComplex(labels, gens)

@@ -20,7 +20,8 @@ from typing import Iterator, Sequence
 
 from smallcover.charmap import CharacteristicMatrix, flip_supports
 from smallcover.cover import RealToricSpace
-from smallcover.facering import GradedRingBasis, RingClass, RingError
+from smallcover.errors import InputError, InternalConsistencyError
+from smallcover.facering import GradedRingBasis, RingClass
 from smallcover.gf2 import BitMatrix, BitVec, bit_positions, echelon_insert
 from smallcover.homology import (
     CohomologyProfile,
@@ -29,7 +30,7 @@ from smallcover.homology import (
     _sparse_snf_factors,
 )
 from smallcover.shelling import Shelling, ShellingBudgetExceeded, verify_shelling
-from smallcover.simplicial import SimplicialComplex, SimplicialError
+from smallcover.simplicial import SimplicialComplex
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -48,11 +49,11 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
     """Matrix of delta: C^d -> C^{d+1} over Z.
 
     Rows are (d+1)-dimensional faces, columns d-dimensional faces, both in
-    lexicographic label order; the entry for omitting the j-th vertex of the
+    ascending mask order; the entry for omitting the j-th vertex of the
     row face is (-1)^j.  Degree -1 is the augmentation (columns = empty face).
     """
     if d < -1 or d > K.dim:
-        raise SimplicialError(f"degree {d} outside [-1, {K.dim}]")
+        raise InternalConsistencyError(f"degree {d} outside [-1, {K.dim}]")
     cols = {m: j for j, m in enumerate(K.face_masks(d))}
     rows = _coboundary_rows(K.face_masks(d + 1), cols)
     return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
@@ -127,10 +128,10 @@ def ridge_flip(K: SimplicialComplex, facet, i: int) -> int:
     """
     fm = K._face_to_mask(facet)
     if fm not in K.facet_masks:
-        raise SimplicialError(f"{tuple(sorted(facet))} is not a facet")
+        raise InternalConsistencyError(f"{tuple(sorted(facet))} is not a facet")
     verts = K._mask_to_face(fm)
     if not 1 <= i <= len(verts):
-        raise SimplicialError(f"position {i} outside [1, {len(verts)}]")
+        raise InternalConsistencyError(f"position {i} outside [1, {len(verts)}]")
     p = K.flip_bit(fm, 1 << K._index[verts[i - 1]])
     return K.labels[p.bit_length() - 1]
 
@@ -158,7 +159,7 @@ def is_orientable_3d(M: RealToricSpace) -> bool:
 
 
 def verify_all_dimensions(ring: GradedRingBasis) -> None:
-    """Force-build every degree; RingError on any h-vector mismatch."""
+    """Force-build every degree; InternalConsistencyError on any h-vector mismatch."""
     for d in range(ring.n + 1):
         ring._ensure_degree(d)
 
@@ -215,7 +216,7 @@ def tau_classes(ring: GradedRingBasis, coloring: dict[int, int]) -> list[RingCla
                 acc = ring.add(acc, ring._generator_class(label))
         taus.append(acc)
     if any(t != taus[0] for t in taus[1:]):
-        raise RingError("color-class sums are unequal: coloring is not valid")
+        raise InternalConsistencyError("color-class sums are unequal: coloring is not valid")
     return taus
 
 
@@ -290,7 +291,7 @@ def critical_generators(shelling: Shelling, w) -> list[tuple[int, int]]:
     wset = set(w)
     for v in wset:
         if v not in shelling.complex.labels:
-            raise SimplicialError(f"unknown vertex label {v}")
+            raise InputError(f"unknown vertex label {v}")
     out = []
     for i, (facet, restr) in enumerate(zip(shelling.order, shelling.restriction), start=1):
         if set(facet) & wset == set(restr):
@@ -358,7 +359,7 @@ def shelling_search_reference(
     is tested against each earlier facet.  Returns (first shelling or None,
     facets placed); raises ShellingBudgetExceeded as find_shelling does."""
     if not K.is_pure():
-        raise SimplicialError("shellings are defined for pure complexes")
+        raise InputError("shellings are defined for pure complexes")
     facets = K.facet_masks
     total = len(facets)
     table = K.ridge_table()

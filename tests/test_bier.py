@@ -8,10 +8,10 @@ import pytest
 from oracles import complex_euler_characteristic
 from smallcover.bier import bier_instance, bier_sphere, lambda_bier, table1_instance
 from smallcover.charmap import classify_pullback
-from smallcover.errors import InternalConsistencyError
+from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.homology import reduced_cohomology
 from smallcover.shelling import find_shelling
-from smallcover.simplicial import SimplicialComplex, SimplicialError
+from smallcover.simplicial import SimplicialComplex
 
 
 def all_complexes_on(labels):
@@ -48,14 +48,14 @@ class TestSmallCases:
 
     def test_full_simplex_rejected(self):
         K = SimplicialComplex([1, 2], [(1, 2)])
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InputError):
             bier_sphere(K)
 
     @pytest.mark.parametrize("facets", [[], [(1,)]])
     def test_one_label_rejected(self, facets):
         # {empty face} on one label would give the (-1)-sphere, which has no
         # characteristic matrix
-        with pytest.raises(SimplicialError, match="at least 2 labels"):
+        with pytest.raises(InputError, match="at least 2 labels"):
             bier_sphere(SimplicialComplex([1], facets))
 
     def test_ghosts_dropped_from_instance(self):

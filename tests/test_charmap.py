@@ -260,7 +260,7 @@ class TestClassifyViaFlips:
     def test_requires_closed_pseudomanifold(self):
         K = SimplicialComplex([1, 2, 3], [(1, 2, 3)])
         chi = CharacteristicMatrix(K, BitMatrix(3, 3, (1, 2, 4)))
-        with pytest.raises(CharMapError):
+        with pytest.raises(InternalConsistencyError):
             classify_via_flips(chi)
 
     def test_agreement_and_brute_force_on_random_octahedra(self):
@@ -338,7 +338,7 @@ class TestOmegaDescriptors:
     def test_inconsistent_coloring_rejected(self):
         chi = lambda_boundary_simplex(2)
         bad = {1: 1, 2: 2, 3: 2}  # describes a different row space
-        with pytest.raises(CharMapError):
+        with pytest.raises(InternalConsistencyError):
             omega_descriptors(chi, bad)
 
     def test_canonical_order(self):
@@ -434,5 +434,5 @@ class TestFacetCoordinates:
         # valid (independent on every edge) but with more rows than a facet
         # has vertices, so no facet gives a basis
         chi = CharacteristicMatrix(boundary_of_simplex(2), BitMatrix(3, 3, (1, 2, 4)))
-        with pytest.raises(CharMapError, match="has 2 vertices, not n = 3"):
+        with pytest.raises(InternalConsistencyError, match="has 2 vertices, not n = 3"):
             classify_via_flips(chi)

@@ -12,9 +12,10 @@ import pytest
 
 from functools import partial
 
-from smallcover import charmap, cli, cover, facering, homology
+from smallcover import charmap, cli, cover, facering, gf2, homology
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis, RingClass
+from smallcover.gf2 import BitMatrix
 from smallcover.shelling import find_shelling
 from oracles import circle_times_tetrahedron_boundary
 from smallcover.instancefile import emit_instance, parse_instance
@@ -341,6 +342,9 @@ class TestShelling:
         ]
         order.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["shelling", path, "--order", str(order)]) == 2
+        assert capsys.readouterr().err == (
+            "property violation: shelling condition fails at index 2\n"
+        )
 
     @pytest.mark.parametrize("order", [[1, 2], [[1, 2], [1, "3"]], {"a": 1}])
     def test_malformed_order_is_input_error(self, emit, tmp_path, capsys, order):
@@ -404,11 +408,29 @@ class TestBier:
         path = tmp_path / "full.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["bier", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: the full simplex has no Bier sphere\n"
+
+
+NON_PURE = {
+    "name": "non-pure",
+    "n": 3,
+    "vertices": [1, 2, 3, 4],
+    "facets": [[1, 2, 3], [1, 4]],
+    "lambda": None,
+}
+TRIANGLE = {
+    "name": "triangle",
+    "n": 2,
+    "vertices": [1, 2, 3],
+    "facets": [[1, 2], [1, 3], [2, 3]],
+    "lambda": None,
+}
 
 
 class TestExitCodes:
-    """Input errors exit 1 because they are InputError or one of the named
-    validation errors, not because they are some ValueError."""
+    """Input errors exit 1 because they are raised as InputError where they
+    are found, not because they are some ValueError; internal faults exit 3
+    wherever they are raised."""
 
     def write(self, tmp_path, doc, name="doc.json"):
         path = tmp_path / name
@@ -427,6 +449,62 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "input error: real toric spaces here require a pure complex\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, doc, order, message",
+        [
+            (["shelling"], NON_PURE, None, "shellings are defined for pure complexes"),
+            (["shelling"], NON_PURE, [[1, 2, 3], [1, 4]],
+             "shellings are defined for pure complexes"),
+            (["shelling"], TRIANGLE, [[1, 2], [1, 3], [2, 9]], "unknown vertex label 9"),
+            (["analyze"], {**TRIANGLE, "lambda": [[1, 1, 0], [0, 0, 1]]}, None,
+             "columns on facet (1, 2) are linearly dependent"),
+            (["analyze"], {**TRIANGLE, "vertices": [0, 1, 2, 3]}, None,
+             "field 'vertices' must be a list of positive integers"),
+            (["analyze"], {**TRIANGLE, "facets": [[0, 1], [1, 3], [2, 3]]}, None,
+             "undeclared vertex label 0 in generator (0, 1)"),
+        ],
+        ids=["non-pure-search", "non-pure-order", "unknown-order-label",
+             "dependent-columns", "label-0-declared", "label-0-in-a-facet"],
+    )
+    def test_reachable_input_errors(self, tmp_path, capsys, argv, doc, order, message):
+        argv = argv + [self.write(tmp_path, doc)]
+        if order is not None:
+            argv += ["--order", self.write(tmp_path, order, "order.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_singular_facet_basis_is_internal(self, emit, monkeypatch, capsys):
+        # the real singular-matrix error of gf2.invert, raised where a facet
+        # basis is inverted: an internal fault, not bad input
+        def singular(b):
+            return gf2.invert(BitMatrix(b.rows, b.cols, (0,) * b.rows))
+
+        monkeypatch.setattr(charmap, "invert", singular)
+        assert main(["analyze", emit("deltas0")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal consistency error: matrix is singular\n"
+
+    def test_row_space_guard_fires_before_any_cohomology(self, tmp_path, monkeypatch, capsys):
+        def boom(*args):
+            raise AssertionError("cohomology ran before the row-space guard")
+
+        monkeypatch.setattr(cover, "reduced_cohomology", boom)
+        labels = list(range(1, 18))
+        doc = {
+            "name": "simplex17",
+            "n": 17,
+            "vertices": labels,
+            "facets": [labels],
+            "lambda": [[int(i == j) for j in range(17)] for i in range(17)],
+        }
+        assert main(["analyze", self.write(tmp_path, doc), "--conditions", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: row count 17 exceeds enumeration guard 16\n"
 
     @pytest.mark.parametrize("facets", [[], [[1]]])
     def test_one_label_bier_document(self, tmp_path, capsys, facets):

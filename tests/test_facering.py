@@ -26,7 +26,6 @@ from smallcover.errors import InternalConsistencyError
 from smallcover.facering import (
     GradedRingBasis,
     RingClass,
-    RingError,
     build_graded_basis,
     find_sq1_witness,
     sq1_degree,
@@ -137,7 +136,9 @@ class TestSphereGate:
         assert len(chi.complex.facets) == 36
         assert chi.complex.h_vector().h == (1, 8, 18, 8, 1)
         ring = build_graded_basis(chi.complex, chi)
-        with pytest.raises(RingError, match="degree 3 dimension 12 does not match h_3 = 8"):
+        with pytest.raises(
+            InternalConsistencyError, match="degree 3 dimension 12 does not match h_3 = 8"
+        ):
             oracles.verify_all_dimensions(ring)
 
     @pytest.mark.parametrize(
@@ -158,7 +159,7 @@ class TestSphereGate:
         chi = make()
         M = RealToricSpace(chi.complex, chi)
         monkeypatch.setattr(GradedRingBasis, "wu_vanishes_on_degree", refuse_wu_side)
-        with pytest.raises(RingError, match=f"degree 3 {h3}"):
+        with pytest.raises(InternalConsistencyError, match=f"degree 3 {h3}"):
             evaluate_conditions(M)
         assert M.hypotheses.shelling_found == shelling_found
         assert M.complex.is_closed_pseudomanifold() and not M.sphere_certified
@@ -295,7 +296,7 @@ class TestExpressAndMultiply:
     def test_adding_classes_of_different_degrees_is_internal(self):
         chi = lambda_boundary_simplex(2)
         basis = build_graded_basis(chi.complex, chi)
-        with pytest.raises(RingError):
+        with pytest.raises(InternalConsistencyError):
             basis.add(basis.express([1]), basis.one())
 
     def test_commutativity_and_associativity(self):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_gl
+from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.gf2 import (
     BitMatrix,
     BitVec,
-    GF2Error,
     bit_positions,
     echelon_insert,
     find_basis_change,
@@ -38,20 +38,20 @@ class TestBitVec:
 
     def test_index_bounds(self):
         v = vec(1, 0)
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             v[2]
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             v[-1]
 
     def test_addition_is_xor(self):
         assert tuple(vec(1, 1, 0) + vec(0, 1, 1)) == (1, 0, 1)
 
     def test_length_mismatch(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             vec(1, 0) + vec(1, 0, 0)
 
     def test_bits_out_of_range(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             BitVec(2, 4)
 
 
@@ -105,7 +105,7 @@ class TestRowSpace:
             assert all(a ^ b in values for a in values for b in values)
 
     def test_guard(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InputError):
             row_space(BitMatrix(31, 2, (0,) * 31))
 
 
@@ -142,11 +142,11 @@ class TestBasisChange:
                 assert g.apply(v) == BitVec.unit(n, i)
 
     def test_dependent_input_rejected(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             find_basis_change([vec(1, 0), vec(1, 0)], 2)
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             find_basis_change([vec(1, 0, 0), vec(0, 1, 0)], 2)
 
 
@@ -162,7 +162,7 @@ class TestMatrixOps:
             assert m @ invert(m) == BitMatrix(n, n, tuple(1 << i for i in range(n)))
 
     def test_invert_singular(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             invert(BitMatrix(2, 2, (0, 0)))
 
     def test_matmul_vs_apply(self):
@@ -190,7 +190,7 @@ class TestColumnBits:
         assert m == BitMatrix.from_lists([[1, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0]])
 
     def test_column_out_of_range(self):
-        with pytest.raises(GF2Error):
+        with pytest.raises(InternalConsistencyError):
             BitMatrix.from_column_bits(2, [0b01, 0b100])
 
     def test_bit_positions(self):
@@ -310,7 +310,7 @@ class TestEchelonOracle:
         n = a.rows
         vectors = [a.column(j) for j in range(n)]
         if len(span(a.column_bits())) < 1 << n:
-            with pytest.raises(GF2Error, match="linearly dependent"):
+            with pytest.raises(InternalConsistencyError, match="linearly dependent"):
                 find_basis_change(vectors, n)
         else:
             g = find_basis_change(vectors, n)

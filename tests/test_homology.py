@@ -115,9 +115,9 @@ class TestCoboundary:
                         assert total == 0
 
     def test_degree_out_of_range(self):
-        from smallcover.simplicial import SimplicialError
+        from smallcover.errors import InternalConsistencyError
 
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InternalConsistencyError):
             coboundary_matrix(boundary_of_simplex(2), 5)
 
 
@@ -345,9 +345,9 @@ class TestFullSubcomplexOnMasks:
         assert checked > 3000
 
     def test_unknown_label_rejected(self):
-        from smallcover.simplicial import SimplicialError
+        from smallcover.errors import InputError
 
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InputError):
             reduced_cohomology(boundary_of_simplex(2), {9})
 
     def test_ghost_vertices_are_not_faces(self):

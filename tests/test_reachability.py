@@ -9,9 +9,15 @@ and an Attribute attr reaches each method of that name, so a local variable
 that shares a method's name does not reach the method.  A reached
 definition's code is walked in turn.  Imports are not references, so a
 re-export from __init__ reaches nothing.  Dunders are reached.
+
+The same parse keeps one exception class per exit code: the three classes
+in errors.py, the shelling budget class with its own message, and
+charmap.CharMapError, an InputError, are the only exception classes, and
+every raise names one of them.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import smallcover
@@ -124,3 +130,102 @@ def test_guard_follows_names_from_class_bodies_and_defaults(tmp_path):
         "    return 1\n"
     )
     assert unreached_definitions(tmp_path) == []
+
+
+EXIT_CODE_CLASSES = {"InputError", "PropertyViolation", "InternalConsistencyError"}
+KEPT_EXCEPTIONS = EXIT_CODE_CLASSES | {"ShellingBudgetExceeded", "CharMapError"}
+_BUILTIN_EXCEPTIONS = {
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def _bare(node) -> str:
+    """The last dotted part of a name: errors.InputError -> InputError."""
+    return ast.unparse(node).rsplit(".", 1)[-1]
+
+
+def exception_classes(package: Path = PACKAGE) -> dict[str, list[str]]:
+    """Class name -> base names, for each class of the package that derives
+    from a builtin exception directly or through another such class."""
+    bases = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_bare(b) for b in node.bases]
+    found: dict[str, list[str]] = {}
+    grew = True
+    while grew:
+        grew = False
+        for name, names in bases.items():
+            if name not in found and any(
+                b in _BUILTIN_EXCEPTIONS or b in found for b in names
+            ):
+                found[name] = names
+                grew = True
+    return found
+
+
+def exception_findings(package: Path = PACKAGE) -> list[str]:
+    """Each exception class that derives from none of the exit-code classes
+    (the exit-code classes and the budget class aside), and each raise of a
+    class other than the kept ones."""
+    out = [
+        f"class {name}({', '.join(names)})"
+        for name, names in sorted(exception_classes(package).items())
+        if name not in EXIT_CODE_CLASSES | {"ShellingBudgetExceeded"}
+        and not set(names) & EXIT_CODE_CLASSES
+    ]
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if exc is None:
+                    out.append(f"{path.name}:{node.lineno} re-raises what it caught")
+                elif _bare(exc) not in KEPT_EXCEPTIONS:
+                    out.append(f"{path.name}:{node.lineno} raises {_bare(exc)}")
+    return out
+
+
+def test_one_exception_class_per_exit_code():
+    classes = exception_classes()
+    assert set(classes) == KEPT_EXCEPTIONS
+    assert classes["CharMapError"] == ["InputError"]
+    assert exception_findings() == []
+
+
+def test_exception_guard_reports_stray_classes_and_raises(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class InputError(ValueError):\n"
+        "    pass\n"
+        "class InternalConsistencyError(RuntimeError):\n"
+        "    pass\n"
+    )
+    (tmp_path / "lib.py").write_text(
+        "from . import errors\n"
+        "class LibError(ValueError):\n"
+        "    pass\n"
+        "class DeepError(LibError):\n"
+        "    pass\n"
+        "class Fine(errors.InputError):\n"
+        "    pass\n"
+        "class Plain:\n"
+        "    pass\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise errors.InputError('bad input')\n"
+        "    try:\n"
+        "        raise LibError\n"
+        "    except LibError:\n"
+        "        raise\n"
+    )
+    assert set(exception_classes(tmp_path)) == {
+        "InputError", "InternalConsistencyError", "LibError", "DeepError", "Fine",
+    }
+    assert exception_findings(tmp_path) == [
+        "class DeepError(LibError)",
+        "class LibError(ValueError)",
+        "lib.py:14 raises LibError",
+        "lib.py:16 re-raises what it caught",
+    ]

@@ -13,18 +13,17 @@ from hypothesis import strategies as st
 from smallcover.catalog import catalog
 from smallcover.charmap import classify_pullback, lambda_boundary_simplex
 from smallcover.cli import main
+from smallcover.errors import InputError, PropertyViolation
 from smallcover.homology import reduced_cohomology
 from smallcover.shelling import (
     SHELLING_BUDGET,
     ShellingBudgetExceeded,
-    ShellingError,
     find_shelling,
     verify_shelling,
 )
 from smallcover.instancefile import emit_instance
 from smallcover.simplicial import (
     SimplicialComplex,
-    SimplicialError,
     boundary_of_simplex,
     cross_polytope_boundary,
 )
@@ -54,13 +53,13 @@ class TestVerify:
         order = [(1, 2, 3), (4, 5, 6)] + [
             f for f in K.facets if f not in ((1, 2, 3), (4, 5, 6))
         ]
-        with pytest.raises(ShellingError) as err:
+        with pytest.raises(PropertyViolation) as err:
             verify_shelling(K, order)
         assert "index 2" in str(err.value)
 
     def test_non_permutation_rejected(self):
         K = boundary_of_simplex(2)
-        with pytest.raises(ShellingError):
+        with pytest.raises(PropertyViolation):
             verify_shelling(K, [(1, 2), (1, 3), (1, 2)])
 
     def test_interval_partition_count(self):
@@ -231,8 +230,8 @@ def ridge_outcome(K):
     try:
         s = find_shelling(K)
         found = None if s is None else (s.order, s.restriction)
-    except SimplicialError as exc:
-        found = ("SimplicialError", str(exc))
+    except InputError as exc:
+        found = ("InputError", str(exc))
     return found, K.is_closed_pseudomanifold(), K.is_strongly_connected()
 
 
@@ -242,7 +241,7 @@ def verify_outcomes(K):
     for order in permutations(K.facets):
         try:
             out.append(verify_shelling(K, list(order)).restriction)
-        except ShellingError as exc:
+        except PropertyViolation as exc:
             out.append(str(exc))
     return out
 
@@ -303,7 +302,7 @@ class TestRidgeTablePins:
     def test_non_pure(self):
         K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
         assert ridge_outcome(K) == (
-            ("SimplicialError", "shellings are defined for pure complexes"), False, False
+            ("InputError", "shellings are defined for pure complexes"), False, False
         )
 
     def test_random_pure_complexes(self):

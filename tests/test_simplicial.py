@@ -4,9 +4,9 @@ import pytest
 
 from oracles import complex_euler_characteristic, ridge_flip
 from smallcover.catalog import catalog
+from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.simplicial import (
     SimplicialComplex,
-    SimplicialError,
     boundary_of_simplex,
     cross_polytope_boundary,
     polygon,
@@ -36,15 +36,15 @@ class TestConstruction:
         assert K.total_face_count() == 1
 
     def test_undeclared_label(self):
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InputError):
             SimplicialComplex([1, 2], [(1, 3)])
 
     def test_duplicate_vertex_in_generator(self):
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InputError):
             SimplicialComplex([1, 2], [(1, 1)])
 
     def test_nonpositive_label(self):
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InputError):
             SimplicialComplex([0, 1], [(1,)])
 
 
@@ -61,7 +61,7 @@ class TestVectors:
 
     def test_non_pure_rejected(self):
         K = SimplicialComplex([1, 2, 3, 4], [(1, 2, 3), (1, 4)])
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InternalConsistencyError):
             K.h_vector()
 
     def test_alternating_f_sum_is_reduced_euler(self):
@@ -87,7 +87,7 @@ class TestFullSubcomplex:
         assert sub.facets == ((1,), (4,))
 
     def test_unknown_label(self):
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InternalConsistencyError):
             boundary_of_simplex(2).full_subcomplex({9})
 
     def test_all_labels_identity(self):
@@ -168,12 +168,12 @@ class TestRidgeFlip:
 
     def test_open_ridge_rejected(self):
         K = SimplicialComplex([1, 2, 3], [(1, 2, 3)])
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InternalConsistencyError):
             ridge_flip(K, (1, 2, 3), 1)
 
     def test_ridge_in_three_facets_rejected(self):
         K = SimplicialComplex(range(1, 6), [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
-        with pytest.raises(SimplicialError) as err:
+        with pytest.raises(InternalConsistencyError) as err:
             ridge_flip(K, (1, 2, 3), 3)
         assert str(err.value) == "ridge (1, 2) lies in 3 facets, not 2"
 
@@ -181,7 +181,7 @@ class TestRidgeFlip:
         # (1, 2) lies in (1, 2, 5) and in the larger facet (1, 2, 3, 4), but
         # (1, 2, 4) is no facet: a flip needs a pure complex.
         K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
-        with pytest.raises(SimplicialError) as err:
+        with pytest.raises(InternalConsistencyError) as err:
             ridge_flip(K, (1, 2, 5), 3)
         assert "pure" in str(err.value)
 
@@ -214,7 +214,7 @@ class TestRidgeTable:
 
     def test_non_pure_rejected(self):
         K = SimplicialComplex(range(1, 6), [(1, 2, 3, 4), (1, 2, 5)])
-        with pytest.raises(SimplicialError):
+        with pytest.raises(InternalConsistencyError):
             K.ridge_table()
         assert not K.is_closed_pseudomanifold()
         assert not K.is_strongly_connected()
@@ -260,11 +260,11 @@ class TestFaceOrder:
     def complexes(self):
         return [e.complex for _, e in sorted(catalog().items())] + list(self.EXTRA)
 
-    def test_faces_sorted_by_label_tuple(self):
+    def test_faces_sorted_by_mask(self):
         for K in self.complexes():
             for d in range(-1, K.dim + 1):
                 masks = K.face_masks(d)
-                assert list(masks) == sorted(masks, key=K._mask_to_face)
+                assert list(masks) == sorted(masks)
                 assert set(masks) == {
                     m for m in K.all_face_masks() if m.bit_count() == d + 1
                 }
