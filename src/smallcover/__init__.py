@@ -12,7 +12,6 @@ from .bier import bier_instance, bier_sphere, lambda_bier, table1_instance
 from .charmap import (
     CharacteristicMatrix,
     CharMapError,
-    OmegaDescriptor,
     PullbackClass,
     PullbackLabel,
     block_product,
@@ -60,7 +59,6 @@ from .shelling import (
     verify_shelling,
 )
 from .simplicial import (
-    FaceVector,
     SimplicialComplex,
     boundary_of_simplex,
     cross_polytope_boundary,

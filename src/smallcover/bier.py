@@ -21,13 +21,13 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     ell = len(ground)
     if ell < 2:
         raise InputError(f"a Bier sphere needs at least 2 labels, got {ell}")
-    if K.contains_face(ground):
+    face_masks = K.all_face_masks()
+    all_mask = (1 << K.vertex_count) - 1
+    if all_mask in face_masks:
         raise InputError("the full simplex has no Bier sphere")
     rank = {v: i + 1 for i, v in enumerate(ground)}
-    face_masks = K.all_face_masks()
+    labels = K.labels
     gens = []
-    all_mask = (1 << K.vertex_count) - 1
-    pos_label = {i: v for v, i in K._index.items()}
     for fm in face_masks:
         rest = all_mask & ~fm
         bits = rest
@@ -37,8 +37,8 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
             if (fm | low) in face_masks:
                 continue
             comp = rest ^ low
-            facet = [rank[pos_label[i]] for i in bit_positions(fm)]
-            facet += [ell + rank[pos_label[i]] for i in bit_positions(comp)]
+            facet = [rank[labels[i]] for i in bit_positions(fm)]
+            facet += [ell + rank[labels[i]] for i in bit_positions(comp)]
             gens.append(tuple(sorted(facet)))
     sphere = SimplicialComplex(range(1, 2 * ell + 1), gens)
     if sphere.dim != ell - 2:

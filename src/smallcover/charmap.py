@@ -18,6 +18,7 @@ from .errors import InputError, InternalConsistencyError
 from .gf2 import (
     BitMatrix,
     BitVec,
+    bit_positions,
     echelon_insert,
     find_basis_change,
     invert,
@@ -80,7 +81,7 @@ class CharacteristicMatrix:
         if got is None:
             if fm.bit_count() != self.n:
                 raise InternalConsistencyError(
-                    f"facet {self.complex._mask_to_face(fm)} has "
+                    f"facet {self.complex.labels_of(fm)} has "
                     f"{fm.bit_count()} vertices, not n = {self.n}"
                 )
             cols = self.matrix.column_bits()
@@ -246,69 +247,48 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
     return PullbackClass(label, True, g, coloring)
 
 
-@dataclass(frozen=True)
-class OmegaDescriptor:
-    """One row-space element with its coefficient vector and subset data.
-
-    ``support`` holds vertex labels; ``s_omega`` the nonzero coefficient
-    positions in 1..n; ``chi_omega`` the even subset of 1..n+1 obtained by
-    adjoining n+1 when |s_omega| is odd.
-    """
-
-    omega: BitVec
-    coeffs: BitVec
-    support: frozenset[int]
-    s_omega: frozenset[int]
-    chi_omega: frozenset[int]
-
-
 def omega_descriptors(
     M: CharacteristicMatrix, coloring: dict[int, int] | None = None
-) -> list[OmegaDescriptor]:
-    """All 2^n row-space descriptors in ascending coefficient order.
+) -> list[int]:
+    """The supports of all 2^n row-space elements, as vertex masks over
+    K's labels, in ascending coefficient order (see gf2.row_space).
 
     Without a coloring, coefficients are over the raw matrix rows.  With a
     coloring, they are over the rows of the canonical matrix the coloring
     describes (column j is the standard vector of color j, or the all-ones
-    sum); that matrix spans the same row space, and the identity
-    support = c^{-1}(chi_omega) is asserted for every descriptor.
+    sum); that matrix spans the same row space, and for every element the
+    support is asserted to be c^{-1}(chi), where chi is the set of nonzero
+    coefficient positions in 1..n, with n+1 adjoined when it is odd.
     """
     n = M.n
     if rank(M.matrix) != n:
         raise InternalConsistencyError("matrix rows are dependent; descriptors need full rank")
-    labels = M.complex.labels
-    matrix = M.matrix
-    if coloring is not None:
-        rows = []
-        for i in range(1, n + 1):
-            bits = 0
-            for j, v in enumerate(labels):
-                if coloring[v] in (i, n + 1):
-                    bits |= 1 << j
-            rows.append(bits)
-        matrix = BitMatrix(n, M.m, tuple(rows))
-        stacked = BitMatrix(2 * n, M.m, M.matrix.row_bits + matrix.row_bits)
-        if rank(stacked) != n:
+    if coloring is None:
+        return row_space(M.matrix)
+    K = M.complex
+    # color_masks[c] is the vertex mask of c^{-1}(c), for c = 1..n+1
+    color_masks = [0] * (n + 2)
+    for j, v in enumerate(K.labels):
+        color_masks[coloring[v]] |= 1 << j
+    rows = tuple(color_masks[i] | color_masks[n + 1] for i in range(1, n + 1))
+    stacked = BitMatrix(2 * n, M.m, M.matrix.row_bits + rows)
+    if rank(stacked) != n:
+        raise InternalConsistencyError(
+            "coloring describes a different row space than the matrix"
+        )
+    supports = row_space(BitMatrix(n, M.m, rows))
+    for k, support in enumerate(supports):
+        expected = color_masks[n + 1] if k.bit_count() % 2 else 0
+        for i in bit_positions(k):
+            expected |= color_masks[i + 1]
+        if expected != support:
+            coeffs = "".join(str(k >> i & 1) for i in range(n))
             raise InternalConsistencyError(
-                "coloring describes a different row space than the matrix"
+                f"coloring inconsistent with row space at coefficients {coeffs}: "
+                f"support {sorted(K.labels_of(support))} != preimage "
+                f"{sorted(K.labels_of(expected))}"
             )
-    out = []
-    for omega, coeffs in row_space(matrix):
-        support = frozenset(labels[j] for j in omega.support())
-        s_omega = frozenset(i + 1 for i in coeffs.support())
-        if len(s_omega) % 2 == 0:
-            chi = s_omega
-        else:
-            chi = s_omega | {n + 1}
-        if coloring is not None:
-            expected = frozenset(v for v in labels if coloring[v] in chi)
-            if expected != support:
-                raise InternalConsistencyError(
-                    f"coloring inconsistent with row space at coefficients {coeffs}: "
-                    f"support {sorted(support)} != preimage {sorted(expected)}"
-                )
-        out.append(OmegaDescriptor(omega, coeffs, support, s_omega, chi))
-    return out
+    return supports
 
 
 def lambda_boundary_simplex(n: int) -> CharacteristicMatrix:

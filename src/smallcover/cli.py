@@ -267,8 +267,8 @@ def cmd_shelling(args) -> int:
             return 0
     doc = {
         "found": True,
-        "order": [list(f) for f in shelling.order],
-        "restriction": [list(r) for r in shelling.restriction],
+        "order": [list(K.labels_of(m)) for m in shelling.order],
+        "restriction": [list(K.labels_of(m)) for m in shelling.restriction],
     }
     print(json.dumps(doc, indent=2))
     return 0

@@ -15,7 +15,6 @@ from functools import cached_property
 from . import facering
 from .charmap import (
     CharacteristicMatrix,
-    OmegaDescriptor,
     PullbackClass,
     classify_pullback,
     classify_via_flips,  # noqa: F401  (hooked by name in bench/tracer.py)
@@ -142,16 +141,18 @@ class RealToricSpace:
         return facering.build_graded_basis(self.complex, self.chi)
 
     @cached_property
-    def omega_profiles(self) -> list[tuple[OmegaDescriptor, CohomologyProfile]]:
+    def omega_profiles(self) -> list[tuple[int, CohomologyProfile]]:
+        """(vertex mask of the support, reduced cohomology of K_W) for every
+        row-space element, in omega_descriptors order."""
         coloring = self.classification.coloring
         return [
-            (desc, reduced_cohomology(self.complex, desc.support))
-            for desc in omega_descriptors(self.chi, coloring)
+            (wm, reduced_cohomology(self.complex, wm))
+            for wm in omega_descriptors(self.chi, coloring)
         ]
 
     @cached_property
     def h_vector(self) -> tuple[int, ...]:
-        return self.complex.h_vector().h
+        return self.complex.h_vector()
 
     @cached_property
     def rational_betti_numbers(self) -> tuple[int, ...]:
@@ -163,7 +164,8 @@ class RealToricSpace:
 
 
 def mod2_betti(M: RealToricSpace) -> tuple[int, ...]:
-    """Mod-2 Betti numbers: the h-vector of the underlying complex."""
+    """Mod-2 Betti numbers: the h-vector of the underlying complex, which
+    they are when K is shellable (see integral_cohomology)."""
     return M.h_vector
 
 
@@ -181,11 +183,25 @@ def rational_betti(M: RealToricSpace) -> tuple[int, ...]:
 def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
     """Degreewise assembly: free ranks from the subcomplex sum, odd torsion
     copied, two-primary torsion doubled, and the order-two count solved from
-    the Betti bookkeeping.  Raises InternalConsistencyError if the solved
-    count goes negative or fails to close at the top degree."""
+    the Betti bookkeeping.  When the solved count goes negative or fails to
+    close at the top degree, raises InternalConsistencyError if K has a
+    shelling, and InputError if not: the h-vector is the mod-2 Betti vector
+    when K is Cohen-Macaulay over Z_2, which a shelling proves."""
     n = M.n
     b = M.rational_betti_numbers
     b2 = mod2_betti(M)
+
+    def check(ok: bool, degree: int, message: str) -> None:
+        if ok:
+            return
+        if M.shelling is None:
+            raise InputError(
+                f"even-torsion bookkeeping fails at degree {degree}: the mod-2 Betti "
+                "numbers are the h-vector only for a shellable complex, and no "
+                "shelling of K was found"
+            )
+        raise InternalConsistencyError(message)
+
     odd_torsion: dict[int, list[int]] = {q: [] for q in range(n + 1)}
     doubled: dict[int, list[int]] = {q: [] for q in range(n + 1)}
     for _, profile in M.omega_profiles:
@@ -199,22 +215,14 @@ def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
     mu = [0] * (n + 2)
     for q in range(n + 1):
         nxt = b2[q] - b[q] - mu[q]
-        if nxt < 0:
-            raise InternalConsistencyError(
-                f"negative even-torsion count at degree {q + 1}"
-            )
+        check(nxt >= 0, q + 1, f"negative even-torsion count at degree {q + 1}")
         mu[q + 1] = nxt
-    if mu[1] != 0:
-        raise InternalConsistencyError("degree-1 cohomology acquired torsion")
-    if mu[n + 1] != 0:
-        raise InternalConsistencyError("even-torsion count fails to close at the top")
+    check(mu[1] == 0, 1, "degree-1 cohomology acquired torsion")
+    check(mu[n + 1] == 0, n + 1, "even-torsion count fails to close at the top")
     groups = {}
     for q in range(n + 1):
         order_two = mu[q] - len(doubled[q])
-        if order_two < 0:
-            raise InternalConsistencyError(
-                f"doubled torsion exceeds the solved count at degree {q}"
-            )
+        check(order_two >= 0, q, f"doubled torsion exceeds the solved count at degree {q}")
         orders = odd_torsion[q] + doubled[q] + [2] * order_two
         g = FinAbGroup.from_orders(b[q], orders)
         if not g.is_trivial():

@@ -98,7 +98,7 @@ class GradedRingBasis:
             raise InternalConsistencyError(
                 f"matrix rank {self.n} != dim K + 1 = {K.dim + 1}"
             )
-        self.h = K.h_vector().h
+        self.h = K.h_vector()
 
         self._labels = K.labels
         self._label_pos = {v: i for i, v in enumerate(self._labels)}
@@ -119,11 +119,10 @@ class GradedRingBasis:
         # the low bit of every field, where an odd exponent shows
         self._low_bits = sum(1 << w * p for p in range(len(self._labels)))
         self._units = [1 << w * self._label_pos[v] for v in self.variables]
-        self._subst_units = {
-            v: [self._units[i] for i in bit_positions(b)] for v, b in self._subst.items()
-        }
-
-        self._gen_vectors_cache: dict[int, list[int]] = {}
+        # by bit position: the units whose sum is that label's generator
+        self._subst_units = [
+            [self._units[i] for i in bit_positions(self._subst[v])] for v in self._labels
+        ]
 
         self._monomials: dict[int, list[int]] = {}
         self._mono_index: dict[int, dict[int, int]] = {}
@@ -131,7 +130,6 @@ class GradedRingBasis:
         self._pivot_rows: dict[int, dict[int, int]] = {}
         self._basis_idx: dict[int, list[int]] = {}
         self._nf_rows: dict[int, list[int]] = {}
-        self._gen_class_cache: dict[int, RingClass] = {}
 
     # ----- combinatorial bookkeeping -------------------------------------
 
@@ -145,18 +143,16 @@ class GradedRingBasis:
 
     def _gen_vectors(self, d: int) -> list[int]:
         """Rewritten monomial-ideal generators of degree exactly d."""
-        if d not in self._gen_vectors_cache:
-            vectors = []
-            for gen in _minimal_nonfaces(self.K, d):
-                vec = 1
-                for deg, label in enumerate(gen):
-                    nxt = 0
-                    for unit in self._subst_units[label]:
-                        nxt ^= self._shift(deg, vec, unit)
-                    vec = nxt
-                vectors.append(vec)
-            self._gen_vectors_cache[d] = vectors
-        return self._gen_vectors_cache[d]
+        vectors = []
+        for gen in _minimal_nonfaces(self.K, d):
+            vec = 1
+            for deg, p in enumerate(bit_positions(gen)):
+                nxt = 0
+                for unit in self._subst_units[p]:
+                    nxt ^= self._shift(deg, vec, unit)
+                vec = nxt
+            vectors.append(vec)
+        return vectors
 
     def _shift(self, d: int, vec: int, key: int) -> int:
         """Multiply a degree-d vector over the monomials by a variable."""
@@ -256,14 +252,10 @@ class GradedRingBasis:
         return RingClass(d, self._reduce_vector(d, vec))
 
     def _generator_class(self, label: int) -> RingClass:
-        got = self._gen_class_cache.get(label)
-        if got is None:
-            if label not in self._label_pos:
-                raise InternalConsistencyError(f"unknown vertex label {label}")
-            self._ensure_degree(1)
-            got = RingClass(1, self._reduce_vector(1, self._subst[label]))
-            self._gen_class_cache[label] = got
-        return got
+        if label not in self._label_pos:
+            raise InternalConsistencyError(f"unknown vertex label {label}")
+        self._ensure_degree(1)
+        return RingClass(1, self._reduce_vector(1, self._subst[label]))
 
     def express(self, monomial) -> RingClass:
         """Normal form of a monomial given as vertex labels with repetition."""
@@ -333,10 +325,10 @@ class GradedRingBasis:
         return " + ".join(terms)
 
 
-def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[tuple[int, ...]]:
-    """Non-faces of `size` vertices whose proper subsets are all faces, by
-    mask.  Each is met once, as the face left when its highest vertex is
-    removed plus that vertex."""
+def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[int]:
+    """Vertex masks of the non-faces of `size` vertices whose proper subsets
+    are all faces, ascending.  Each is met once, as the face left when its
+    highest vertex is removed plus that vertex."""
     faces = K.all_face_masks()
     found = []
     for fm in K.face_masks(size - 2):
@@ -344,7 +336,7 @@ def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[tuple[int, ...]]:
             m = fm | 1 << b
             if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(fm)):
                 found.append(m)
-    return [tuple(K.labels[i] for i in bit_positions(m)) for m in sorted(found)]
+    return sorted(found)
 
 
 def sq1_degree(n: int, d: int, certified: bool) -> int:

@@ -8,7 +8,7 @@ ordering used everywhere downstream.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InternalConsistencyError
 
@@ -61,16 +61,10 @@ class BitVec:
     def unit(cls, length: int, i: int) -> "BitVec":
         return cls.from_support(length, (i,))
 
-    def __len__(self) -> int:
-        return self.length
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise InternalConsistencyError(f"index {i} outside [0, {self.length})")
         return (self.bits >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(self.length))
 
     def __add__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
@@ -78,12 +72,6 @@ class BitVec:
         return BitVec(self.length, self.bits ^ other.bits)
 
     __xor__ = __add__
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    def __str__(self) -> str:
-        return "".join(str(c) for c in self)
 
 
 @dataclass(frozen=True)
@@ -176,9 +164,6 @@ class BitMatrix:
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
-    def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(self.rows))
-
 
 def _transpose_bits(vectors: Sequence[int], length: int) -> list[int]:
     """The `length` ints t with bit k of t[i] equal to bit i of vectors[k].
@@ -245,29 +230,20 @@ def rank(a: BitMatrix) -> int:
     return sum(echelon_insert(rows, v) for v in a.row_bits)
 
 
-def row_space(a: BitMatrix) -> list[tuple[BitVec, BitVec]]:
-    """All elements of the row space, each paired with its coefficient vector.
+def row_space(a: BitMatrix) -> list[int]:
+    """All elements of the row space, as bit-packed ints over the columns.
 
-    Coefficients are taken over the lexicographically first maximal
-    independent subset of the rows; the result is ordered by ascending
-    coefficient bitmask and always starts with the zero vector.
+    Element k is the XOR of the basis rows at the set bits of k, where the
+    basis is the lexicographically first maximal independent subset of the
+    rows; the result always starts with the zero vector.
     """
     if a.rows > ROW_SPACE_GUARD:
         raise InputError(f"row count {a.rows} exceeds enumeration guard {ROW_SPACE_GUARD}")
     echelon: dict[int, int] = {}
-    basis = [v for v in a.row_bits if echelon_insert(echelon, v)]
-    r = len(basis)
-    out = []
-    for mask in range(1 << r):
-        bits = 0
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                bits ^= basis[k]
-            m >>= 1
-            k += 1
-        out.append((BitVec(a.cols, bits), BitVec(r, mask)))
+    out = [0]
+    for v in a.row_bits:
+        if echelon_insert(echelon, v):
+            out += [x ^ v for x in out]
     return out
 
 

@@ -1,10 +1,11 @@
 """Reduced simplicial cohomology with integer coefficients.
 
-The cohomology of a full subcomplex K_W is computed on K's own face masks:
-the q-faces of K_W are the q-face masks of K that lie inside the vertex mask
-of W, already in ascending mask order, and the coboundary rows are built
-from a W-local mask -> column map.  A nonempty W inside one facet spans a
-simplex and is answered without enumerating any face.
+The cohomology of a full subcomplex K_W is computed on K's own face masks,
+with W given as a vertex mask over K's labels: the q-faces of K_W are the
+q-face masks of K that lie inside W, already in ascending mask order, and
+the coboundary rows are built from a W-local mask -> column map.  A
+nonempty W inside one facet spans a simplex and is answered without
+enumerating any face.
 
 Everything is exact: Smith normal form runs on arbitrary-precision integers,
 taking unit pivots in one triangular pass over the sparse rows and falling
@@ -120,11 +121,6 @@ class CohomologyProfile:
 
     def mu(self, q: int) -> int:
         return self.group(q).mu()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CohomologyProfile):
-            return NotImplemented
-        return self.groups == other.groups
 
 
 def _coboundary_rows(faces: Sequence[int], cols: dict[int, int]) -> list[dict[int, int]]:
@@ -279,11 +275,12 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return out
 
 
-def reduced_cohomology(K: SimplicialComplex, w=None) -> CohomologyProfile:
+def reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> CohomologyProfile:
     """Reduced integral cohomology of the full subcomplex K_W on the vertex
-    labels ``w`` (default: all of K); for K_W = {empty face} only H^{-1}
-    survives."""
-    wm = (1 << K.vertex_count) - 1 if w is None else K._face_to_mask(w)
+    mask ``wm`` over K's labels (default: all of K); for K_W = {empty face}
+    only H^{-1} survives."""
+    if wm is None:
+        wm = (1 << K.vertex_count) - 1
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
     if any(wm & f == wm for f in K.facet_masks):

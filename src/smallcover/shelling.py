@@ -36,14 +36,12 @@ class ShellingBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Shelling:
-    """Verified facet order with restriction faces (both as label tuples)."""
+    """Verified facet order with restriction faces, both as vertex masks
+    over the complex's labels (SimplicialComplex.labels_of turns one into
+    labels)."""
 
-    complex: SimplicialComplex
-    order: tuple[tuple[int, ...], ...]
-    restriction: tuple[tuple[int, ...], ...]
-
-    def interval_size_total(self) -> int:
-        return sum(1 << (len(s) - len(r)) for s, r in zip(self.order, self.restriction))
+    order: tuple[int, ...]
+    restriction: tuple[int, ...]
 
 
 def _stars(K: SimplicialComplex) -> dict[int, int]:
@@ -68,14 +66,15 @@ def _is_old(d: int, placed: int, star: dict[int, int]) -> bool:
 
 
 def verify_shelling(K: SimplicialComplex, order) -> Shelling:
-    """Check a facet order and compute restriction faces.
+    """Check a facet order, given as label tuples as an order file holds
+    them, and compute restriction faces.
 
     Raises PropertyViolation at the first index where the new faces are not an
     interval above a nonempty union of ridges (index 1-based).
     """
     if not K.is_pure():
         raise InputError("shellings are defined for pure complexes")
-    masks = [K._face_to_mask(f) for f in order]
+    masks = [K.mask_of(f) for f in order]
     if sorted(masks) != sorted(K.facet_masks):
         raise PropertyViolation("order is not a permutation of the facets")
     return _verified(K, masks, _stars(K))
@@ -87,6 +86,7 @@ def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> S
     index = {fm: j for j, fm in enumerate(K.facet_masks)}
     placed = 0
     restriction = []
+    intervals = 0
     for idx, fm in enumerate(masks, start=1):
         # K is pure, so a ridge of fm lies in a placed facet exactly when a
         # placed facet holds it in the ridge table
@@ -103,16 +103,13 @@ def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> S
             raise PropertyViolation(f"shelling condition fails at index {idx}")
         restriction.append(d)
         placed |= 1 << index[fm]
-    shelling = Shelling(
-        K,
-        tuple(K._mask_to_face(m) for m in masks),
-        tuple(K._mask_to_face(r) for r in restriction),
-    )
-    if shelling.interval_size_total() != K.total_face_count():
+        # the interval [d, fm] holds 2^(|fm| - |d|) faces
+        intervals += 1 << (fm.bit_count() - d.bit_count())
+    if intervals != K.total_face_count():
         raise InternalConsistencyError(
             "restriction intervals do not partition the face set"
         )
-    return shelling
+    return Shelling(tuple(masks), tuple(restriction))
 
 
 def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelling | None:

@@ -1,26 +1,20 @@
 """Simplicial complexes as pure combinatorial face data.
 
 Vertex labels are positive integers and are never compacted: full
-subcomplexes and derived constructions keep the original labels so that
-vertex subsets coming from row-space elements index directly into the
-complex.  Faces are bit-packed over the declared label order internally.
+subcomplexes and derived constructions keep the original labels.  A vertex
+set is an int mask over the declared label order (bit i is the i-th label),
+and that is how vertex sets pass between modules.  mask_of and labels_of
+are the one place where a mask and its labels meet; outside this module
+they are called only to read an order file and to print a shelling or an
+error message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import InputError, InternalConsistencyError
-
-
-@dataclass(frozen=True)
-class FaceVector:
-    """f-vector (starting at f_{-1} = 1) and h-vector of a pure complex."""
-
-    f: tuple[int, ...]
-    h: tuple[int, ...]
 
 
 class SimplicialComplex:
@@ -52,25 +46,24 @@ class SimplicialComplex:
                 m |= 1 << self._index[v]
             masks.append(m)
         uniq = set(masks)
-        keep = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
-        dropped = len(keep) < len(masks)
-        masks = keep
+        masks = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
         if not masks:
             masks = [0]
-        pairs = sorted((self._mask_to_face(m), m) for m in masks)
+        pairs = sorted((self.labels_of(m), m) for m in masks)
         self._facets = tuple(face for face, _ in pairs)
         self._facet_masks = tuple(m for _, m in pairs)
-        self.dropped_generators = dropped
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
         self._ridge_table: dict[int, tuple[int, ...]] | None = None
 
-    def _mask_to_face(self, m: int) -> tuple[int, ...]:
+    def labels_of(self, m: int) -> tuple[int, ...]:
+        """The labels at the set bits of a vertex mask, in declared order."""
         return tuple(self._labels[i] for i in range(len(self._labels)) if (m >> i) & 1)
 
-    def _face_to_mask(self, face) -> int:
+    def mask_of(self, labels) -> int:
+        """The vertex mask of a set of labels: bit i is the i-th declared label."""
         m = 0
-        for v in face:
+        for v in labels:
             if v not in self._index:
                 raise InputError(f"unknown vertex label {v}")
             m |= 1 << self._index[v]
@@ -131,9 +124,6 @@ class SimplicialComplex:
         assert self._face_mask_set is not None
         return self._face_mask_set
 
-    def contains_face(self, face) -> bool:
-        return self._face_to_mask(face) in self.all_face_masks()
-
     def total_face_count(self) -> int:
         """Number of faces including the empty face."""
         return len(self.all_face_masks())
@@ -143,7 +133,8 @@ class SimplicialComplex:
         by_dim = self._faces_by_dim()
         return tuple(len(by_dim.get(d, ())) for d in range(-1, self.dim + 1))
 
-    def h_vector(self) -> FaceVector:
+    def h_vector(self) -> tuple[int, ...]:
+        """(h_0, ..., h_{dim+1}) of a pure complex."""
         if not self.is_pure():
             raise InternalConsistencyError("h-vector requires a pure complex")
         f = self.f_vector()
@@ -154,17 +145,17 @@ class SimplicialComplex:
             for j in range(i + 1):
                 total += (-1) ** (i - j) * comb(n - j, i - j) * f[j]
             h.append(total)
-        return FaceVector(f=f, h=tuple(h))
+        return tuple(h)
 
     def full_subcomplex(self, w) -> "SimplicialComplex":
         w = set(w)
         for v in w:
             if v not in self._index:
                 raise InternalConsistencyError(f"unknown vertex label {v} in subcomplex request")
-        wm = self._face_to_mask(w)
+        wm = self.mask_of(w)
         cut = {m & wm for m in self._facet_masks}
         sub_labels = [v for v in self._labels if v in w]
-        gens = [self._mask_to_face(m) for m in cut]
+        gens = [self.labels_of(m) for m in cut]
         return SimplicialComplex(sub_labels, gens)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
@@ -225,7 +216,7 @@ class SimplicialComplex:
         holders = self.ridge_table()[ridge]
         if len(holders) != 2:
             raise InternalConsistencyError(
-                f"ridge {self._mask_to_face(ridge)} lies in {len(holders)} facets, not 2"
+                f"ridge {self.labels_of(ridge)} lies in {len(holders)} facets, not 2"
             )
         a, b = (self._facet_masks[j] for j in holders)
         return (b if a == fm else a) ^ ridge
@@ -243,9 +234,6 @@ class SimplicialComplex:
 
     def __hash__(self) -> int:
         return hash((self._labels, self._facet_masks))
-
-    def __repr__(self) -> str:
-        return f"SimplicialComplex(labels={self._labels}, facets={self.facets})"
 
 
 def boundary_of_simplex(n: int) -> SimplicialComplex:

@@ -59,10 +59,12 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
     return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
 
 
-def mod2_reduced_cohomology(K: SimplicialComplex, w=None) -> CohomologyProfile:
-    """Reduced cohomology of K_W with Z_2 coefficients, dimensions in the
-    rank slot: GF(2) elimination of every coboundary, none cleared."""
-    wm = (1 << K.vertex_count) - 1 if w is None else K._face_to_mask(w)
+def mod2_reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> CohomologyProfile:
+    """Reduced cohomology of K_W with Z_2 coefficients, W a vertex mask over
+    K's labels, dimensions in the rank slot: GF(2) elimination of every
+    coboundary, none cleared."""
+    if wm is None:
+        wm = (1 << K.vertex_count) - 1
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
     if any(wm & f == wm for f in K.facet_masks):
@@ -84,7 +86,7 @@ def mod2_reduced_cohomology(K: SimplicialComplex, w=None) -> CohomologyProfile:
     groups = {}
     for q, fq in faces.items():
         free = len(fq) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        assert free >= 0, (K, w, q)
+        assert free >= 0, (K.labels, K.facets, wm, q)
         if free:
             groups[q] = FinAbGroup.free(free)
     return CohomologyProfile(groups)
@@ -126,13 +128,13 @@ def ridge_flip(K: SimplicialComplex, facet, i: int) -> int:
     u_i is the i-th vertex of the facet (1-based) in declared label order:
     the facet's mask bit order and the order K.facets lists it in.
     """
-    fm = K._face_to_mask(facet)
+    fm = K.mask_of(facet)
     if fm not in K.facet_masks:
         raise InternalConsistencyError(f"{tuple(sorted(facet))} is not a facet")
-    verts = K._mask_to_face(fm)
-    if not 1 <= i <= len(verts):
-        raise InternalConsistencyError(f"position {i} outside [1, {len(verts)}]")
-    p = K.flip_bit(fm, 1 << K._index[verts[i - 1]])
+    positions = bit_positions(fm)
+    if not 1 <= i <= len(positions):
+        raise InternalConsistencyError(f"position {i} outside [1, {len(positions)}]")
+    p = K.flip_bit(fm, 1 << positions[i - 1])
     return K.labels[p.bit_length() - 1]
 
 
@@ -142,7 +144,7 @@ def ridge_flip_support(chi: CharacteristicMatrix, facet, i: int) -> frozenset[in
     flip_supports."""
     K = chi.complex
     ridge_flip(K, facet, i)  # rejects a non-facet, a bad position or an open ridge
-    facet = K._mask_to_face(K._face_to_mask(facet))
+    facet = K.labels_of(K.mask_of(facet))
     return next(s for f, j, s in flip_supports(chi) if f == facet and j == i)
 
 
@@ -285,22 +287,27 @@ def circle_times_tetrahedron_boundary():
     return CharacteristicMatrix(K, BitMatrix.from_column_bits(4, cols))
 
 
-def critical_generators(shelling: Shelling, w) -> list[tuple[int, int]]:
+def interval_size_total(shelling: Shelling) -> int:
+    """Faces in the intervals [restriction face, facet] of a shelling."""
+    return sum(
+        1 << (fm.bit_count() - r.bit_count())
+        for fm, r in zip(shelling.order, shelling.restriction)
+    )
+
+
+def critical_generators(shelling: Shelling, wm: int) -> list[tuple[int, int]]:
     """Indices i (1-based) with facet_i intersect W equal to the restriction
-    face, each tagged with cochain degree |restriction| - 1."""
-    wset = set(w)
-    for v in wset:
-        if v not in shelling.complex.labels:
-            raise InputError(f"unknown vertex label {v}")
+    face, each tagged with cochain degree |restriction| - 1; W is a vertex
+    mask."""
     out = []
-    for i, (facet, restr) in enumerate(zip(shelling.order, shelling.restriction), start=1):
-        if set(facet) & wset == set(restr):
-            out.append((i, len(restr) - 1))
+    for i, (fm, restr) in enumerate(zip(shelling.order, shelling.restriction), start=1):
+        if fm & wm == restr:
+            out.append((i, restr.bit_count() - 1))
     return out
 
 
 def two_degree_concentration_check(
-    shelling: Shelling, coloring: dict[int, int], chi
+    K: SimplicialComplex, shelling: Shelling, coloring: dict[int, int], chi
 ) -> bool:
     """Critical generators for W = coloring preimage of chi sit in degrees
     |chi| - 2 and |chi| - 1; also re-checks the facet intersection sizes
@@ -308,10 +315,10 @@ def two_degree_concentration_check(
     chi = frozenset(chi)
     if len(chi) % 2:
         raise ValueError(f"chi {sorted(chi)} must be an even subset")
-    n = len(shelling.order[0]) if shelling.order else 0
+    n = shelling.order[0].bit_count() if shelling.order else 0
     n_plus_1 = n + 1
     w = {v for v, c in coloring.items() if c in chi}
-    for facet in shelling.order:
+    for facet in map(K.labels_of, shelling.order):
         facet_colors = {coloring[v] for v in facet}
         if len(facet_colors) != len(facet):
             return False
@@ -324,7 +331,7 @@ def two_degree_concentration_check(
         if len(eta) != expected:
             return False
     allowed = {len(chi) - 2, len(chi) - 1}
-    return all(deg in allowed for _, deg in critical_generators(shelling, w))
+    return all(deg in allowed for _, deg in critical_generators(shelling, K.mask_of(w)))
 
 
 def _restriction_mask(
@@ -382,7 +389,7 @@ def shelling_search_reference(
             prefix_idx.append(i)
             used[i] = True
             if len(prefix) == total:
-                return verify_shelling(K, [K._mask_to_face(m) for m in prefix]), placed
+                return verify_shelling(K, [K.labels_of(m) for m in prefix]), placed
             iters.append(iter(range(total)))
             break
         else:

@@ -27,6 +27,7 @@ from smallcover.gf2 import BitVec
 from smallcover.homology import FinAbGroup
 from oracles import (
     critical_generators,
+    interval_size_total,
     enumerate_gl,
     is_orientable_3d,
     mod2_reduced_cohomology,
@@ -219,7 +220,7 @@ def test_criterion_6_ring_dimension_law(spaces):
         checked += 1
     # monomial-ideal relations visibly kill non-edge products on the flagship
     M = spaces("bier9")
-    edges = {frozenset(M.complex._mask_to_face(m)) for m in M.complex.face_masks(1)}
+    edges = {frozenset(M.complex.labels_of(m)) for m in M.complex.face_masks(1)}
     nonedges = [
         (a, b)
         for i, a in enumerate(M.complex.labels)
@@ -260,8 +261,8 @@ def test_criterion_7_property_suites(spaces):
     # universal coefficients on all 256 flagship subcomplexes: the exact
     # integer results must match an independent GF(2) rank computation
     M = spaces("bier9")
-    for desc, integral in M.omega_profiles:
-        sub = M.complex.full_subcomplex(desc.support)
+    for wm, integral in M.omega_profiles:
+        sub = M.complex.full_subcomplex(M.complex.labels_of(wm))
         mod2 = mod2_reduced_cohomology(sub)
         for q in range(-1, sub.dim + 1):
             expected = (
@@ -269,18 +270,18 @@ def test_criterion_7_property_suites(spaces):
                 + integral.group(q).mu()
                 + integral.group(q + 1).mu()
             )
-            assert mod2.group(q).rank == expected, (sorted(desc.support), q)
+            assert mod2.group(q).rank == expected, (sub.labels, q)
     shell_names = ("rp3", "cross3", "cross4", "gon8", "deltas0", "bier9")
     for name in shell_names:
         M = spaces(name)
         s = M.shelling
         assert s is not None, name
-        assert s.interval_size_total() == M.complex.total_face_count(), name
+        assert interval_size_total(s) == M.complex.total_face_count(), name
     for name in ("rp3", "cross3mixed", "deltas0", "bier9"):
         M = spaces(name)
         s = M.shelling
-        for desc, profile in M.omega_profiles:
-            gens = critical_generators(s, desc.support)
+        for wm, profile in M.omega_profiles:
+            gens = critical_generators(s, wm)
             alt = sum(-1 if d % 2 else 1 for _, d in gens)
             assert alt == profile_euler_characteristic(profile), name
     concentration_checked = 0
@@ -295,7 +296,7 @@ def test_criterion_7_property_suites(spaces):
         n = M.n
         for size in range(0, n + 2, 2):
             for chi_set in combinations(range(1, n + 2), size):
-                assert two_degree_concentration_check(s, cls.coloring, chi_set), (
+                assert two_degree_concentration_check(M.complex, s, cls.coloring, chi_set), (
                     name,
                     chi_set,
                 )

@@ -23,7 +23,7 @@ from smallcover.charmap import (
 )
 from smallcover.cli import sample_random_instance
 from smallcover.errors import InternalConsistencyError
-from smallcover.gf2 import BitMatrix, BitVec, find_basis_change, rank
+from smallcover.gf2 import BitMatrix, BitVec, bit_positions, find_basis_change, rank
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -304,28 +304,35 @@ class TestClassifyViaFlips:
         assert classify_pullback(changed).label is PullbackLabel.SIMPLEX_PROPER
 
 
+def color_set(K, coloring, wm):
+    """The colors of the vertices in the mask wm."""
+    return frozenset(coloring[v] for v in K.labels_of(wm))
+
+
 class TestOmegaDescriptors:
     def test_boundary_simplex_two(self):
+        # element k has coefficient vector k; chi adds color n + 1 = 3 to
+        # an odd set of coefficient positions
         chi = lambda_boundary_simplex(2)
         cls = classify_pullback(chi)
-        descs = omega_descriptors(chi, cls.coloring)
-        assert len(descs) == 4
-        by_coeff = {d.coeffs.bits: d for d in descs}
-        rho1 = by_coeff[0b01]
-        assert rho1.support == {1, 3}
-        assert rho1.s_omega == {1}
-        assert rho1.chi_omega == {1, 3}
-        zero = by_coeff[0]
-        assert zero.support == frozenset()
-        assert zero.chi_omega == frozenset()
-        both = by_coeff[0b11]
-        assert both.support == {1, 2}
-        assert both.chi_omega == {1, 2}
+        K = chi.complex
+        supports = omega_descriptors(chi, cls.coloring)
+        assert len(supports) == 4
+        rho1 = supports[0b01]
+        assert K.labels_of(rho1) == (1, 3)
+        assert color_set(K, cls.coloring, rho1) == {1, 3}
+        zero = supports[0]
+        assert zero == 0
+        assert color_set(K, cls.coloring, zero) == frozenset()
+        both = supports[0b11]
+        assert K.labels_of(both) == (1, 2)
+        assert color_set(K, cls.coloring, both) == {1, 2}
 
     def test_even_subset_bijection(self):
         chi = lambda_boundary_simplex(3)
-        descs = omega_descriptors(chi, classify_pullback(chi).coloring)
-        chis = {d.chi_omega for d in descs}
+        coloring = classify_pullback(chi).coloring
+        supports = omega_descriptors(chi, coloring)
+        chis = {color_set(chi.complex, coloring, wm) for wm in supports}
         assert len(chis) == 8
         assert all(len(c) % 2 == 0 for c in chis)
 
@@ -341,16 +348,40 @@ class TestOmegaDescriptors:
         with pytest.raises(InternalConsistencyError):
             omega_descriptors(chi, bad)
 
+    def test_cross_check_names_labels(self, monkeypatch):
+        # a row space out of coefficient order breaks c^-1(chi) = support
+        chi = lambda_boundary_simplex(2)
+        coloring = classify_pullback(chi).coloring
+        real = charmap.row_space
+        monkeypatch.setattr(charmap, "row_space", lambda a: real(a)[::-1])
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"at coefficients 00: support \[1, 2\] != preimage \[\]$",
+        ):
+            omega_descriptors(chi, coloring)
+
     def test_canonical_order(self):
         chi = octahedron_linear()
-        descs = omega_descriptors(chi)
-        assert [d.coeffs.bits for d in descs] == list(range(8))
+        supports = omega_descriptors(chi)
+        rows = chi.matrix.row_bits
+        expected = []
+        for k in range(8):
+            omega = 0
+            for i in bit_positions(k):
+                omega ^= rows[i]
+            expected.append(omega)
+        assert supports == expected
+
+
+def coords(v):
+    """The coordinates of a BitVec, lowest index first."""
+    return tuple(v[i] for i in range(v.length))
 
 
 class TestBuilders:
     def test_lambda_boundary_simplex_columns(self):
         chi = lambda_boundary_simplex(2)
-        assert [tuple(chi.matrix.column(j)) for j in range(3)] == [
+        assert [coords(chi.matrix.column(j)) for j in range(3)] == [
             (1, 0), (0, 1), (1, 1),
         ]
 
@@ -358,13 +389,13 @@ class TestBuilders:
         seg = lambda_boundary_simplex(1)
         prod = block_product(seg, seg)
         assert prod.n == 2 and prod.m == 4
-        cols = [tuple(prod.matrix.column(j)) for j in range(4)]
+        cols = [coords(prod.matrix.column(j)) for j in range(4)]
         assert cols == [(1, 0), (1, 0), (0, 1), (0, 1)]
         assert classify_pullback(prod).label is PullbackLabel.LINEAR_MODEL
 
     def test_block_product_join_instance(self):
         chi = join_negative()
-        cols = [tuple(chi.matrix.column(j)) for j in range(5)]
+        cols = [coords(chi.matrix.column(j)) for j in range(5)]
         assert cols == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1)]
 
 
@@ -395,7 +426,7 @@ def check_facet_coordinates(chi):
         g = find_basis_change([column_for_label(chi, v) for v in facet], n)
         for i in range(1, n + 1):
             coeffs = g.apply(column_for_label(chi, ridge_flip(K, facet, i)))
-            expected.append((facet, i, frozenset(k + 1 for k in coeffs.support())))
+            expected.append((facet, i, frozenset(k + 1 for k in bit_positions(coeffs.bits))))
     assert list(flip_supports(chi)) == expected
 
 

@@ -149,7 +149,7 @@ class TestRingExitCodes:
         # a closed pseudomanifold that is no sphere: h = (1, 3, 6, 0) has no
         # one-dimensional top degree, so the ring's dimension law must fail
         chi, _ = sample_random_instance("rp2_6v", random.Random(0))
-        assert chi.complex.h_vector().h == (1, 3, 6, 0)
+        assert chi.complex.h_vector() == (1, 3, 6, 0)
         path = tmp_path / "rp2-6v-lambda.json"
         text = emit_instance("rp2-6v-lambda", chi.complex, chi)
         path.write_text(text, encoding="utf-8")
@@ -487,6 +487,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal consistency error: matrix is singular\n"
+
+    def test_unshellable_bookkeeping_failure_is_an_input_error(self, tmp_path, capsys):
+        # two disjoint edges: the h-vector (1, 2, -1) is not the mod-2 Betti
+        # vector, which only a shellable complex guarantees
+        doc = {
+            "name": "two-edges",
+            "n": 2,
+            "vertices": [1, 2, 3, 4],
+            "facets": [[1, 4], [2, 3]],
+            "lambda": [[1, 1, 1, 0], [0, 1, 0, 1]],
+        }
+        assert main(["analyze", self.write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: even-torsion bookkeeping fails at degree 2: the mod-2 "
+            "Betti numbers are the h-vector only for a shellable complex, and no "
+            "shelling of K was found\n"
+        )
+
+    def test_shellable_bookkeeping_failure_stays_internal(self, emit, monkeypatch, capsys):
+        # cross3 shells, so a wrong mod-2 Betti vector is a fault of the code
+        monkeypatch.setattr(cover, "mod2_betti", lambda M: (1, 0, 0, 1))
+        assert main(["analyze", emit("cross3")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal consistency error: negative even-torsion count at degree 2\n"
+        )
 
     def test_row_space_guard_fires_before_any_cohomology(self, tmp_path, monkeypatch, capsys):
         def boom(*args):

@@ -14,13 +14,26 @@ The same parse keeps one exception class per exit code: the three classes
 in errors.py, the shelling budget class with its own message, and
 charmap.CharMapError, an InputError, are the only exception classes, and
 every raise names one of them.
+
+The static walk counts every dunder as reached and follows names, not
+calls, so a second check runs a fixed set of commands under a tracer and
+requires every function of the package, dunders and nested functions
+included, to be entered.  A third parse keeps each module's private
+attributes its own: a single-underscore attribute read on anything but
+self or cls must be defined in the same module.
 """
 
 import ast
 import builtins
+import contextlib
+import io
+import json
+import sys
 from pathlib import Path
 
 import smallcover
+from smallcover.catalog import catalog
+from smallcover.cli import main
 
 PACKAGE = Path(smallcover.__file__).parent
 ROOTS = {"main", "build_parser"}
@@ -228,4 +241,141 @@ def test_exception_guard_reports_stray_classes_and_raises(tmp_path):
         "class LibError(ValueError)",
         "lib.py:14 raises LibError",
         "lib.py:16 re-raises what it caught",
+    ]
+
+
+# Functions the runtime check may find unentered, with the reason.
+NOT_ENTERED = {
+    # entered only when some K_W has torsion, and no catalog K_W has any; the
+    # sympy Smith normal form oracles in test_homology cover it
+    ("homology.py", "_dense_snf"),
+    # a class that defines __eq__ alone loses hashing, so it stays defined
+    # although no command hashes a complex
+    ("simplicial.py", "SimplicialComplex.__hash__"),
+}
+
+RUNTIME_COMPLEXES = ("rp2", "cross3mixed", "cross3notsimplex", "deltas0", "gon6klein", "rp2_6v")
+
+
+def defined_functions(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    """(file name, qualified name as in code.co_qualname) of every function
+    the package defines, methods and nested functions included."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.add((path.name, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def entered_functions(argvs) -> set[tuple[str, str]]:
+    """(file name, co_qualname) of every package function entered while
+    cli.main runs each argv under sys.settrace; output is discarded."""
+    codes = {}
+
+    def trace(frame, event, arg):
+        # called on each new frame only; None leaves the frame untraced
+        code = frame.f_code
+        codes[id(code)] = code
+
+    catalog.cache_clear()  # the builders run again, inside the trace
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in argvs:
+            sys.settrace(trace)
+            try:
+                main(argv)
+            finally:
+                sys.settrace(None)
+    root = PACKAGE.resolve()
+    return {
+        (Path(code.co_filename).name, code.co_qualname)
+        for code in codes.values()
+        if Path(code.co_filename).resolve().parent == root
+    }
+
+
+def test_every_function_is_entered_by_a_command(tmp_path):
+    argvs = [["catalog", "list"], ["table1"], ["fuzz", "--complex", "cross3", "--samples", "5"]]
+    for name in RUNTIME_COMPLEXES:
+        path = tmp_path / f"{name}.json"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["catalog", "emit", name]) == 0
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        argvs += [
+            ["analyze", str(path)],
+            ["analyze", str(path), "--format", "json"],
+            ["shelling", str(path)],
+            ["bier", str(path)],
+        ]
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps([[1, 2], [1, 3], [2, 3]]), encoding="utf-8")
+    argvs.append(["shelling", str(tmp_path / "rp2.json"), "--order", str(order)])
+    missing = defined_functions() - entered_functions(argvs)
+    assert missing == NOT_ENTERED, sorted(missing - NOT_ENTERED)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_reads(package: Path = PACKAGE) -> list[str]:
+    """'file:line expression' for each single-underscore attribute read on
+    something other than self or cls that its module does not define as a
+    def, a class or a stored attribute."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFS):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and _is_private(node.attr)
+                and node.attr not in defined
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                out.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return out
+
+
+def test_no_module_reads_another_modules_privates():
+    assert foreign_private_reads() == []
+
+
+def test_private_guard_reports_reads_across_modules(tmp_path):
+    (tmp_path / "box.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, other):\n"
+        "        self._size = 1\n"
+        "        self.__dict__.update()\n"
+        "        self.bigger = other._size + self._size\n"
+        "    def _grow(self):\n"
+        "        return self._missing\n"
+    )
+    (tmp_path / "user.py").write_text(
+        "from . import box\n"
+        "def use(b, cls):\n"
+        "    b._grow()\n"
+        "    b._size = 2\n"
+        "    return box._helper, b._size, cls._anything\n"
+    )
+    assert foreign_private_reads(tmp_path) == [
+        "user.py:3 b._grow",
+        "user.py:5 box._helper",
     ]

@@ -30,6 +30,7 @@ from smallcover.simplicial import (
 from oracles import (
     circle_times_tetrahedron_boundary,
     critical_generators,
+    interval_size_total,
     profile_euler_characteristic,
     shelling_search_reference,
     two_degree_concentration_check,
@@ -40,7 +41,7 @@ class TestVerify:
     def test_triangle_boundary_restrictions(self):
         K = boundary_of_simplex(2)
         s = verify_shelling(K, [(1, 2), (1, 3), (2, 3)])
-        assert s.restriction == ((), (3,), (2, 3))
+        assert labelled(K, s)[1] == ((), (3,), (2, 3))
 
     def test_every_order_of_simplex_boundary_shells(self):
         for n in (2, 3):
@@ -65,7 +66,7 @@ class TestVerify:
     def test_interval_partition_count(self):
         K = cross_polytope_boundary(3)
         s = find_shelling(K)
-        assert s.interval_size_total() == K.total_face_count()
+        assert interval_size_total(s) == K.total_face_count()
 
 
 class TestSearch:
@@ -73,9 +74,10 @@ class TestSearch:
         assert find_shelling(boundary_of_simplex(3)) is not None
 
     def test_octahedron(self):
-        s = find_shelling(cross_polytope_boundary(3))
+        K = cross_polytope_boundary(3)
+        s = find_shelling(K)
         assert s is not None
-        verify_shelling(s.complex, list(s.order))
+        verify_shelling(K, labelled(K, s)[0])
 
     def test_disjoint_triangles_not_shellable(self):
         K = SimplicialComplex(range(1, 7), [(1, 2, 3), (4, 5, 6)])
@@ -84,7 +86,7 @@ class TestSearch:
     def test_round_trip(self):
         K = cross_polytope_boundary(4)
         s = find_shelling(K)
-        again = verify_shelling(K, list(s.order))
+        again = verify_shelling(K, labelled(K, s)[0])
         assert again.restriction == s.restriction
 
     def test_budget_counts_facet_placements(self):
@@ -117,10 +119,10 @@ class TestSearch:
     def test_restriction_histogram_is_h_vector(self):
         for K in (boundary_of_simplex(4), cross_polytope_boundary(4)):
             s = find_shelling(K)
-            h = K.h_vector().h
+            h = K.h_vector()
             hist = [0] * len(h)
             for r in s.restriction:
-                hist[len(r)] += 1
+                hist[r.bit_count()] += 1
             assert hist == list(h)
 
 
@@ -132,20 +134,20 @@ class TestCriticalGenerators:
         # the reduced Euler characteristic of the circle
         K = boundary_of_simplex(2)
         s = verify_shelling(K, [(1, 2), (1, 3), (2, 3)])
-        gens = critical_generators(s, {1, 2, 3})
+        gens = critical_generators(s, K.mask_of({1, 2, 3}))
         assert gens == [(3, 1)]
 
     def test_empty_set(self):
         K = boundary_of_simplex(2)
         s = verify_shelling(K, [(1, 2), (1, 3), (2, 3)])
-        assert critical_generators(s, set()) == [(1, -1)]
+        assert critical_generators(s, K.mask_of(set())) == [(1, -1)]
 
     def test_alternating_count_is_reduced_euler_of_subcomplex(self):
         K = cross_polytope_boundary(3)
         s = find_shelling(K)
         for size in range(7):
             for w in combinations(K.labels, size):
-                gens = critical_generators(s, w)
+                gens = critical_generators(s, K.mask_of(w))
                 total = sum(-1 if d % 2 else 1 for _, d in gens)
                 sub = K.full_subcomplex(w)
                 assert total == profile_euler_characteristic(reduced_cohomology(sub))
@@ -157,7 +159,7 @@ class TestConcentration:
         K = chi.complex
         s = find_shelling(K)
         coloring = classify_pullback(chi).coloring
-        assert two_degree_concentration_check(s, coloring, {1, 2})
+        assert two_degree_concentration_check(K, s, coloring, {1, 2})
 
     def test_all_even_subsets_on_pullbacks(self):
         for n in (2, 3, 4):
@@ -166,19 +168,21 @@ class TestConcentration:
             coloring = classify_pullback(chi).coloring
             for size in range(0, n + 2, 2):
                 for chi_set in combinations(range(1, n + 2), size):
-                    assert two_degree_concentration_check(s, coloring, chi_set)
+                    assert two_degree_concentration_check(chi.complex, s, coloring, chi_set)
 
     def test_empty_chi(self):
         chi = lambda_boundary_simplex(2)
         s = find_shelling(chi.complex)
         coloring = classify_pullback(chi).coloring
-        assert two_degree_concentration_check(s, coloring, ())
+        assert two_degree_concentration_check(chi.complex, s, coloring, ())
 
     def test_odd_chi_rejected(self):
         chi = lambda_boundary_simplex(2)
         s = find_shelling(chi.complex)
         with pytest.raises(ValueError):
-            two_degree_concentration_check(s, classify_pullback(chi).coloring, {1})
+            two_degree_concentration_check(
+                chi.complex, s, classify_pullback(chi).coloring, {1}
+            )
 
 
 # sha256 of `smallcover shelling FILE` stdout for each catalog entry's emitted
@@ -225,11 +229,16 @@ SHELLING_STDOUT_PINS = {
 }
 
 
+def labelled(K, s):
+    """A shelling's order and restriction faces as label tuples."""
+    return tuple(map(K.labels_of, s.order)), tuple(map(K.labels_of, s.restriction))
+
+
 def ridge_outcome(K):
     """(shelling search result, closed pseudomanifold, strongly connected)."""
     try:
         s = find_shelling(K)
-        found = None if s is None else (s.order, s.restriction)
+        found = None if s is None else labelled(K, s)
     except InputError as exc:
         found = ("InputError", str(exc))
     return found, K.is_closed_pseudomanifold(), K.is_strongly_connected()
@@ -240,7 +249,7 @@ def verify_outcomes(K):
     out = []
     for order in permutations(K.facets):
         try:
-            out.append(verify_shelling(K, list(order)).restriction)
+            out.append(labelled(K, verify_shelling(K, list(order)))[1])
         except PropertyViolation as exc:
             out.append(str(exc))
     return out
@@ -353,13 +362,13 @@ def bistellar_moves(K):
     size = K.dim + 1
     out = []
     for k in range(2, size):
-        for sigma in map(K._mask_to_face, K.face_masks(k - 1)):
+        for sigma in map(K.labels_of, K.face_masks(k - 1)):
             link = [set(f) - set(sigma) for f in K.facets if set(sigma) <= set(f)]
             tau = set().union(*link)
             if (
                 len(tau) == size + 1 - k
                 and len(link) == len(tau)
-                and not K.contains_face(sorted(tau))
+                and K.mask_of(tau) not in K.all_face_masks()
             ):
                 out.append((sigma, tuple(sorted(tau))))
     return out

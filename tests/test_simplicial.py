@@ -22,12 +22,10 @@ class TestConstruction:
         K = SimplicialComplex([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
         assert K.facets == ((1, 2), (1, 3), (2, 3))
         assert K.dim == 1
-        assert not K.dropped_generators
 
     def test_containment_normalization(self):
         K = SimplicialComplex([1, 2, 3], [(1, 2, 3), (1, 2)])
         assert K.facets == ((1, 2, 3),)
-        assert K.dropped_generators
 
     def test_empty_complex_convention(self):
         K = SimplicialComplex([1, 2], [])
@@ -50,14 +48,14 @@ class TestConstruction:
 
 class TestVectors:
     def test_triangle_boundary_h(self):
-        fv = boundary_of_simplex(2).h_vector()
-        assert fv.f == (1, 3, 3)
-        assert fv.h == (1, 1, 1)
+        K = boundary_of_simplex(2)
+        assert K.f_vector() == (1, 3, 3)
+        assert K.h_vector() == (1, 1, 1)
 
     def test_octahedron_h(self):
-        fv = octahedron().h_vector()
-        assert fv.f == (1, 6, 12, 8)
-        assert fv.h == (1, 3, 3, 1)
+        K = octahedron()
+        assert K.f_vector() == (1, 6, 12, 8)
+        assert K.h_vector() == (1, 3, 3, 1)
 
     def test_non_pure_rejected(self):
         K = SimplicialComplex([1, 2, 3, 4], [(1, 2, 3), (1, 4)])
@@ -99,9 +97,24 @@ class TestFullSubcomplex:
         small = K.full_subcomplex({1, 2, 3})
         large = K.full_subcomplex({1, 2, 3, 4})
         assert set(small.all_face_masks()) and all(
-            large.contains_face(small._mask_to_face(m))
+            large.mask_of(small.labels_of(m)) in large.all_face_masks()
             for m in small.all_face_masks()
         )
+
+
+class TestMaskBoundary:
+    def test_bits_follow_declared_order(self):
+        K = SimplicialComplex([6, 5, 4, 3, 2, 1], octahedron().facets)
+        assert K.mask_of((6,)) == 1
+        assert K.mask_of({4, 6}) == 0b101
+        assert K.labels_of(0b101) == (6, 4)
+        for fm, facet in zip(K.facet_masks, K.facets):
+            assert K.mask_of(facet) == fm
+            assert K.labels_of(fm) == facet
+
+    def test_unknown_label(self):
+        with pytest.raises(InputError, match=r"^unknown vertex label 9$"):
+            boundary_of_simplex(2).mask_of({1, 9})
 
 
 class TestJoin:
@@ -193,7 +206,7 @@ class TestRidgeFlip:
         for facet in K.facets:
             for i in range(1, 4):
                 p = ridge_flip(K, facet, i)
-                other = K._mask_to_face(K._face_to_mask(set(facet) - {facet[i - 1]} | {p}))
+                other = K.labels_of(K.mask_of(set(facet) - {facet[i - 1]} | {p}))
                 assert other in K.facets
                 assert ridge_flip(K, other, other.index(p) + 1) == facet[i - 1]
 
@@ -231,7 +244,7 @@ class TestJoinHVector:
         a = boundary_of_simplex(2)
         b = SimplicialComplex([1, 2], [(1,), (2,)])
         joined = a.join(b)
-        ha, hb, hj = a.h_vector().h, b.h_vector().h, joined.h_vector().h
+        ha, hb, hj = a.h_vector(), b.h_vector(), joined.h_vector()
         prod = [0] * (len(ha) + len(hb) - 1)
         for i, x in enumerate(ha):
             for j, y in enumerate(hb):
@@ -284,5 +297,5 @@ class TestFaceOrder:
     def test_facets_are_stored_in_label_order(self):
         for K in self.complexes():
             assert K.facets is K.facets
-            assert K.facets == tuple(K._mask_to_face(m) for m in K.facet_masks)
+            assert K.facets == tuple(K.labels_of(m) for m in K.facet_masks)
             assert list(K.facets) == sorted(K.facets)
