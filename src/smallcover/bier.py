@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .charmap import CharacteristicMatrix
 from .errors import InputError, InternalConsistencyError
-from .gf2 import BitMatrix, BitVec, bit_positions
+from .gf2 import BitMatrix, bit_positions
 from .simplicial import SimplicialComplex
 
 
@@ -50,15 +50,15 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     return sphere
 
 
-def lambda_bier(ell: int) -> BitMatrix:
-    """Canonical columns over 2l labels: label i and l+i share e_i for
-    i < l, and the two copies of label l carry the all-ones sum."""
+def lambda_bier(ell: int) -> list[int]:
+    """Canonical columns over 2l labels, as ints over l - 1 rows: label i
+    and l+i share e_i for i < l, and the two copies of label l carry the
+    all-ones sum."""
     if ell < 2:
         raise InternalConsistencyError("need a ground set of at least 2")
     n = ell - 1
-    ones = BitVec(n, (1 << n) - 1)
-    half = [BitVec.unit(n, i) for i in range(n)] + [ones]
-    return BitMatrix.from_columns(half + half)
+    half = [1 << i for i in range(n)] + [(1 << n) - 1]
+    return half + half
 
 
 def bier_instance(K: SimplicialComplex) -> tuple[SimplicialComplex, CharacteristicMatrix]:
@@ -69,8 +69,8 @@ def bier_instance(K: SimplicialComplex) -> tuple[SimplicialComplex, Characterist
     ghosts = set(sphere.ghost_labels())
     used = [v for v in sphere.labels if v not in ghosts]
     trimmed = sphere.full_subcomplex(used) if ghosts else sphere
-    cols = [full.column(v - 1) for v in used]
-    chi = CharacteristicMatrix(trimmed, BitMatrix.from_columns(cols))
+    cols = [full[v - 1] for v in used]
+    chi = CharacteristicMatrix(trimmed, BitMatrix.from_column_bits(ell - 1, cols))
     return trimmed, chi
 
 

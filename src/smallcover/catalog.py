@@ -15,7 +15,7 @@ from functools import cache
 from . import bier
 from .charmap import CharacteristicMatrix, block_product, lambda_boundary_simplex
 from .errors import InputError
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 from .simplicial import SimplicialComplex, cross_polytope_boundary, polygon
 
 
@@ -33,33 +33,32 @@ class CatalogEntry:
 
 def _cross_linear(n: int) -> CharacteristicMatrix:
     K = cross_polytope_boundary(n)
-    cols = [BitVec.unit(n, i) for i in range(n)] * 2
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+    cols = [1 << i for i in range(n)] * 2
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols))
 
 
 def _cross_mixed(n: int) -> CharacteristicMatrix:
     K = cross_polytope_boundary(n)
-    ones = BitVec(n, (1 << n) - 1)
-    cols = [BitVec.unit(n, i) for i in range(n)]
-    cols += [BitVec.unit(n, i) for i in range(n - 1)] + [ones]
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+    cols = [1 << i for i in range(n)]
+    cols += [1 << i for i in range(n - 1)] + [(1 << n) - 1]
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols))
 
 
 def _cross3_negative() -> CharacteristicMatrix:
     K = cross_polytope_boundary(3)
-    e1, e2, e3 = (BitVec.unit(3, i) for i in range(3))
-    cols = [e1, e2, e3, e1, e1 + e2, e1 + e2 + e3]
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+    e1, e2, e3 = 0b001, 0b010, 0b100
+    cols = [e1, e2, e3, e1, e1 ^ e2, e1 ^ e2 ^ e3]
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(3, cols))
 
 
 def _polygon_lambda(m: int, twist: bool) -> CharacteristicMatrix:
     K = polygon(m)
-    e1, e2 = BitVec.unit(2, 0), BitVec.unit(2, 1)
-    both = e1 + e2
+    e1, e2 = 0b01, 0b10
+    both = e1 ^ e2
     cols = [e1 if i % 2 == 0 else e2 for i in range(m)]
     if m % 2 or twist:
         cols[-1] = both
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(2, cols))
 
 
 def _rp2_six_vertex() -> SimplicialComplex:
@@ -72,9 +71,7 @@ def _rp2_six_vertex() -> SimplicialComplex:
 
 def _join_negative() -> CharacteristicMatrix:
     s0 = SimplicialComplex([1, 2], [(1,), (2,)])
-    chi_s0 = CharacteristicMatrix(
-        s0, BitMatrix.from_columns([BitVec.unit(1, 0), BitVec.unit(1, 0)])
-    )
+    chi_s0 = CharacteristicMatrix(s0, BitMatrix.from_column_bits(1, [1, 1]))
     return block_product(lambda_boundary_simplex(2), chi_s0)
 
 

@@ -17,7 +17,6 @@ from functools import cached_property
 from .errors import InputError, InternalConsistencyError
 from .gf2 import (
     BitMatrix,
-    BitVec,
     bit_positions,
     echelon_insert,
     find_basis_change,
@@ -131,14 +130,13 @@ def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
 class PullbackClass:
     """Classification of a characteristic matrix with an optional witness.
 
-    The witness is a basis change G and a coloring c mapping vertex labels to
-    1..n+1 such that applying G to every column and reading off standard
-    vectors (color i) or the all-ones sum (color n+1) reproduces c.
+    The witness is a coloring c mapping vertex labels to 1..n+1 such that
+    some basis change G takes every column to the standard vector e_i
+    (color i) or to the all-ones sum (color n+1).
     """
 
     label: PullbackLabel
     is_simplex_pullback: bool
-    basis_change: BitMatrix | None = None
     coloring: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -152,19 +150,20 @@ def _distinct_columns(M: CharacteristicMatrix) -> list[int]:
     return sorted(set(M.matrix.column_bits()))
 
 
-def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int]]:
-    """Basis change plus coloring for a matrix whose image fits the simplex model."""
+def _pullback_witness(M: CharacteristicMatrix) -> dict[int, int]:
+    """The coloring of a matrix whose image fits the simplex model, read
+    off the images of its columns under the basis change G that sends the
+    first basis of distinct columns to e_1, ..., e_n."""
     n = M.n
     distinct = _distinct_columns(M)
     echelon: dict[int, int] = {}
     basis = [v for v in distinct if echelon_insert(echelon, v)]
     if len(basis) != n:
         raise InternalConsistencyError("columns do not span the full space")
-    g = find_basis_change([BitVec(n, b) for b in basis], n)
+    g = find_basis_change(basis, n)
     all_ones = (1 << n) - 1
     coloring: dict[int, int] = {}
-    for label, col in zip(M.complex.labels, M.matrix.column_bits()):
-        image = g.apply(BitVec(n, col)).bits
+    for label, image in zip(M.complex.labels, (g @ M.matrix).column_bits()):
         if image.bit_count() == 1:
             coloring[label] = image.bit_length()
         elif image == all_ones:
@@ -174,7 +173,7 @@ def _pullback_witness(M: CharacteristicMatrix) -> tuple[BitMatrix, dict[int, int
                 "witness construction failed: column image is neither a standard "
                 "vector nor the all-ones sum"
             )
-    return g, coloring
+    return coloring
 
 
 def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
@@ -185,14 +184,12 @@ def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
     if rank(d_matrix) != n:
         raise InternalConsistencyError("no facet provides a basis: distinct columns have low rank")
     if len(distinct) == n:
-        g, coloring = _pullback_witness(M)
-        return PullbackClass(PullbackLabel.LINEAR_MODEL, True, g, coloring)
+        return PullbackClass(PullbackLabel.LINEAR_MODEL, True, _pullback_witness(M))
     total = 0
     for v in distinct:
         total ^= v
     if len(distinct) == n + 1 and total == 0:
-        g, coloring = _pullback_witness(M)
-        return PullbackClass(PullbackLabel.SIMPLEX_PROPER, True, g, coloring)
+        return PullbackClass(PullbackLabel.SIMPLEX_PROPER, True, _pullback_witness(M))
     return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
 
 
@@ -242,9 +239,8 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
         all_identity = False
         if s != full:
             return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
-    g, coloring = _pullback_witness(M)
     label = PullbackLabel.LINEAR_MODEL if all_identity else PullbackLabel.SIMPLEX_PROPER
-    return PullbackClass(label, True, g, coloring)
+    return PullbackClass(label, True, _pullback_witness(M))
 
 
 def omega_descriptors(
@@ -296,9 +292,8 @@ def lambda_boundary_simplex(n: int) -> CharacteristicMatrix:
     e_1, ..., e_n and e_1 + ... + e_n."""
     from .simplicial import boundary_of_simplex
 
-    cols = [BitVec.unit(n, i) for i in range(n)]
-    cols.append(BitVec(n, (1 << n) - 1))
-    return CharacteristicMatrix(boundary_of_simplex(n), BitMatrix.from_columns(cols))
+    cols = [1 << i for i in range(n)] + [(1 << n) - 1]
+    return CharacteristicMatrix(boundary_of_simplex(n), BitMatrix.from_column_bits(n, cols))
 
 
 def block_product(M1: CharacteristicMatrix, M2: CharacteristicMatrix) -> CharacteristicMatrix:

@@ -1,14 +1,16 @@
 """Exact linear algebra over the two-element field.
 
-Vectors are bit-packed into Python integers: coordinate i is bit i, so low
-index = low bit and reading a vector as a binary integer gives the canonical
-ordering used everywhere downstream.  All values are immutable.
+A vector is a Python int: coordinate i is bit i, so low index = low bit
+and reading a vector as a binary integer gives the canonical ordering used
+everywhere downstream.  A matrix is a BitMatrix, one such int per row; its
+columns are ints too (column_bits, from_column_bits).  All values are
+immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
 
@@ -20,58 +22,6 @@ from .errors import InputError, InternalConsistencyError
 # n = 18: memory grows about fourfold per two rows.  The catalog's largest n
 # is 8.
 ROW_SPACE_GUARD = 16
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Vector over GF(2) of a fixed length."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise InternalConsistencyError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
-            raise InternalConsistencyError(
-                f"bits 0b{self.bits:b} out of range for length {self.length}"
-            )
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVec":
-        bits = 0
-        n = 0
-        for c in coords:
-            if c not in (0, 1):
-                raise InternalConsistencyError(f"coordinate {c!r} is not 0 or 1")
-            bits |= c << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise InternalConsistencyError(f"support index {i} outside [0, {length})")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @classmethod
-    def unit(cls, length: int, i: int) -> "BitVec":
-        return cls.from_support(length, (i,))
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise InternalConsistencyError(f"index {i} outside [0, {self.length})")
-        return (self.bits >> i) & 1
-
-    def __add__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise InternalConsistencyError(f"length mismatch {self.length} != {other.length}")
-        return BitVec(self.length, self.bits ^ other.bits)
-
-    __xor__ = __add__
 
 
 @dataclass(frozen=True)
@@ -92,29 +42,22 @@ class BitMatrix:
                 raise InternalConsistencyError(f"row 0b{r:b} out of range for {self.cols} columns")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVec]) -> "BitMatrix":
-        if not rows:
-            return cls(0, 0, ())
-        cols = rows[0].length
-        if any(r.length != cols for r in rows):
-            raise InternalConsistencyError("rows have unequal lengths")
-        return cls(len(rows), cols, tuple(r.bits for r in rows))
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
+    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
+        """The matrix with these 0/1 rows; entry j of a row is bit j."""
         if not entries:
-            return cls(0, cols or 0, ())
-        vecs = [BitVec.from_coords(row) for row in entries]
-        return cls.from_rows(vecs)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[BitVec]) -> "BitMatrix":
-        if not columns:
             return cls(0, 0, ())
-        n = columns[0].length
-        if any(c.length != n for c in columns):
-            raise InternalConsistencyError("columns have unequal lengths")
-        return cls.from_column_bits(n, [c.bits for c in columns])
+        cols = len(entries[0])
+        rows = []
+        for row in entries:
+            if len(row) != cols:
+                raise InternalConsistencyError("rows have unequal lengths")
+            bits = 0
+            for j, c in enumerate(row):
+                if c not in (0, 1):
+                    raise InternalConsistencyError(f"coordinate {c!r} is not 0 or 1")
+                bits |= c << j
+            rows.append(bits)
+        return cls(len(rows), cols, tuple(rows))
 
     @classmethod
     def from_column_bits(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
@@ -124,29 +67,9 @@ class BitMatrix:
                 raise InternalConsistencyError(f"column 0b{c:b} out of range for {rows} rows")
         return cls(rows, len(columns), tuple(_transpose_bits(columns, rows)))
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> BitVec:
-        if not 0 <= j < self.cols:
-            raise InternalConsistencyError(f"column {j} outside [0, {self.cols})")
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r >> j) & 1) << i
-        return BitVec(self.rows, bits)
-
     def column_bits(self) -> list[int]:
         """Every column as a bit-packed int (bit i is row i), in one pass."""
         return _transpose_bits(self.row_bits, self.cols)
-
-    def apply(self, x: BitVec) -> BitVec:
-        """Matrix-vector product A @ x with x a column vector."""
-        if x.length != self.cols:
-            raise InternalConsistencyError(f"vector length {x.length} != column count {self.cols}")
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r & x.bits).bit_count() & 1) << i
-        return BitVec(self.rows, bits)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -271,14 +194,12 @@ def invert(a: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(inv))
 
 
-def find_basis_change(vectors: Sequence[BitVec], n: int) -> BitMatrix:
+def find_basis_change(vectors: Sequence[int], n: int) -> BitMatrix:
     """Invertible G with G @ vectors[i] = e_{i+1} for n independent vectors."""
     if len(vectors) != n:
         raise InternalConsistencyError(f"expected {n} vectors, got {len(vectors)}")
-    for v in vectors:
-        if v.length != n:
-            raise InternalConsistencyError(f"vector length {v.length} != {n}")
+    columns = BitMatrix.from_column_bits(n, vectors)
     try:
-        return invert(BitMatrix.from_columns(list(vectors)))
+        return invert(columns)
     except InternalConsistencyError:
         raise InternalConsistencyError("vectors are linearly dependent") from None

@@ -275,12 +275,10 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return out
 
 
-def reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> CohomologyProfile:
+def reduced_cohomology(K: SimplicialComplex, wm: int) -> CohomologyProfile:
     """Reduced integral cohomology of the full subcomplex K_W on the vertex
-    mask ``wm`` over K's labels (default: all of K); for K_W = {empty face}
-    only H^{-1} survives."""
-    if wm is None:
-        wm = (1 << K.vertex_count) - 1
+    mask ``wm`` over K's labels; for K_W = {empty face} only H^{-1}
+    survives."""
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
     if any(wm & f == wm for f in K.facet_masks):

@@ -102,7 +102,7 @@ def emit_instance(
         "vertices": list(K.labels),
         "facets": [list(f) for f in facets],
         "lambda": [
-            [chi.matrix.row(i)[j] for j in range(chi.m)] for i in range(chi.n)
+            [row >> j & 1 for j in range(chi.m)] for row in chi.matrix.row_bits
         ]
         if chi is not None
         else None,

@@ -45,10 +45,7 @@ class SimplicialComplex:
                     raise InputError(f"undeclared vertex label {v} in generator {gen}")
                 m |= 1 << self._index[v]
             masks.append(m)
-        uniq = set(masks)
-        masks = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
-        if not masks:
-            masks = [0]
+        masks = _maximal(masks, len(labels)) or [0]
         pairs = sorted((self.labels_of(m), m) for m in masks)
         self._facets = tuple(face for face, _ in pairs)
         self._facet_masks = tuple(m for _, m in pairs)
@@ -234,6 +231,41 @@ class SimplicialComplex:
 
     def __hash__(self) -> int:
         return hash((self._labels, self._facet_masks))
+
+
+def _maximal(masks, vertex_count: int) -> list[int]:
+    """The distinct masks that no other mask holds.
+
+    Masks are taken largest first, and only a strictly larger kept mask can
+    hold one, so a list of one size is kept whole with no test.  A mask is
+    held when the AND of its vertices' stars (bitmasks over the kept masks)
+    with the kept masks of larger size is nonzero; the AND starts from those
+    masks, so the empty mask is dropped exactly when something was kept.
+    """
+    kept: list[int] = []
+    star = [0] * vertex_count
+    larger = every = 0
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), every
+        holders = larger
+        bits = m
+        while bits and holders:
+            low = bits & -bits
+            holders &= star[low.bit_length() - 1]
+            bits ^= low
+        if holders:
+            continue
+        bit = 1 << len(kept)
+        kept.append(m)
+        every |= bit
+        bits = m
+        while bits:
+            low = bits & -bits
+            star[low.bit_length() - 1] |= bit
+            bits ^= low
+    return kept
 
 
 def boundary_of_simplex(n: int) -> SimplicialComplex:

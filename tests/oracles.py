@@ -8,10 +8,11 @@ must match.  Also a closed 3-manifold that is not a sphere.
 Linear algebra and homology oracles: Smith normal form of a dense matrix
 through the package's sparse kernel, dense coboundary matrices, mod-2
 cohomology by GF(2) elimination (independent of the integer path), both
-reduced Euler characteristics, and the enumeration of GL(n, 2).
-Combinatorial lookups the commands never make: the ridge flip of a facet
-position, its flip support, a label's column, orientability for n = 3 and
-building every ring degree.
+reduced Euler characteristics, the enumeration of GL(n, 2) and a
+matrix-vector product by row parities.  The pairwise maximality filter that
+SimplicialComplex's star-mask filter must match.  Combinatorial lookups the
+commands never make: the ridge flip of a facet position, its flip support,
+a label's column, orientability for n = 3 and building every ring degree.
 """
 
 from itertools import combinations
@@ -22,7 +23,7 @@ from smallcover.charmap import CharacteristicMatrix, flip_supports
 from smallcover.cover import RealToricSpace
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.facering import GradedRingBasis, RingClass
-from smallcover.gf2 import BitMatrix, BitVec, bit_positions, echelon_insert
+from smallcover.gf2 import BitMatrix, bit_positions, echelon_insert
 from smallcover.homology import (
     CohomologyProfile,
     FinAbGroup,
@@ -102,6 +103,12 @@ def profile_euler_characteristic(profile: CohomologyProfile) -> int:
     return sum((-1 if q % 2 else 1) * g.rank for q, g in profile.groups.items())
 
 
+def maximal_masks_quadratic(masks) -> list[int]:
+    """The distinct masks no other mask holds, by testing every pair."""
+    uniq = set(masks)
+    return [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
+
+
 def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     """All invertible n x n matrices, by recursive extension of independent rows.
 
@@ -148,9 +155,14 @@ def ridge_flip_support(chi: CharacteristicMatrix, facet, i: int) -> frozenset[in
     return next(s for f, j, s in flip_supports(chi) if f == facet and j == i)
 
 
-def column_for_label(chi: CharacteristicMatrix, label: int) -> BitVec:
-    """The column of the vertex with this label."""
-    return chi.matrix.column(chi.complex.labels.index(label))
+def column_for_label(chi: CharacteristicMatrix, label: int) -> int:
+    """The column of the vertex with this label, as an int over the rows."""
+    return chi.matrix.column_bits()[chi.complex.labels.index(label)]
+
+
+def apply(g: BitMatrix, v: int) -> int:
+    """g @ v for a column vector v, one row parity at a time."""
+    return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(g.row_bits))
 
 
 def is_orientable_3d(M: RealToricSpace) -> bool:

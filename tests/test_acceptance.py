@@ -23,7 +23,6 @@ from smallcover.cover import (
     rational_betti,
 )
 from smallcover.facering import RingClass, find_sq1_witness
-from smallcover.gf2 import BitVec
 from smallcover.homology import FinAbGroup
 from oracles import (
     critical_generators,
@@ -81,7 +80,7 @@ def gl_tables():
         if n not in cache:
             tables = []
             for g in enumerate_gl(n):
-                tables.append(tuple(g.apply(BitVec(n, v)).bits for v in range(1 << n)))
+                tables.append(tuple(oracles.apply(g, v) for v in range(1 << n)))
             cache[n] = tables
         return cache[n]
 
@@ -90,7 +89,7 @@ def gl_tables():
 
 def brute_force_labels(chi, tables):
     n = chi.n
-    cols = {chi.matrix.column(j).bits for j in range(chi.m)}
+    cols = set(chi.matrix.column_bits())
     simplex_target = frozenset(1 << i for i in range(n)) | {(1 << n) - 1}
     linear_target = frozenset(1 << i for i in range(n))
     simplex = False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import column_for_label, enumerate_gl, ridge_flip, ridge_flip_support
+from oracles import apply, column_for_label, enumerate_gl, ridge_flip, ridge_flip_support
 from smallcover.catalog import catalog
 from smallcover import charmap
 from smallcover.charmap import (
@@ -23,7 +23,7 @@ from smallcover.charmap import (
 )
 from smallcover.cli import sample_random_instance
 from smallcover.errors import InternalConsistencyError
-from smallcover.gf2 import BitMatrix, BitVec, bit_positions, find_basis_change, rank
+from smallcover.gf2 import BitMatrix, bit_positions, find_basis_change, invert, rank
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -33,16 +33,13 @@ from smallcover.simplicial import (
 
 def octahedron_linear():
     K = cross_polytope_boundary(3)
-    cols = [BitVec.unit(3, i) for i in range(3)] * 2
-    cols = cols[:3] + cols[:3]
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+    cols = [1 << i for i in range(3)] * 2
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(3, cols))
 
 
 def join_negative():
     s0 = SimplicialComplex([1, 2], [(1,), (2,)])
-    chi_s0 = CharacteristicMatrix(
-        s0, BitMatrix.from_columns([BitVec.unit(1, 0), BitVec.unit(1, 0)])
-    )
+    chi_s0 = CharacteristicMatrix(s0, BitMatrix.from_column_bits(1, [1, 1]))
     return block_product(lambda_boundary_simplex(2), chi_s0)
 
 
@@ -51,9 +48,9 @@ def brute_force_is_simplex_pullback(chi):
     inside the standard target set."""
     n = chi.n
     target = {1 << i for i in range(n)} | {(1 << n) - 1}
-    cols = {chi.matrix.column(j).bits for j in range(chi.m)}
+    cols = set(chi.matrix.column_bits())
     for g in enumerate_gl(n):
-        if all(g.apply(BitVec(n, c)).bits in target for c in cols):
+        if all(apply(g, c) in target for c in cols):
             return True
     return False
 
@@ -61,9 +58,9 @@ def brute_force_is_simplex_pullback(chi):
 def brute_force_is_linear_model(chi):
     n = chi.n
     target = {1 << i for i in range(n)}
-    cols = {chi.matrix.column(j).bits for j in range(chi.m)}
+    cols = set(chi.matrix.column_bits())
     for g in enumerate_gl(n):
-        if all(g.apply(BitVec(n, c)).bits in target for c in cols):
+        if all(apply(g, c) in target for c in cols):
             return True
     return False
 
@@ -91,9 +88,10 @@ class TestValidation:
 def rank_per_facet(K, matrix):
     """Index of the first dependent facet by one GF(2) rank per facet tuple."""
     index = {v: i for i, v in enumerate(K.labels)}
+    cols = matrix.column_bits()
     for idx, facet in enumerate(K.facets):
-        vecs = [matrix.column(index[v]) for v in facet]
-        if vecs and rank(BitMatrix.from_rows(vecs)) != len(vecs):
+        vecs = [cols[index[v]] for v in facet]
+        if vecs and rank(BitMatrix(len(vecs), matrix.rows, tuple(vecs))) != len(vecs):
             return idx
     return None
 
@@ -180,10 +178,15 @@ class TestClassifyPullback:
     def test_witness_reproduces_coloring(self):
         for chi in (lambda_boundary_simplex(3), octahedron_linear()):
             cls = classify_pullback(chi)
-            g = cls.basis_change
             n = chi.n
-            for j, label in enumerate(chi.complex.labels):
-                image = g.apply(chi.matrix.column(j)).bits
+            # G sends a column of each color i <= n to e_i
+            column = dict(zip(chi.complex.labels, chi.matrix.column_bits()))
+            first = {}
+            for label in chi.complex.labels:
+                first.setdefault(cls.coloring[label], column[label])
+            g = invert(BitMatrix.from_column_bits(n, [first[i] for i in range(1, n + 1)]))
+            for label in chi.complex.labels:
+                image = apply(g, column[label])
                 if cls.coloring[label] <= n:
                     assert image == 1 << (cls.coloring[label] - 1)
                 else:
@@ -267,10 +270,10 @@ class TestClassifyViaFlips:
         rng = random.Random(314)
         checked = 0
         while checked < 12:
-            cols = [BitVec(3, rng.getrandbits(3)) for _ in range(6)]
+            cols = [rng.getrandbits(3) for _ in range(6)]
             try:
                 chi = CharacteristicMatrix(
-                    cross_polytope_boundary(3), BitMatrix.from_columns(cols)
+                    cross_polytope_boundary(3), BitMatrix.from_column_bits(3, cols)
                 )
             except CharMapError:
                 continue
@@ -286,8 +289,8 @@ class TestClassifyViaFlips:
         gls = list(enumerate_gl(3))
         for _ in range(10):
             g = gls[rng.randrange(len(gls))]
-            cols = [g.apply(chi.matrix.column(j)) for j in range(chi.m)]
-            changed = CharacteristicMatrix(chi.complex, BitMatrix.from_columns(cols))
+            cols = [apply(g, c) for c in chi.matrix.column_bits()]
+            changed = CharacteristicMatrix(chi.complex, BitMatrix.from_column_bits(3, cols))
             assert classify_pullback(changed).label is PullbackLabel.LINEAR_MODEL
 
     def test_invariance_under_vertex_relabeling(self):
@@ -300,7 +303,7 @@ class TestClassifyViaFlips:
         )
         inv = {w: v for v, w in perm.items()}
         cols = [column_for_label(chi, inv[w]) for w in relabeled.labels]
-        changed = CharacteristicMatrix(relabeled, BitMatrix.from_columns(cols))
+        changed = CharacteristicMatrix(relabeled, BitMatrix.from_column_bits(chi.n, cols))
         assert classify_pullback(changed).label is PullbackLabel.SIMPLEX_PROPER
 
 
@@ -373,15 +376,15 @@ class TestOmegaDescriptors:
         assert supports == expected
 
 
-def coords(v):
-    """The coordinates of a BitVec, lowest index first."""
-    return tuple(v[i] for i in range(v.length))
+def coords(chi):
+    """The coordinates of every column, lowest index first."""
+    return [tuple(c >> i & 1 for i in range(chi.n)) for c in chi.matrix.column_bits()]
 
 
 class TestBuilders:
     def test_lambda_boundary_simplex_columns(self):
         chi = lambda_boundary_simplex(2)
-        assert [coords(chi.matrix.column(j)) for j in range(3)] == [
+        assert coords(chi) == [
             (1, 0), (0, 1), (1, 1),
         ]
 
@@ -389,14 +392,12 @@ class TestBuilders:
         seg = lambda_boundary_simplex(1)
         prod = block_product(seg, seg)
         assert prod.n == 2 and prod.m == 4
-        cols = [coords(prod.matrix.column(j)) for j in range(4)]
-        assert cols == [(1, 0), (1, 0), (0, 1), (0, 1)]
+        assert coords(prod) == [(1, 0), (1, 0), (0, 1), (0, 1)]
         assert classify_pullback(prod).label is PullbackLabel.LINEAR_MODEL
 
     def test_block_product_join_instance(self):
         chi = join_negative()
-        cols = [coords(chi.matrix.column(j)) for j in range(5)]
-        assert cols == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1)]
+        assert coords(chi) == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1)]
 
 
 def check_facet_coordinates(chi):
@@ -425,8 +426,8 @@ def check_facet_coordinates(chi):
     for facet in K.facets:
         g = find_basis_change([column_for_label(chi, v) for v in facet], n)
         for i in range(1, n + 1):
-            coeffs = g.apply(column_for_label(chi, ridge_flip(K, facet, i)))
-            expected.append((facet, i, frozenset(k + 1 for k in bit_positions(coeffs.bits))))
+            coeffs = apply(g, column_for_label(chi, ridge_flip(K, facet, i)))
+            expected.append((facet, i, frozenset(k + 1 for k in bit_positions(coeffs))))
     assert list(flip_supports(chi)) == expected
 
 

@@ -30,7 +30,7 @@ from smallcover.facering import (
     find_sq1_witness,
     sq1_degree,
 )
-from smallcover.gf2 import BitMatrix, BitVec, bit_positions
+from smallcover.gf2 import BitMatrix, bit_positions
 from smallcover.instancefile import emit_instance
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
 from oracles import circle_times_tetrahedron_boundary
@@ -38,15 +38,13 @@ from oracles import circle_times_tetrahedron_boundary
 
 def octahedron_linear():
     K = cross_polytope_boundary(3)
-    cols = [BitVec.unit(3, i) for i in range(3)]
-    return CharacteristicMatrix(K, BitMatrix.from_columns(cols + cols))
+    cols = [1 << i for i in range(3)]
+    return CharacteristicMatrix(K, BitMatrix.from_column_bits(3, cols + cols))
 
 
 def join_negative():
     s0 = SimplicialComplex([1, 2], [(1,), (2,)])
-    chi_s0 = CharacteristicMatrix(
-        s0, BitMatrix.from_columns([BitVec.unit(1, 0), BitVec.unit(1, 0)])
-    )
+    chi_s0 = CharacteristicMatrix(s0, BitMatrix.from_column_bits(1, [1, 1]))
     return block_product(lambda_boundary_simplex(2), chi_s0)
 
 
@@ -117,9 +115,7 @@ class TestDimensions:
 
     def test_ghost_vertex_contributes_zero_class(self):
         K = SimplicialComplex([1, 2, 3], [(1,), (2,)])
-        chi = CharacteristicMatrix(
-            K, BitMatrix.from_columns([BitVec.unit(1, 0)] * 3)
-        )
+        chi = CharacteristicMatrix(K, BitMatrix.from_column_bits(1, [1] * 3))
         basis = build_graded_basis(K, chi)
         oracles.verify_all_dimensions(basis)
         assert basis.express([3]).is_zero()
@@ -448,8 +444,8 @@ class TestStiefelWhitney:
         from smallcover.simplicial import polygon
 
         K = polygon(4)
-        cols = [BitVec.unit(2, 0), BitVec.unit(2, 1)] * 2
-        chi = CharacteristicMatrix(K, BitMatrix.from_columns(cols))
+        cols = [0b01, 0b10] * 2
+        chi = CharacteristicMatrix(K, BitMatrix.from_column_bits(2, cols))
         basis = build_graded_basis(K, chi)
         sw = oracles.total_sw(basis)
         assert sw[0] == basis.one()

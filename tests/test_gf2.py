@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_gl
+from oracles import apply, enumerate_gl
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.gf2 import (
     BitMatrix,
-    BitVec,
     bit_positions,
     echelon_insert,
     find_basis_change,
@@ -21,38 +20,23 @@ from smallcover.gf2 import (
 )
 
 
-def vec(*coords):
-    return BitVec.from_coords(coords)
-
-
-class TestBitVec:
-    def test_coords_round_trip(self):
-        v = vec(1, 0, 1, 1)
-        assert tuple(v[i] for i in range(v.length)) == (1, 0, 1, 1)
-        assert v.bits == 0b1101
-        assert v.length == 4
-
+class TestFromLists:
     def test_low_index_is_low_bit(self):
-        assert vec(1, 0, 0).bits == 1
-        assert vec(0, 0, 1).bits == 4
+        assert BitMatrix.from_lists([[1, 0, 0]]).row_bits == (1,)
+        assert BitMatrix.from_lists([[0, 0, 1]]).row_bits == (4,)
+        m = BitMatrix.from_lists([[1, 0, 1, 1], [0, 1, 0, 0]])
+        assert (m.rows, m.cols, m.row_bits) == (2, 4, (0b1101, 0b0010))
 
-    def test_index_bounds(self):
-        v = vec(1, 0)
-        with pytest.raises(InternalConsistencyError):
-            v[2]
-        with pytest.raises(InternalConsistencyError):
-            v[-1]
+    def test_empty(self):
+        assert BitMatrix.from_lists([]) == BitMatrix(0, 0, ())
 
-    def test_addition_is_xor(self):
-        assert vec(1, 1, 0) + vec(0, 1, 1) == vec(1, 0, 1)
+    def test_entry_not_zero_or_one(self):
+        with pytest.raises(InternalConsistencyError, match="not 0 or 1"):
+            BitMatrix.from_lists([[1, 0], [2, 0]])
 
-    def test_length_mismatch(self):
-        with pytest.raises(InternalConsistencyError):
-            vec(1, 0) + vec(1, 0, 0)
-
-    def test_bits_out_of_range(self):
-        with pytest.raises(InternalConsistencyError):
-            BitVec(2, 4)
+    def test_ragged_rows(self):
+        with pytest.raises(InternalConsistencyError, match="unequal lengths"):
+            BitMatrix.from_lists([[1, 0], [1, 0, 0]])
 
 
 class TestRank:
@@ -103,23 +87,26 @@ class TestRowSpace:
             row_space(BitMatrix(31, 2, (0,) * 31))
 
 
+def images(g: BitMatrix, vectors) -> list[int]:
+    """g @ v for each int column vector v, one row parity at a time."""
+    return [apply(g, v) for v in vectors]
+
+
 class TestBasisChange:
     def test_standard_basis_gives_identity(self):
-        g = find_basis_change([vec(1, 0), vec(0, 1)], 2)
+        g = find_basis_change([0b01, 0b10], 2)
         assert g == BitMatrix(2, 2, (1, 2))
 
     def test_forced_two_dim(self):
-        v1, v2 = vec(1, 0), vec(1, 1)
+        v1, v2 = 0b01, 0b11
         g = find_basis_change([v1, v2], 2)
-        assert g.apply(v1) == vec(1, 0)
-        assert g.apply(v2) == vec(0, 1)
+        assert images(g, [v1, v2]) == [0b01, 0b10]
 
     def test_three_dim_example(self):
-        vs = [vec(1, 1, 1), vec(0, 1, 0), vec(0, 0, 1)]
+        vs = [0b111, 0b010, 0b100]
         g = find_basis_change(vs, 3)
         assert g.row_bits == (0b001, 0b011, 0b101)
-        for i, v in enumerate(vs):
-            assert g.apply(v) == BitVec.unit(3, i)
+        assert images(g, vs) == [1 << i for i in range(3)]
 
     def test_contract_on_random_bases(self):
         rng = random.Random(5)
@@ -129,19 +116,20 @@ class TestBasisChange:
                 m = BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
                 if rank(m) == n:
                     break
-            vs = [m.column(j) for j in range(n)]
+            vs = m.column_bits()
             g = find_basis_change(vs, n)
             assert rank(g) == n
-            for i, v in enumerate(vs):
-                assert g.apply(v) == BitVec.unit(n, i)
+            assert images(g, vs) == [1 << i for i in range(n)]
 
     def test_dependent_input_rejected(self):
-        with pytest.raises(InternalConsistencyError):
-            find_basis_change([vec(1, 0), vec(1, 0)], 2)
+        with pytest.raises(InternalConsistencyError, match="linearly dependent"):
+            find_basis_change([0b01, 0b01], 2)
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(InternalConsistencyError):
-            find_basis_change([vec(1, 0, 0), vec(0, 1, 0)], 2)
+        with pytest.raises(InternalConsistencyError, match="out of range"):
+            find_basis_change([0b001, 0b100], 2)
+        with pytest.raises(InternalConsistencyError, match="expected 2 vectors"):
+            find_basis_change([0b01], 2)
 
 
 class TestMatrixOps:
@@ -163,8 +151,8 @@ class TestMatrixOps:
         a = BitMatrix.from_lists([[1, 1, 0], [0, 1, 1]])
         b = BitMatrix.from_lists([[1, 0], [1, 1], [0, 1]])
         prod = a @ b
-        for j in range(2):
-            assert prod.column(j) == a.apply(b.column(j))
+        assert prod.column_bits() == images(a, b.column_bits())
+        assert prod == BitMatrix.from_lists([[0, 1], [1, 0]])
 
 
 class TestColumnBits:
@@ -173,14 +161,15 @@ class TestColumnBits:
         for _ in range(50):
             rows, cols = rng.randrange(0, 7), rng.randrange(0, 9)
             m = BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
-            assert m.column_bits() == [m.column(j).bits for j in range(cols)]
+            column = [
+                sum((r >> j & 1) << i for i, r in enumerate(m.row_bits))
+                for j in range(cols)
+            ]
+            assert m.column_bits() == column
             assert BitMatrix.from_column_bits(rows, m.column_bits()) == m
-            if cols:
-                assert BitMatrix.from_columns([m.column(j) for j in range(cols)]) == m
 
-    def test_from_columns_matches_coordinates(self):
-        cols = [vec(1, 0, 1), vec(0, 0, 1), vec(1, 1, 0), vec(0, 0, 0)]
-        m = BitMatrix.from_columns(cols)
+    def test_from_column_bits_matches_coordinates(self):
+        m = BitMatrix.from_column_bits(3, [0b101, 0b100, 0b011, 0b000])
         assert m == BitMatrix.from_lists([[1, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0]])
 
     def test_column_out_of_range(self):
@@ -300,10 +289,10 @@ class TestEchelonOracle:
     @given(bit_matrices(square=True))
     def test_basis_change_or_dependence(self, a):
         n = a.rows
-        vectors = [a.column(j) for j in range(n)]
-        if len(span(a.column_bits())) < 1 << n:
+        vectors = a.column_bits()
+        if len(span(vectors)) < 1 << n:
             with pytest.raises(InternalConsistencyError, match="linearly dependent"):
                 find_basis_change(vectors, n)
         else:
             g = find_basis_change(vectors, n)
-            assert [g.apply(v) for v in vectors] == [BitVec.unit(n, i) for i in range(n)]
+            assert images(g, vectors) == [1 << i for i in range(n)]

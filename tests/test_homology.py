@@ -235,26 +235,29 @@ class TestMooreSpaces:
         K = moore_space(k)
         expected = sympy_cohomology(K)
         assert expected == {2: FinAbGroup.from_orders(0, [k])}
-        assert reduced_cohomology(K).groups == expected
+        assert reduced_cohomology(K, (1 << K.vertex_count) - 1).groups == expected
 
     def test_suspension_against_sympy(self):
         K = moore_space(3).join(SimplicialComplex([1, 2], [(1,), (2,)]))
         expected = sympy_cohomology(K)
         assert expected == {3: FinAbGroup(0, (3,))}
-        assert reduced_cohomology(K).groups == expected
+        assert reduced_cohomology(K, (1 << K.vertex_count) - 1).groups == expected
 
 
 class TestReducedCohomology:
     def test_circle(self):
-        p = reduced_cohomology(boundary_of_simplex(2))
+        K = boundary_of_simplex(2)
+        p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
         assert p.groups == {1: FinAbGroup.free(1)}
 
     def test_empty_complex_convention(self):
-        p = reduced_cohomology(SimplicialComplex([1], []))
+        K = SimplicialComplex([1], [])
+        p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
         assert p.groups == {-1: FinAbGroup.free(1)}
 
     def test_projective_plane_integral(self):
-        p = reduced_cohomology(rp2_six())
+        K = rp2_six()
+        p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
         assert p.groups == {2: FinAbGroup(0, (2,))}
 
     def test_projective_plane_mod2(self):
@@ -262,17 +265,19 @@ class TestReducedCohomology:
         assert p.group(1).rank == 1 and p.group(2).rank == 1 and p.group(0).rank == 0
 
     def test_projective_plane_rational(self):
-        p = reduced_cohomology(rp2_six())
+        K = rp2_six()
+        p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
         assert all(g.rank == 0 for g in p.groups.values())
 
     def test_spheres(self):
         for n in (1, 2, 3):
-            p = reduced_cohomology(boundary_of_simplex(n + 1))
+            K = boundary_of_simplex(n + 1)
+            p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
             assert p.groups == {n: FinAbGroup.free(1)}
 
     def test_two_points(self):
         K = SimplicialComplex([1, 2], [(1,), (2,)])
-        p = reduced_cohomology(K)
+        p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
         assert p.groups == {0: FinAbGroup.free(1)}
 
 
@@ -291,7 +296,7 @@ class TestConsistencyLaws:
 
     def test_universal_coefficients(self):
         for K in self._complexes():
-            integral = reduced_cohomology(K)
+            integral = reduced_cohomology(K, (1 << K.vertex_count) - 1)
             mod2 = mod2_reduced_cohomology(K)
             for q in range(-1, K.dim + 1):
                 expected = (
@@ -303,7 +308,7 @@ class TestConsistencyLaws:
 
     def test_euler_characteristic_agreement(self):
         for K in self._complexes():
-            p = reduced_cohomology(K)
+            p = reduced_cohomology(K, (1 << K.vertex_count) - 1)
             assert profile_euler_characteristic(p) == complex_euler_characteristic(K)
 
 
@@ -333,7 +338,8 @@ class TestFullSubcomplexOnMasks:
             for wm in range(1 << K.vertex_count):
                 sub = K.full_subcomplex(K.labels_of(wm))
                 for c in (reduced_cohomology, mod2_reduced_cohomology):
-                    assert c(K, wm) == c(sub), (K.facets, wm, c)
+                    whole = (1 << sub.vertex_count) - 1
+                    assert c(K, wm) == c(sub, whole), (K.facets, wm, c)
                     checked += 1
         assert checked > 3000
 
@@ -358,7 +364,7 @@ class TestFullSubcomplexOnMasks:
         assert K.dim == 3
         expected = sympy_cohomology(K)
         assert expected == {2: FinAbGroup(0, (2,))}
-        assert reduced_cohomology(K).groups == expected
+        assert reduced_cohomology(K, (1 << K.vertex_count) - 1).groups == expected
         # The torsion of delta_1 forces a dense-phase pivot, so the clearing
         # of delta_2 follows a non-unit pivot.
         rows = [{j: v for j, v in enumerate(row) if v} for row in coboundary_matrix(K, 1)]
@@ -383,7 +389,7 @@ class TestSimplexExit:
                 assert p.groups == {-1: FinAbGroup.free(1)}
         assert trivial == 2 ** 12 - 1
         for c in (reduced_cohomology, mod2_reduced_cohomology):
-            assert c(K).groups == {}
+            assert c(K, (1 << K.vertex_count) - 1).groups == {}
 
 
 class TestHonestFailure:
@@ -396,7 +402,8 @@ class TestHonestFailure:
             lambda rows, ncols: ([1] * min(len(rows), ncols), []),
         )
         with pytest.raises(InternalConsistencyError):
-            reduced_cohomology(boundary_of_simplex(2))
+            K = boundary_of_simplex(2)
+            reduced_cohomology(K, (1 << K.vertex_count) - 1)
 
     def test_cli_exit_code_three(self, monkeypatch, capsys):
         import smallcover.homology as homology

@@ -15,6 +15,10 @@ in errors.py, the shelling budget class with its own message, and
 charmap.CharMapError, an InputError, are the only exception classes, and
 every raise names one of them.
 
+The package's __init__ holds its docstring and __version__ and nothing
+else, and that version is the one pyproject.toml declares: the static walk
+cannot see a re-export, because imports are not references.
+
 The static walk counts every dunder as reached and follows names, not
 calls, so a second check runs a fixed set of commands under a tracer and
 requires every function of the package, dunders and nested functions
@@ -29,6 +33,7 @@ import contextlib
 import io
 import json
 import sys
+import tomllib
 from pathlib import Path
 
 import smallcover
@@ -143,6 +148,66 @@ def test_guard_follows_names_from_class_bodies_and_defaults(tmp_path):
         "    return 1\n"
     )
     assert unreached_definitions(tmp_path) == []
+
+
+def _is_string(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def package_surface(init: Path) -> list[str]:
+    """What __init__.py holds besides its docstring and one __version__
+    string assignment, one entry per other statement."""
+    body = ast.parse(init.read_text(encoding="utf-8")).body
+    out = []
+    if body and isinstance(body[0], ast.Expr) and _is_string(body[0].value):
+        body = body[1:]
+    else:
+        out.append("no module docstring")
+    version = next(
+        (
+            stmt for stmt in body
+            if isinstance(stmt, ast.Assign)
+            and [ast.unparse(t) for t in stmt.targets] == ["__version__"]
+            and _is_string(stmt.value)
+        ),
+        None,
+    )
+    if version is None:
+        out.append("no __version__ string")
+    out += [
+        f"line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}"
+        for stmt in body if stmt is not version
+    ]
+    return out
+
+
+def test_package_holds_only_its_docstring_and_version():
+    init = PACKAGE / "__init__.py"
+    assert package_surface(init) == []
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        declared = tomllib.load(f)["project"]["version"]
+    assert smallcover.__version__ == declared
+
+
+def test_surface_guard_reports_imports_and_extra_statements(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        '"""Doc."""\n'
+        "from .cli import main\n"
+        "__version__ = '1.0'\n"
+        "__version__ = '1.1'\n"
+        "VERBOSE = True\n"
+    )
+    assert package_surface(init) == [
+        "line 2: from .cli import main",
+        "line 4: __version__ = '1.1'",
+        "line 5: VERBOSE = True",
+    ]
+    init.write_text("import os\n")
+    assert package_surface(init) == [
+        "no module docstring", "no __version__ string", "line 1: import os",
+    ]
 
 
 EXIT_CODE_CLASSES = {"InputError", "PropertyViolation", "InternalConsistencyError"}

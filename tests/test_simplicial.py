@@ -1,8 +1,10 @@
 """Simplicial complexes: construction, vectors, subcomplexes, flips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import complex_euler_characteristic, ridge_flip
+from oracles import complex_euler_characteristic, maximal_masks_quadratic, ridge_flip
 from smallcover.catalog import catalog
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.simplicial import (
@@ -44,6 +46,47 @@ class TestConstruction:
     def test_nonpositive_label(self):
         with pytest.raises(InputError):
             SimplicialComplex([0, 1], [(1,)])
+
+
+# Deterministic and bounded: the same examples on every run.
+ORACLE = settings(derandomize=True, database=None, max_examples=500, deadline=None)
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to 9 distinct labels in any order and up to 14 generators over
+    them, of mixed sizes, with empty generators, duplicates and labels in no
+    generator."""
+    labels = draw(st.lists(st.integers(1, 30), min_size=1, max_size=9, unique=True))
+    gen = st.lists(st.sampled_from(labels), unique=True, max_size=len(labels))
+    gens = draw(st.lists(gen, max_size=14))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    return labels, gens
+
+
+class TestMaximality:
+    @ORACLE
+    @given(generator_lists())
+    def test_matches_the_pairwise_filter(self, case):
+        labels, gens = case
+        K = SimplicialComplex(labels, gens)
+        masks = [K.mask_of(g) for g in gens]
+        assert sorted(K.facet_masks) == sorted(maximal_masks_quadratic(masks) or [0])
+
+    def test_empty_generator(self):
+        assert SimplicialComplex([1, 2], [()]).facets == ((),)
+        assert SimplicialComplex([1, 2], [(), (2,), ()]).facets == ((2,),)
+
+    def test_one_size_is_kept_whole(self):
+        K = boundary_of_simplex(4)
+        assert len(K.facets) == 5
+
+    def test_large_cross_polytope(self):
+        # the pairwise filter needs about 30 s here; the star masks well under 1 s
+        K = cross_polytope_boundary(14)
+        assert len(K.facet_masks) == len(set(K.facet_masks)) == 1 << 14
+        assert all(m.bit_count() == 14 for m in K.facet_masks)
 
 
 class TestVectors:
