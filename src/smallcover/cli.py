@@ -2,9 +2,10 @@
 
 Commands: analyze, table1, fuzz, catalog, shelling, bier.  Exit codes:
 0 success; 1 InputError, for bad input or an input past a declared limit
-(ring degree size, row-space size), and ShellingBudgetExceeded, for the
-shelling search budget; 2 PropertyViolation (fuzz disagreement, shelling
-verification failure) and a table1 mismatch; 3 InternalConsistencyError.
+(ring degree size, row-space size, Bier sphere facet count), and
+ShellingBudgetExceeded, for the shelling search budget; 2 PropertyViolation
+(fuzz disagreement, shelling verification failure) and a table1 mismatch;
+3 InternalConsistencyError.
 Each is raised where the fault is known; any other exception is a bug and
 propagates.
 Reports are deterministic; timing goes to stderr only.

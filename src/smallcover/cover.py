@@ -5,6 +5,13 @@ Betti numbers are the h-vector entries; rational Betti numbers and integral
 cohomology are assembled from the reduced cohomology of the full
 subcomplexes indexed by the row space, with the count of order-two torsion
 summands closed off through the mod-2 / rational Betti bookkeeping.
+
+When K carries the sphere certificate (a closed pseudomanifold with a
+shelling, hence a PL sphere), a full subcomplex on more than half of the
+used vertices, and in no facet, is computed on its complement and read off
+by Alexander duality.  The certificate is only used once the hypotheses
+have been computed, which evaluate_conditions does on entry; table1
+computes none and stays direct.
 """
 
 from __future__ import annotations
@@ -143,12 +150,34 @@ class RealToricSpace:
     @cached_property
     def omega_profiles(self) -> list[tuple[int, CohomologyProfile]]:
         """(vertex mask of the support, reduced cohomology of K_W) for every
-        row-space element, in omega_descriptors order."""
+        row-space element, in omega_descriptors order, with one
+        reduced_cohomology call per W.
+
+        On a certified sphere with used vertices V, a W whose part u in V
+        holds more than half of V and lies in no facet is computed on V - u
+        and read off by alexander_dual; a u inside a facet spans a simplex,
+        which reduced_cohomology answers without enumerating a face.  This
+        never starts the shelling search: the certificate counts only once
+        the hypotheses exist."""
+        K = self.complex
+        certified = "hypotheses" in self.__dict__ and self.sphere_certified
+        used = 0
+        for f in K.facet_masks:
+            used |= f
+
+        def profile(wm: int) -> CohomologyProfile:
+            u = wm & used
+            if (
+                certified
+                and u != used
+                and 2 * u.bit_count() > used.bit_count()
+                and not any(u & f == u for f in K.facet_masks)
+            ):
+                return alexander_dual(reduced_cohomology(K, used ^ u), self.n)
+            return reduced_cohomology(K, wm)
+
         coloring = self.classification.coloring
-        return [
-            (wm, reduced_cohomology(self.complex, wm))
-            for wm in omega_descriptors(self.chi, coloring)
-        ]
+        return [(wm, profile(wm)) for wm in omega_descriptors(self.chi, coloring)]
 
     @cached_property
     def h_vector(self) -> tuple[int, ...]:
@@ -161,6 +190,20 @@ class RealToricSpace:
     @cached_property
     def integral_profile(self) -> CohomologyProfile:
         return integral_cohomology(self)
+
+
+def alexander_dual(profile: CohomologyProfile, n: int) -> CohomologyProfile:
+    """Reduced cohomology of K_W from the profile of K_{V-W}, for K a PL
+    (n-1)-sphere on the vertex set V and W a proper nonempty subset of V.
+    Alexander duality gives H~^j(K_W) = H~_{n-2-j}(K_{V-W}), and universal
+    coefficients read that homology off cohomology: its rank is the rank of
+    H~^{n-2-j}(K_{V-W}) and its torsion the torsion of H~^{n-1-j}(K_{V-W})."""
+    ranks = {n - 2 - q: g.rank for q, g in profile.groups.items()}
+    torsion = {n - 1 - q: g.torsion for q, g in profile.groups.items()}
+    return CohomologyProfile({
+        j: FinAbGroup(ranks.get(j, 0), torsion.get(j, ()))
+        for j in sorted(ranks.keys() | torsion.keys())
+    })
 
 
 def mod2_betti(M: RealToricSpace) -> tuple[int, ...]:
@@ -269,6 +312,9 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     if any(c not in ALL_CONDITIONS for c in requested):
         raise InternalConsistencyError(f"unknown condition in {requested}")
     n = M.n
+    # The verdict needs the hypotheses anyway; computed first, their sphere
+    # certificate lets omega_profiles take the smaller side of each W.
+    hyp = M.hypotheses
     results: dict[int, bool] = {}
     table = None
     profile = None
@@ -316,11 +362,9 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
                 vanishes[d] if d in vanishes else ring.sq1_vanishes_on_degree(d, certified)
                 for d in range(0, n + 1, 2)
             )
-        hyp = M.hypotheses
         if hyp.closed_pseudomanifold and hyp.strongly_connected:
             sq1_witness = facering.find_sq1_witness(M.complex, M.chi, ring)
 
-    hyp = M.hypotheses
     values = {results[c] for c in requested}
     if not hyp.all_hold():
         verdict = "hypotheses-not-verified"

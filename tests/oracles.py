@@ -3,12 +3,15 @@ functions of a GradedRingBasis: the total Steenrod square, the colour-class
 sum tau, the square identity, and the total Stiefel-Whitney class of a
 pullback.  The shelling lemmas: critical generators and the two-degree
 concentration.  The prefix-scan shelling search that the incremental search
-must match.  Also a closed 3-manifold that is not a sphere.
+must match.  Also a closed 3-manifold that is not a sphere, spheres moved by
+stellar subdivisions and bistellar flips, and closed pseudomanifolds that
+are not spheres.
 
 Linear algebra and homology oracles: Smith normal form of a dense matrix
-through the package's sparse kernel, dense coboundary matrices, mod-2
-cohomology by GF(2) elimination (independent of the integer path), both
-reduced Euler characteristics, the enumeration of GL(n, 2) and a
+through the package's sparse kernel, dense coboundary matrices, integral
+cohomology from sympy's Smith normal form, mod-2 cohomology by GF(2)
+elimination (independent of the integer path), both reduced Euler
+characteristics, the enumeration of GL(n, 2) and a
 matrix-vector product by row parities.  The pairwise maximality filter that
 SimplicialComplex's star-mask filter must match.  Combinatorial lookups the
 commands never make: the ridge flip of a facet position, its flip support,
@@ -19,6 +22,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
+import pytest
+
+from smallcover.catalog import catalog
 from smallcover.charmap import CharacteristicMatrix, flip_supports
 from smallcover.cover import RealToricSpace
 from smallcover.errors import InputError, InternalConsistencyError
@@ -31,7 +37,11 @@ from smallcover.homology import (
     _sparse_snf_factors,
 )
 from smallcover.shelling import Shelling, ShellingBudgetExceeded, verify_shelling
-from smallcover.simplicial import SimplicialComplex
+from smallcover.simplicial import (
+    SimplicialComplex,
+    boundary_of_simplex,
+    cross_polytope_boundary,
+)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -91,6 +101,28 @@ def mod2_reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> Coho
         if free:
             groups[q] = FinAbGroup.free(free)
     return CohomologyProfile(groups)
+
+
+def sympy_cohomology(K):
+    """Reduced integral cohomology groups of K from sympy's Smith normal
+    form of every coboundary matrix, with no clearing."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    ranks, torsion = {}, {}
+    for d in range(-1, K.dim):
+        a = coboundary_matrix(K, d)
+        reference = sympy_snf(sympy.Matrix(a))
+        diag = [abs(int(reference[i, i])) for i in range(min(len(a), len(a[0])))]
+        ranks[d] = sum(1 for f in diag if f)
+        torsion[d + 1] = [f for f in diag if f > 1]
+    expected = {}
+    for q in range(-1, K.dim + 1):
+        free = len(K.face_masks(q)) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+        g = FinAbGroup.from_orders(free, torsion.get(q, []))
+        if not g.is_trivial():
+            expected[q] = g
+    return expected
 
 
 def complex_euler_characteristic(K: SimplicialComplex) -> int:
@@ -410,3 +442,72 @@ def shelling_search_reference(
                 used[prefix_idx.pop()] = False
                 prefix.pop()
     return None, placed
+
+
+def stellar_subdivision(K, face, new):
+    """Subdivide the face at a new vertex: each facet F holding the face
+    becomes the facets F - v + new for v in the face."""
+    face = set(face)
+    facets = [f for f in K.facets if not face <= set(f)]
+    for f in K.facets:
+        if face <= set(f):
+            facets += [tuple(sorted(set(f) - {v} | {new})) for v in face]
+    return SimplicialComplex(list(K.labels) + [new], facets)
+
+
+def bistellar_moves(K):
+    """(sigma, tau) with 2 <= |sigma| < facet size, the link of sigma the
+    boundary of tau, and tau no face: sigma * boundary(tau) may become
+    boundary(sigma) * tau."""
+    size = K.dim + 1
+    out = []
+    for k in range(2, size):
+        for sigma in map(K.labels_of, K.face_masks(k - 1)):
+            link = [set(f) - set(sigma) for f in K.facets if set(sigma) <= set(f)]
+            tau = set().union(*link)
+            if (
+                len(tau) == size + 1 - k
+                and len(link) == len(tau)
+                and K.mask_of(tau) not in K.all_face_masks()
+            ):
+                out.append((sigma, tuple(sorted(tau))))
+    return out
+
+
+def bistellar_flip(K, sigma, tau):
+    sigma = set(sigma)
+    facets = [f for f in K.facets if not sigma <= set(f)]
+    facets += [tuple(sorted(sigma - {v} | set(tau))) for v in sigma]
+    return SimplicialComplex(K.labels, facets)
+
+
+def moved_sphere(rng):
+    """A simplex or cross-polytope boundary after a few stellar subdivisions
+    and bistellar flips, over a shuffled declared label order."""
+    K = rng.choice([
+        boundary_of_simplex(2), boundary_of_simplex(3), boundary_of_simplex(4),
+        cross_polytope_boundary(2), cross_polytope_boundary(3),
+        cross_polytope_boundary(4),
+    ])
+    for _ in range(rng.randint(1, 5)):
+        moves = bistellar_moves(K)
+        if moves and rng.random() < 0.6:
+            K = bistellar_flip(K, *rng.choice(moves))
+        else:
+            facet = rng.choice(K.facets)
+            face = rng.sample(facet, rng.randint(2, len(facet)))
+            K = stellar_subdivision(K, face, max(K.labels) + 1)
+    labels = list(K.labels)
+    rng.shuffle(labels)
+    return SimplicialComplex(labels, K.facets)
+
+
+def non_spheres():
+    rp2 = catalog()["rp2_6v"].complex
+    return {
+        "rp2_6v": rp2,
+        "rp2_6v*S0": rp2.join(boundary_of_simplex(1)),
+        "S0*rp2_6v": boundary_of_simplex(1).join(rp2),
+        "rp2_6v*S1": rp2.join(boundary_of_simplex(2)),
+        "staircase": circle_times_tetrahedron_boundary().complex,
+    }

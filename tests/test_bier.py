@@ -6,7 +6,13 @@ from itertools import combinations
 import pytest
 
 from oracles import complex_euler_characteristic
-from smallcover.bier import bier_instance, bier_sphere, lambda_bier, table1_instance
+from smallcover.bier import (
+    bier_facet_count,
+    bier_instance,
+    bier_sphere,
+    lambda_bier,
+    table1_instance,
+)
 from smallcover.charmap import classify_pullback
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.homology import reduced_cohomology
@@ -97,6 +103,7 @@ class TestExhaustiveSmall:
             sphere = bier_sphere(K)
             assert sphere.dim == size - 2
             assert sphere.is_closed_pseudomanifold()
+            assert len(sphere.facets) == bier_facet_count(K)
             assert complex_euler_characteristic(sphere) == (-1) ** (size - 2)
             trimmed, chi = bier_instance(K)
             assert classify_pullback(chi).is_simplex_pullback
@@ -114,6 +121,7 @@ class TestExhaustiveSmall:
                 sphere = bier_sphere(K)
                 assert sphere.dim == size - 2
                 assert sphere.is_closed_pseudomanifold()
+                assert len(sphere.facets) == bier_facet_count(K)
                 trimmed, chi = bier_instance(K)
                 assert classify_pullback(chi).is_simplex_pullback
                 assert find_shelling(trimmed) is not None
@@ -137,6 +145,7 @@ class TestFlagship:
         assert sphere.vertex_count == 18
         assert sphere.is_closed_pseudomanifold()
         assert chi.n == 8 and chi.m == 18
+        assert len(sphere.facets) == bier_facet_count(K) == 365
 
     def test_flagship_is_simplex_pullback(self):
         _, _, chi = table1_instance()

@@ -12,6 +12,7 @@ import pytest
 
 from functools import partial
 
+from smallcover import bier as bier_mod
 from smallcover import charmap, cli, cover, facering, gf2, homology
 from smallcover.cli import main, sample_random_instance
 from smallcover.facering import GradedRingBasis, RingClass
@@ -409,6 +410,33 @@ class TestBier:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["bier", str(path)]) == 1
         assert capsys.readouterr().err == "input error: the full simplex has no Bier sphere\n"
+
+    def test_catalog_bier9_is_within_the_facet_limit(self, emit):
+        K, _ = parse_instance(Path(emit("bier9")).read_text(encoding="utf-8"))
+        assert bier_mod.bier_facet_count(K) == 66_342 <= bier_mod.BIER_FACET_LIMIT
+
+    def test_facet_limit(self, tmp_path, capsys):
+        # l isolated points have l(l - 1) Bier facets; take the least l past
+        # the limit, which is rejected before the sphere is built
+        ell = 2
+        while ell * (ell - 1) <= bier_mod.BIER_FACET_LIMIT:
+            ell += 1
+        doc = {
+            "name": "points",
+            "n": 1,
+            "vertices": list(range(1, ell + 1)),
+            "facets": [[v] for v in range(1, ell + 1)],
+            "lambda": None,
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bier", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: the Bier sphere would have {ell * (ell - 1)} facets, "
+            f"over the limit of {bier_mod.BIER_FACET_LIMIT}\n"
+        )
 
 
 NON_PURE = {

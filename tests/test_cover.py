@@ -1,12 +1,29 @@
-"""Real toric space assembly: Betti numbers, integral cohomology, conditions."""
+"""Real toric space assembly: Betti numbers, integral cohomology, conditions,
+and the full subcomplexes read off their complements by Alexander duality."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import is_orientable_3d
+from oracles import (
+    circle_times_tetrahedron_boundary,
+    is_orientable_3d,
+    moved_sphere,
+    non_spheres,
+    sympy_cohomology,
+)
+from smallcover import cover
+from smallcover.bier import bier_instance
 from smallcover.catalog import catalog, get_entry
+from smallcover.charmap import CharacteristicMatrix, first_dependent_facet, omega_descriptors
+from smallcover.cli import main
 from smallcover.cover import (
     ALL_CONDITIONS,
+    BUDGET_EXCEEDED,
     RealToricSpace,
+    alexander_dual,
     betti_table,
     evaluate_conditions,
     highest_ring_degree,
@@ -14,8 +31,11 @@ from smallcover.cover import (
     mod2_betti,
     rational_betti,
 )
-from smallcover.errors import InternalConsistencyError
-from smallcover.homology import CohomologyProfile, FinAbGroup
+from smallcover.errors import InputError, InternalConsistencyError
+from smallcover.gf2 import BitMatrix
+from smallcover.homology import CohomologyProfile, FinAbGroup, reduced_cohomology
+from smallcover.shelling import ShellingBudgetExceeded, find_shelling
+from smallcover.simplicial import SimplicialComplex
 
 
 def space(name):
@@ -180,3 +200,203 @@ class TestOrientability:
             M = space(name)
             torsion_free = integral_cohomology(M).group(3).is_torsion_free()
             assert is_orientable_3d(M) == torsion_free, name
+
+
+def used_mask(K):
+    used = 0
+    for f in K.facet_masks:
+        used |= f
+    return used
+
+
+def dual_mismatches(K):
+    """The masks W over K's labels, ghost labels included, whose part u in
+    the used vertices V is neither empty nor V, and where alexander_dual of
+    the profile of K_{V - u} differs from reduced_cohomology(K, W).  Every W
+    is checked, not only those omega_profiles reads off the dual side."""
+    n = K.dim + 1
+    used = used_mask(K)
+    direct = {wm: reduced_cohomology(K, wm) for wm in range(1 << K.vertex_count)}
+    return [
+        wm for wm, profile in direct.items()
+        if wm & used not in (0, used) and alexander_dual(direct[used & ~wm], n) != profile
+    ]
+
+
+def certified_catalog_complexes():
+    """name -> complex for the distinct catalog complexes on at most 12
+    labels that are closed pseudomanifolds with a shelling, and the Bier
+    sphere of rp2_6v, whose full subcomplexes on the six unbarred and on the
+    six barred labels carry Z_2 torsion."""
+    out = {}
+    for name, entry in sorted(catalog().items()):
+        K = entry.complex
+        if (
+            K.vertex_count <= 12
+            and K not in out.values()
+            and K.is_closed_pseudomanifold()
+            and find_shelling(K) is not None
+        ):
+            out[name] = K
+    out["bier_rp2_6v"] = bier_instance(catalog()["rp2_6v"].complex)[0]
+    return out
+
+
+CERTIFIED = certified_catalog_complexes()
+
+
+def with_ghosts(K, count, rng):
+    """K over its labels plus `count` new ghost labels, in a shuffled order."""
+    labels = list(K.labels) + [max(K.labels) + 1 + i for i in range(count)]
+    rng.shuffle(labels)
+    return SimplicialComplex(labels, K.facets)
+
+
+class TestAlexanderDuality:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_every_subset_of_a_certified_catalog_complex(self, name):
+        K = CERTIFIED[name]
+        assert K.is_closed_pseudomanifold() and find_shelling(K) is not None
+        assert dual_mismatches(K) == []
+
+    def test_torsion_of_the_projective_plane_in_its_bier_sphere(self):
+        K = CERTIFIED["bier_rp2_6v"]
+        unbarred = K.mask_of(range(1, 7))
+        assert reduced_cohomology(K, unbarred).groups == {2: FinAbGroup(0, (2,))}
+        complement = reduced_cohomology(K, used_mask(K) ^ unbarred)
+        assert complement.groups == {2: FinAbGroup(0, (2,))}
+        assert alexander_dual(complement, K.dim + 1).groups == {2: FinAbGroup(0, (2,))}
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_moved_spheres_with_ghost_labels(self, rng, ghosts):
+        # stellar subdivisions and bistellar flips keep a PL sphere a PL
+        # sphere, so duality holds whether or not the search certifies it
+        K = with_ghosts(moved_sphere(rng), ghosts, rng)
+        assert len(K.ghost_labels()) == ghosts
+        assert dual_mismatches(K) == []
+
+    @pytest.mark.parametrize("name", ["rp1", "rp2", "rp3", "rp4", "gon5", "deltas0", "cross3"])
+    def test_sympy_second_opinion(self, name):
+        pytest.importorskip("sympy")
+        K = CERTIFIED[name]
+        used = used_mask(K)
+        for u in range(1, used):
+            if u & used == u:
+                sub = K.full_subcomplex(K.labels_of(u))
+                dual = alexander_dual(reduced_cohomology(K, used ^ u), K.dim + 1)
+                assert dual.groups == sympy_cohomology(sub), (name, K.labels_of(u))
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The dimension n of each alexander_dual call that omega_profiles makes."""
+    calls = []
+
+    def spy(profile, n):
+        calls.append(n)
+        return alexander_dual(profile, n)
+
+    monkeypatch.setattr(cover, "alexander_dual", spy)
+    return calls
+
+
+def sampled_chi(K, seed):
+    """A characteristic matrix over K with dim K + 1 rows, by rejection
+    sampling of its columns."""
+    rng = random.Random(seed)
+    n = K.dim + 1
+    while True:
+        cols = [rng.getrandbits(n) for _ in range(K.vertex_count)]
+        if first_dependent_facet(K, cols) is None:
+            return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols))
+
+
+def outcome(M):
+    """The report of M, or the class and message of the error it raises."""
+    try:
+        return evaluate_conditions(M)
+    except (InputError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def direct_outcome(chi):
+    """outcome with every full subcomplex computed directly."""
+    M = RealToricSpace(chi.complex, chi)
+    M.omega_profiles = [
+        (wm, reduced_cohomology(chi.complex, wm))
+        for wm in omega_descriptors(chi, M.classification.coloring)
+    ]
+    return outcome(M)
+
+
+# The staircase keeps its own matrix: random columns over it are almost
+# never independent on every facet.
+UNCERTIFIED = {
+    name: sampled_chi(K, 17) for name, K in non_spheres().items() if name != "staircase"
+}
+UNCERTIFIED["staircase"] = circle_times_tetrahedron_boundary()
+
+
+class TestDualSideGuard:
+    @pytest.mark.parametrize("name", sorted(UNCERTIFIED))
+    def test_uncertified_complexes_stay_direct(self, name, dual_calls):
+        chi = UNCERTIFIED[name]
+        M = RealToricSpace(chi.complex, chi)
+        got = outcome(M)
+        assert not M.sphere_certified
+        assert dual_calls == []
+        assert got == direct_outcome(chi)
+
+    def test_search_stopped_at_its_budget_stays_direct(self, monkeypatch, dual_calls):
+        def stopped(K):
+            raise ShellingBudgetExceeded("stopped")
+
+        monkeypatch.setattr(cover, "find_shelling", stopped)
+        chi = get_entry("cross4").chi
+        M = RealToricSpace(chi.complex, chi)
+        report = evaluate_conditions(M)
+        assert report.hypotheses.shelling_found == BUDGET_EXCEEDED
+        assert dual_calls == []
+        assert report == direct_outcome(chi)
+
+    def test_certified_sphere_takes_the_dual_side(self, dual_calls):
+        chi = get_entry("cross4").chi
+        report = evaluate_conditions(RealToricSpace(chi.complex, chi))
+        assert dual_calls and set(dual_calls) == {4}
+        assert report == direct_outcome(chi)
+
+    def test_analyze_takes_the_dual_side(self, tmp_path, monkeypatch, capsys, dual_calls):
+        path = tmp_path / "cross4.json"
+        assert main(["catalog", "emit", "cross4"]) == 0
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["analyze", str(path), "--conditions", "2"]) == 0
+        dual = capsys.readouterr().out
+        assert dual_calls
+        # the same report with the certificate hidden, so every W is direct
+        dual_calls.clear()
+        monkeypatch.setattr(RealToricSpace, "sphere_certified", property(lambda M: False))
+        assert main(["analyze", str(path), "--conditions", "2"]) == 0
+        assert capsys.readouterr().out == dual
+        assert dual_calls == []
+
+
+TABLE1_STDOUT = (
+    "k            :   0   1   2   3   4   5   6   7   8\n"
+    "b^k          :   1   1  31  23  43  48   7   9   0\n"
+    "b^k mod 2    :   1  10  40  81 101  81  40  10   1\n"
+    "PASS: both rows match the expected values exactly\n"
+)
+
+
+def test_table1_stays_direct(monkeypatch, capsys, dual_calls):
+    # table1 never computes the hypotheses, so it holds no certificate and
+    # runs no shelling search.  It stays direct on every W until ROADMAP.md
+    # item 1 mends the bench's table1 segment test, which needs a table1 run
+    # longer than one 0.4 s segment.
+    searches = []
+    monkeypatch.setattr(cover, "find_shelling", searches.append)
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == TABLE1_STDOUT
+    assert searches == []
+    assert dual_calls == []

@@ -12,6 +12,7 @@ from oracles import (
     mod2_reduced_cohomology,
     profile_euler_characteristic,
     smith_normal_form,
+    sympy_cohomology,
 )
 from smallcover.errors import InternalConsistencyError
 from smallcover.homology import FinAbGroup, reduced_cohomology
@@ -205,28 +206,6 @@ def moore_space(k):
         e = ring[(i + 1) % len(ring)]
         tris += [(c, d, e), (d, e, a[i % 3]), (e, a[i % 3], a[(i + 1) % 3])]
     return SimplicialComplex(range(1, 5 + 3 * k), tris)
-
-
-def sympy_cohomology(K):
-    """Reduced integral cohomology groups of K from sympy's Smith normal
-    form of every coboundary matrix, with no clearing."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    ranks, torsion = {}, {}
-    for d in range(-1, K.dim):
-        a = coboundary_matrix(K, d)
-        reference = sympy_snf(sympy.Matrix(a))
-        diag = [abs(int(reference[i, i])) for i in range(min(len(a), len(a[0])))]
-        ranks[d] = sum(1 for f in diag if f)
-        torsion[d + 1] = [f for f in diag if f > 1]
-    expected = {}
-    for q in range(-1, K.dim + 1):
-        free = len(K.face_masks(q)) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        g = FinAbGroup.from_orders(free, torsion.get(q, []))
-        if not g.is_trivial():
-            expected[q] = g
-    return expected
 
 
 class TestMooreSpaces:

@@ -28,9 +28,10 @@ from smallcover.simplicial import (
     cross_polytope_boundary,
 )
 from oracles import (
-    circle_times_tetrahedron_boundary,
     critical_generators,
     interval_size_total,
+    moved_sphere,
+    non_spheres,
     profile_euler_characteristic,
     shelling_search_reference,
     two_degree_concentration_check,
@@ -346,64 +347,6 @@ def search_outcome(K, budget):
     return "shelled"
 
 
-def stellar_subdivision(K, face, new):
-    """Subdivide the face at a new vertex: each facet F holding the face
-    becomes the facets F - v + new for v in the face."""
-    face = set(face)
-    facets = [f for f in K.facets if not face <= set(f)]
-    for f in K.facets:
-        if face <= set(f):
-            facets += [tuple(sorted(set(f) - {v} | {new})) for v in face]
-    return SimplicialComplex(list(K.labels) + [new], facets)
-
-
-def bistellar_moves(K):
-    """(sigma, tau) with 2 <= |sigma| < facet size, the link of sigma the
-    boundary of tau, and tau no face: sigma * boundary(tau) may become
-    boundary(sigma) * tau."""
-    size = K.dim + 1
-    out = []
-    for k in range(2, size):
-        for sigma in map(K.labels_of, K.face_masks(k - 1)):
-            link = [set(f) - set(sigma) for f in K.facets if set(sigma) <= set(f)]
-            tau = set().union(*link)
-            if (
-                len(tau) == size + 1 - k
-                and len(link) == len(tau)
-                and K.mask_of(tau) not in K.all_face_masks()
-            ):
-                out.append((sigma, tuple(sorted(tau))))
-    return out
-
-
-def bistellar_flip(K, sigma, tau):
-    sigma = set(sigma)
-    facets = [f for f in K.facets if not sigma <= set(f)]
-    facets += [tuple(sorted(sigma - {v} | set(tau))) for v in sigma]
-    return SimplicialComplex(K.labels, facets)
-
-
-def moved_sphere(rng):
-    """A simplex or cross-polytope boundary after a few stellar subdivisions
-    and bistellar flips, over a shuffled declared label order."""
-    K = rng.choice([
-        boundary_of_simplex(2), boundary_of_simplex(3), boundary_of_simplex(4),
-        cross_polytope_boundary(2), cross_polytope_boundary(3),
-        cross_polytope_boundary(4),
-    ])
-    for _ in range(rng.randint(1, 5)):
-        moves = bistellar_moves(K)
-        if moves and rng.random() < 0.6:
-            K = bistellar_flip(K, *rng.choice(moves))
-        else:
-            facet = rng.choice(K.facets)
-            face = rng.sample(facet, rng.randint(2, len(facet)))
-            K = stellar_subdivision(K, face, max(K.labels) + 1)
-    labels = list(K.labels)
-    rng.shuffle(labels)
-    return SimplicialComplex(labels, K.facets)
-
-
 def branching_complex(rng):
     """A random pure complex with at least one ridge in three or more
     facets."""
@@ -416,17 +359,6 @@ def branching_complex(rng):
     facets |= set(rng.sample(pool, rng.randint(0, min(12, len(pool)))))
     rng.shuffle(labels)
     return SimplicialComplex(labels, sorted(facets))
-
-
-def non_spheres():
-    rp2 = catalog()["rp2_6v"].complex
-    return {
-        "rp2_6v": rp2,
-        "rp2_6v*S0": rp2.join(boundary_of_simplex(1)),
-        "S0*rp2_6v": boundary_of_simplex(1).join(rp2),
-        "rp2_6v*S1": rp2.join(boundary_of_simplex(2)),
-        "staircase": circle_times_tetrahedron_boundary().complex,
-    }
 
 
 class TestIncrementalSearchOracle:
