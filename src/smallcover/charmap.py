@@ -67,13 +67,14 @@ class CharacteristicMatrix:
         return self.matrix.cols
 
     def facet_coordinates(self, fm: int) -> tuple[int, ...]:
-        """The rows of B_F^-1 Lambda for the facet with mask fm, cached.
+        """The columns of B_F^-1 Lambda for the facet with mask fm, cached.
 
         B_F is the n x n matrix of the facet's columns in declared label
-        order, so row r holds the coordinate on the facet's r-th vertex of
-        every column, as a mask over K's labels: the facet's own columns
-        read e_1, ..., e_n.  __post_init__ has proved the facet's columns
-        independent, so B_F is invertible when the facet has n vertices.
+        order, so entry j is the column of K's j-th label in the facet's
+        basis, as an int whose bit r is the coordinate on the facet's r-th
+        vertex: the facet's own columns read e_1, ..., e_n.  __post_init__
+        has proved the facet's columns independent, so B_F is invertible
+        when the facet has n vertices.
         """
         cache = self._facet_coordinates
         got = cache.get(fm)
@@ -87,7 +88,7 @@ class CharacteristicMatrix:
             b = BitMatrix.from_column_bits(
                 self.n, [cols[j] for j in range(fm.bit_length()) if fm >> j & 1]
             )
-            got = cache[fm] = (invert(b) @ self.matrix).row_bits
+            got = cache[fm] = tuple((invert(b) @ self.matrix).column_bits())
         return got
 
     @cached_property
@@ -193,31 +194,18 @@ def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
     return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
 
 
-def _facet_flip_supports(M: CharacteristicMatrix, fm: int) -> list[frozenset[int]]:
-    """Flip supports at positions 1..n of the facet with mask fm: the set
-    bits of the flip vertex's column in the facet's coordinates."""
-    K = M.complex
-    rows = M.facet_coordinates(fm)
-    supports = []
-    bits = fm
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        p = K.flip_bit(fm, low).bit_length() - 1
-        supports.append(frozenset(r + 1 for r, row in enumerate(rows) if row >> p & 1))
-    return supports
-
-
 def flip_supports(M: CharacteristicMatrix):
-    """Yield (facet, i, S) for every facet of K.facets in order and every
-    position i = 1..n.  S is the subset of positions 1..n with lambda(p) =
-    the sum of the facet's columns at the positions in S, where p is the
-    vertex that replaces the facet's i-th vertex (in declared label order)
-    across the ridge left when that vertex is dropped."""
+    """Yield (fm, i, S) for every facet mask fm of K.facet_masks in order
+    and every position i = 1..n.  S is an int over the positions (bit r is
+    position r + 1) with lambda(p) = the sum of the facet's columns at S,
+    where p is the vertex that replaces the facet's i-th vertex (in declared
+    label order) across the ridge left when that vertex is dropped: the
+    column of p in the facet's coordinates."""
     K = M.complex
-    for facet, fm in zip(K.facets, K.facet_masks):
-        for i, s in enumerate(_facet_flip_supports(M, fm), start=1):
-            yield facet, i, s
+    for fm in K.facet_masks:
+        coords = M.facet_coordinates(fm)
+        for i, b in enumerate(bit_positions(fm), start=1):
+            yield fm, i, coords[K.flip_bit(fm, 1 << b).bit_length() - 1]
 
 
 def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
@@ -231,10 +219,10 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
         raise InternalConsistencyError("flip classification requires a closed pseudomanifold")
     if not K.is_strongly_connected():
         raise InternalConsistencyError("flip classification requires a strongly connected complex")
-    full = frozenset(range(1, M.n + 1))
+    full = (1 << M.n) - 1
     all_identity = True
     for _, i, s in flip_supports(M):
-        if s == frozenset({i}):
+        if s == 1 << i - 1:
             continue
         all_identity = False
         if s != full:

@@ -71,8 +71,6 @@ class Sq1Witness:
     position: int
     s: int
     t: int
-    vertex_s: int
-    vertex_t: int
     witness: RingClass
     image: RingClass
 
@@ -100,28 +98,27 @@ class GradedRingBasis:
             )
         self.h = K.h_vector()
 
-        self._labels = K.labels
-        self._label_pos = {v: i for i, v in enumerate(self._labels)}
-        self.pivot_facet = K.facets[0]
-        rewritten = chi.facet_coordinates(K.facet_masks[0])
-        self.variables = tuple(v for v in self._labels if v not in set(self.pivot_facet))
-        self._var_index = {v: i for i, v in enumerate(self.variables)}
-        self._subst = {v: 1 << i for v, i in self._var_index.items()}
-        for r, u in enumerate(self.pivot_facet):
-            bits = 0
-            for j, v in enumerate(self._labels):
-                if v in self._var_index and (rewritten[r] >> j) & 1:
-                    bits |= 1 << self._var_index[v]
-            self._subst[u] = bits
-        self.num_vars = len(self.variables)
+        # the variables are the labels off the first facet, in declared order
+        fm = K.facet_masks[0]
+        free = (1 << K.vertex_count) - 1 & ~fm
+        self.variables = K.labels_of(free)
+        pivots = bit_positions(fm)
+        coords = chi.facet_coordinates(fm)
+        # by vertex position: its generator over the variables (bit i is the
+        # i-th variable); the facet's r-th vertex gets bit r of each column
+        self._subst = [0] * K.vertex_count
+        for i, p in enumerate(bit_positions(free)):
+            self._subst[p] = 1 << i
+            for r in bit_positions(coords[p]):
+                self._subst[pivots[r]] |= 1 << i
         self._width = w = self.n.bit_length()
         self._field = (1 << w) - 1
         # the low bit of every field, where an odd exponent shows
-        self._low_bits = sum(1 << w * p for p in range(len(self._labels)))
-        self._units = [1 << w * self._label_pos[v] for v in self.variables]
-        # by bit position: the units whose sum is that label's generator
+        self._low_bits = sum(1 << w * p for p in range(K.vertex_count))
+        self._units = [1 << w * p for p in bit_positions(free)]
+        # by vertex position: the units whose sum is that vertex's generator
         self._subst_units = [
-            [self._units[i] for i in bit_positions(self._subst[v])] for v in self._labels
+            [self._units[i] for i in bit_positions(bits)] for bits in self._subst
         ]
 
         self._monomials: dict[int, list[int]] = {}
@@ -251,17 +248,13 @@ class GradedRingBasis:
                 vec ^= 1 << index[xkey + ykey]
         return RingClass(d, self._reduce_vector(d, vec))
 
-    def _generator_class(self, label: int) -> RingClass:
-        if label not in self._label_pos:
-            raise InternalConsistencyError(f"unknown vertex label {label}")
-        self._ensure_degree(1)
-        return RingClass(1, self._reduce_vector(1, self._subst[label]))
-
     def express(self, monomial) -> RingClass:
         """Normal form of a monomial given as vertex labels with repetition."""
         c = self.one()
+        self._ensure_degree(1)
         for label in monomial:
-            c = self.multiply(c, self._generator_class(label))
+            p = self.K.mask_of([label]).bit_length() - 1
+            c = self.multiply(c, RingClass(1, self._reduce_vector(1, self._subst[p])))
         return c
 
     def sq1(self, x: RingClass) -> RingClass:
@@ -301,7 +294,7 @@ class GradedRingBasis:
         self._ensure_degree(1)
         # each label's generator over the variables; the sum is reduced once
         w1_vec = 0
-        for bits in self._subst.values():
+        for bits in self._subst:
             w1_vec ^= bits
         w1 = RingClass(1, self._reduce_vector(1, w1_vec))
         return all(
@@ -378,14 +371,16 @@ def find_sq1_witness(
         raise InternalConsistencyError(
             "witness search needs a strongly connected closed pseudomanifold"
         )
-    full = frozenset(range(1, chi.n + 1))
-    for facet, i, s_set in flip_supports(chi):
-        if s_set != frozenset({i}) and s_set != full:
+    full = (1 << chi.n) - 1
+    for fm, i, support in flip_supports(chi):
+        if support != 1 << i - 1 and support != full:
             break
     else:
         return None
-    s = min(s_set - {i})
-    t = min(full - s_set)
+    rest, outside = support & ~(1 << i - 1), full & ~support
+    s = (rest & -rest).bit_length()
+    t = (outside & -outside).bit_length()
+    facet = K.labels_of(fm)
     u_s = facet[s - 1]
     u_t = facet[t - 1]
     cs = ring.express([u_s])
@@ -401,4 +396,4 @@ def find_sq1_witness(
         raise InternalConsistencyError(
             "flip support certifies a non-pullback but the witness square vanished"
         )
-    return Sq1Witness(facet, i, s, t, u_s, u_t, witness, image)
+    return Sq1Witness(facet, i, s, t, witness, image)

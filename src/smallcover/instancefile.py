@@ -9,7 +9,6 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .charmap import CharacteristicMatrix
 from .errors import InputError
@@ -17,21 +16,13 @@ from .gf2 import BitMatrix
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
-class InstanceFile:
-    name: str
-    n: int
-    vertices: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...]
-    lambda_rows: tuple[tuple[int, ...], ...] | None
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InputError(message)
 
 
-def parse_document(text: str) -> InstanceFile:
+def parse_instance(text: str) -> tuple[SimplicialComplex, CharacteristicMatrix | None]:
+    """Parse and validate a document into a complex plus optional matrix."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -43,8 +34,7 @@ def parse_document(text: str) -> InstanceFile:
     _require(isinstance(doc, dict), "document must be a JSON object")
     for key in ("name", "n", "vertices", "facets", "lambda"):
         _require(key in doc, f"missing field {key!r}")
-    name = doc["name"]
-    _require(isinstance(name, str), "field 'name' must be a string")
+    _require(isinstance(doc["name"], str), "field 'name' must be a string")
     n = doc["n"]
     _require(type(n) is int and n >= 1, "field 'n' must be a positive integer")
     vertices = doc["vertices"]
@@ -73,22 +63,10 @@ def parse_document(text: str) -> InstanceFile:
                     type(v) is int and v in (0, 1),
                     f"lambda entry at row {i}, column {j} is {v!r}, not 0/1",
                 )
-    return InstanceFile(
-        name=name,
-        n=n,
-        vertices=tuple(vertices),
-        facets=tuple(tuple(f) for f in facets),
-        lambda_rows=tuple(tuple(r) for r in rows) if rows is not None else None,
-    )
-
-
-def parse_instance(text: str) -> tuple[SimplicialComplex, CharacteristicMatrix | None]:
-    """Parse and validate a document into a complex plus optional matrix."""
-    doc = parse_document(text)
-    K = SimplicialComplex(doc.vertices, doc.facets)
-    if doc.lambda_rows is None:
+    K = SimplicialComplex(vertices, facets)
+    if rows is None:
         return K, None
-    return K, CharacteristicMatrix(K, BitMatrix.from_lists(doc.lambda_rows))
+    return K, CharacteristicMatrix(K, BitMatrix.from_lists(rows))
 
 
 def emit_instance(

@@ -241,11 +241,13 @@ def _maximal(masks, vertex_count: int) -> list[int]:
     held when the AND of its vertices' stars (bitmasks over the kept masks)
     with the kept masks of larger size is nonzero; the AND starts from those
     masks, so the empty mask is dropped exactly when something was kept.
+    Only smaller masks read the stars, so the smallest size sets none.
     """
     kept: list[int] = []
     star = [0] * vertex_count
     larger = every = 0
     size = -1
+    smallest = min(map(int.bit_count, masks), default=-1)
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if m.bit_count() != size:
             size, larger = m.bit_count(), every
@@ -259,6 +261,8 @@ def _maximal(masks, vertex_count: int) -> list[int]:
             continue
         bit = 1 << len(kept)
         kept.append(m)
+        if size == smallest:
+            continue
         every |= bit
         bits = m
         while bits:

@@ -183,8 +183,9 @@ def ridge_flip_support(chi: CharacteristicMatrix, facet, i: int) -> frozenset[in
     flip_supports."""
     K = chi.complex
     ridge_flip(K, facet, i)  # rejects a non-facet, a bad position or an open ridge
-    facet = K.labels_of(K.mask_of(facet))
-    return next(s for f, j, s in flip_supports(chi) if f == facet and j == i)
+    fm = K.mask_of(facet)
+    s = next(s for f, j, s in flip_supports(chi) if f == fm and j == i)
+    return frozenset(k + 1 for k in bit_positions(s))
 
 
 def column_for_label(chi: CharacteristicMatrix, label: int) -> int:
@@ -259,7 +260,7 @@ def tau_classes(ring: GradedRingBasis, coloring: dict[int, int]) -> list[RingCla
         acc = RingClass(1, 0)
         for label, c in coloring.items():
             if c == color:
-                acc = ring.add(acc, ring._generator_class(label))
+                acc = ring.add(acc, ring.express([label]))
         taus.append(acc)
     if any(t != taus[0] for t in taus[1:]):
         raise InternalConsistencyError("color-class sums are unequal: coloring is not valid")
@@ -274,7 +275,7 @@ def square_identity_check(ring: GradedRingBasis, coloring: dict[int, int]) -> bo
     """Every generator g satisfies g^2 = tau * g."""
     t = tau(ring, coloring)
     for label in ring.K.labels:
-        g = ring._generator_class(label)
+        g = ring.express([label])
         if ring.multiply(g, g) != ring.multiply(t, g):
             return False
     return True
@@ -284,7 +285,7 @@ def total_sw(ring: GradedRingBasis) -> list[RingClass]:
     """Total Stiefel-Whitney class: product of (1 + generator), by degree."""
     element: dict[int, RingClass] = {0: ring.one()}
     for label in ring.K.labels:
-        g = ring._generator_class(label)
+        g = ring.express([label])
         nxt = dict(element)
         for deg, cls in element.items():
             if deg + 1 > ring.n:

@@ -195,8 +195,8 @@ def test_criterion_5_negative_witness(spaces):
     assert not M.ring.sq1_vanishes_on_degree(2)
     witness = find_sq1_witness(M.complex, M.chi, M.ring)
     assert witness is not None
-    vs = M.ring.express([witness.vertex_s])
-    vt = M.ring.express([witness.vertex_t])
+    vs = M.ring.express([witness.facet[witness.s - 1]])
+    vt = M.ring.express([witness.facet[witness.t - 1]])
     prod = M.ring.multiply(vs, vt)
     assert witness.witness == prod
     assert M.ring.sq1(prod) == M.ring.multiply(prod, M.ring.add(vs, vt))

@@ -243,6 +243,18 @@ class TestFuzz:
     def test_unknown_complex(self, capsys):
         assert main(["fuzz", "--complex", "nope", "--samples", "1", "--seed", "0"]) == 1
 
+    def test_negative_sample_count_is_an_input_error(self, capsys):
+        assert main(["fuzz", "--complex", "rp2", "--samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --samples must be a nonnegative count, got -3\n"
+
+    def test_zero_samples_summary(self, capsys):
+        assert main(["fuzz", "--complex", "gon6", "--samples", "0", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "fuzz gon6: 0/0 agreements, 0 classifier cross-checks, 0 rejections, seed 5\n"
+        )
+
 
 # sha256 of repr([(row_bits, rejections), ...]) for the first 20 draws of
 # sample_random_instance(name, random.Random(f"pin/{name}")), recorded before

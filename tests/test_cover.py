@@ -162,7 +162,7 @@ class TestRingDegreePlan:
         top = highest_ring_degree(M, ALL_CONDITIONS)
         report = evaluate_conditions(M)
         assert M.sphere_certified
-        assert M.ring.num_vars == M.chi.m - M.n
+        assert len(M.ring.variables) == M.chi.m - M.n
         assert max(M.ring._nf_rows) <= top <= max(3, (M.n + 1) // 2)
         if report.sq1_witness is not None:
             assert max(M.ring._nf_rows) == top

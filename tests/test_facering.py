@@ -472,12 +472,12 @@ class TestWitness:
         w = find_sq1_witness(chi.complex, chi, build_graded_basis(chi.complex, chi))
         assert w is not None
         basis = build_graded_basis(chi.complex, chi)
-        cls = basis.multiply(basis.express([w.vertex_s]), basis.express([w.vertex_t]))
+        vs = basis.express([w.facet[w.s - 1]])
+        vt = basis.express([w.facet[w.t - 1]])
+        cls = basis.multiply(vs, vt)
         image = basis.sq1(cls)
         assert not image.is_zero()
-        assert image == basis.multiply(
-            cls, basis.add(basis.express([w.vertex_s]), basis.express([w.vertex_t]))
-        )
+        assert image == basis.multiply(cls, basis.add(vs, vt))
 
     def test_pullbacks_have_no_witness(self):
         for chi in (lambda_boundary_simplex(3), octahedron_linear()):
@@ -488,7 +488,7 @@ class TestWitness:
 def total_sq_oracle(ring, x):
     """Total square as the product over the monomial's variables of the
     reduced classes (w + w^2), multiplied out class by class."""
-    monos = list(combinations_with_replacement(range(ring.num_vars), x.degree))
+    monos = list(combinations_with_replacement(range(len(ring.variables)), x.degree))
     out = {}
     for pos in range(ring.dimension(x.degree)):
         if not (x.bits >> pos) & 1:
@@ -545,7 +545,7 @@ class TestMonomialEncoding:
                 assert sum(e << s for e, s in zip(exponents, fields)) == key
                 decoded.append(tuple(i for i, e in enumerate(exponents) for _ in range(e)))
             assert decoded == list(
-                combinations_with_replacement(range(ring.num_vars), d)
+                combinations_with_replacement(range(len(ring.variables)), d)
             ), (name, d)
 
 

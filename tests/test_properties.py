@@ -179,6 +179,50 @@ def relabelled(entry, rng) -> CharacteristicMatrix:
     )
 
 
+def scaled_relabelling(entry, rng) -> CharacteristicMatrix:
+    """The entry's instance with every label v renamed 7v + 3 and declared
+    in a shuffled order, each label keeping its column."""
+    K, chi = entry.complex, entry.chi
+    column = {7 * v + 3: c for v, c in zip(K.labels, chi.matrix.column_bits())}
+    labels = list(column)
+    rng.shuffle(labels)
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, [[7 * v + 3 for v in f] for f in K.facets]),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
+
+
+class TestSq1WitnessUnderRelabelling:
+    def test_witness_reads_from_labels_alone(self):
+        """Under labels 7v + 3 in a shuffled declared order, no facet position
+        is a label minus one and facets are not in ascending label order; each
+        witness must still match the flip support of its facet's labels."""
+        seen, unsorted = [], False
+        for name, entry in light_instances():
+            chi = scaled_relabelling(entry, random.Random(f"scale-{name}"))
+            M = RealToricSpace(chi.complex, chi)
+            w = evaluate_conditions(M).sq1_witness
+            assert (w is None) == M.classification.is_simplex_pullback, name
+            if w is None:
+                continue
+            seen.append(name)
+            unsorted |= list(w.facet) != sorted(w.facet)
+            assert w.facet in M.complex.facets, name
+            support = oracles.ridge_flip_support(chi, w.facet, w.position)
+            full = frozenset(range(1, M.n + 1))
+            assert support not in (frozenset({w.position}), full), name
+            assert w.s == min(support - {w.position}), name
+            assert w.t == min(full - support), name
+            ring = M.ring
+            product = ring.multiply(
+                ring.express([w.facet[w.s - 1]]), ring.express([w.facet[w.t - 1]])
+            )
+            assert product == w.witness, name
+            assert ring.sq1(product) == w.image, name
+            assert not w.image.is_zero(), name
+        assert seen and unsorted, seen
+
+
 class TestRingLaws:
     def test_sq1_squared_and_odd_degree_action(self, spaces):
         for name in ("rp4", "rp5", "cross3mixed", "gon7", "deltas0", "rp2xrp2"):
