@@ -208,6 +208,7 @@ def sample_random_instance(
 def cmd_fuzz(args) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be a nonnegative count, got {args.samples}")
+    get_entry(args.complex)  # an unknown name fails even when no sample is drawn
     t0 = time.perf_counter()
     rng = random.Random(args.seed)
     rejections = 0

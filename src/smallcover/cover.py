@@ -8,8 +8,8 @@ summands closed off through the mod-2 / rational Betti bookkeeping.
 
 When K carries the sphere certificate (a closed pseudomanifold with a
 shelling, hence a PL sphere), a full subcomplex on more than half of the
-used vertices, and in no facet, is computed on its complement and read off
-by Alexander duality.  The certificate is only used once the hypotheses
+used vertices, and not a face of K, is computed on its complement and read
+off by Alexander duality.  The certificate is only used once the hypotheses
 have been computed, which evaluate_conditions does on entry; table1
 computes none and stays direct.
 """
@@ -154,11 +154,11 @@ class RealToricSpace:
         reduced_cohomology call per W.
 
         On a certified sphere with used vertices V, a W whose part u in V
-        holds more than half of V and lies in no facet is computed on V - u
-        and read off by alexander_dual; a u inside a facet spans a simplex,
-        which reduced_cohomology answers without enumerating a face.  This
-        never starts the shelling search: the certificate counts only once
-        the hypotheses exist."""
+        holds more than half of V and is not a face of K is computed on
+        V - u and read off by alexander_dual; a u that is a face of K spans
+        a simplex, which reduced_cohomology answers by one lookup in K's
+        face set.  This never starts the shelling search: the certificate
+        counts only once the hypotheses exist."""
         K = self.complex
         certified = "hypotheses" in self.__dict__ and self.sphere_certified
         used = 0
@@ -171,7 +171,7 @@ class RealToricSpace:
                 certified
                 and u != used
                 and 2 * u.bit_count() > used.bit_count()
-                and not any(u & f == u for f in K.facet_masks)
+                and u not in K.all_face_masks()
             ):
                 return alexander_dual(reduced_cohomology(K, used ^ u), self.n)
             return reduced_cohomology(K, wm)

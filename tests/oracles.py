@@ -13,7 +13,9 @@ cohomology from sympy's Smith normal form, mod-2 cohomology by GF(2)
 elimination (independent of the integer path), both reduced Euler
 characteristics, the enumeration of GL(n, 2) and a
 matrix-vector product by row parities.  The pairwise maximality filter that
-SimplicialComplex's star-mask filter must match.  Combinatorial lookups the
+SimplicialComplex's star-mask filter must match, and the per-degree filter
+of K's faces inside W that the faces of K_W grown by reduced_cohomology
+must match.  Ghost labels added to a complex.  Combinatorial lookups the
 commands never make: the ridge flip of a facet position, its flip support,
 a label's column, orientability for n = 3 and building every ring degree.
 """
@@ -70,6 +72,27 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
     return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
 
 
+def faces_by_filter(K: SimplicialComplex, wm: int) -> dict[int, list[int]]:
+    """Degree -> ascending face masks of K_W, from degree -1 to the top
+    nonempty one, by keeping the q-faces of K that lie inside W: the
+    filter that the faces reduced_cohomology grows from K's face set must
+    match, list for list and in the same order."""
+    faces: dict[int, list[int]] = {}
+    for q in range(-1, min(K.dim, wm.bit_count() - 1) + 1):
+        fq = [m for m in K.face_masks(q) if m & wm == m]
+        if not fq:
+            break
+        faces[q] = fq
+    return faces
+
+
+def with_ghosts(K: SimplicialComplex, count: int, rng) -> SimplicialComplex:
+    """K over its labels plus `count` new ghost labels, in a shuffled order."""
+    labels = list(K.labels) + [max(K.labels) + 1 + i for i in range(count)]
+    rng.shuffle(labels)
+    return SimplicialComplex(labels, K.facets)
+
+
 def mod2_reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> CohomologyProfile:
     """Reduced cohomology of K_W with Z_2 coefficients, W a vertex mask over
     K's labels, dimensions in the rank slot: GF(2) elimination of every
@@ -80,12 +103,7 @@ def mod2_reduced_cohomology(K: SimplicialComplex, wm: int | None = None) -> Coho
         return CohomologyProfile({-1: FinAbGroup.free(1)})
     if any(wm & f == wm for f in K.facet_masks):
         return CohomologyProfile()
-    faces: dict[int, list[int]] = {}
-    for q in range(-1, min(K.dim, wm.bit_count() - 1) + 1):
-        fq = [m for m in K.face_masks(q) if m & wm == m]
-        if not fq:
-            break
-        faces[q] = fq
+    faces = faces_by_filter(K, wm)
     ranks: dict[int, int] = {}
     for q in range(-1, max(faces)):
         cols = {m: j for j, m in enumerate(faces[q])}

@@ -255,6 +255,12 @@ class TestFuzz:
             "fuzz gon6: 0/0 agreements, 0 classifier cross-checks, 0 rejections, seed 5\n"
         )
 
+    def test_unknown_complex_with_zero_samples(self, capsys):
+        assert main(["fuzz", "--complex", "nope", "--samples", "0", "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: unknown catalog name 'nope'; available: ")
+
 
 # sha256 of repr([(row_bits, rejections), ...]) for the first 20 draws of
 # sample_random_instance(name, random.Random(f"pin/{name}")), recorded before

@@ -13,6 +13,7 @@ from oracles import (
     moved_sphere,
     non_spheres,
     sympy_cohomology,
+    with_ghosts,
 )
 from smallcover import cover
 from smallcover.bier import bier_instance
@@ -35,7 +36,7 @@ from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.gf2 import BitMatrix
 from smallcover.homology import CohomologyProfile, FinAbGroup, reduced_cohomology
 from smallcover.shelling import ShellingBudgetExceeded, find_shelling
-from smallcover.simplicial import SimplicialComplex
+from smallcover.simplicial import boundary_of_simplex
 
 
 def space(name):
@@ -245,13 +246,6 @@ def certified_catalog_complexes():
 CERTIFIED = certified_catalog_complexes()
 
 
-def with_ghosts(K, count, rng):
-    """K over its labels plus `count` new ghost labels, in a shuffled order."""
-    labels = list(K.labels) + [max(K.labels) + 1 + i for i in range(count)]
-    rng.shuffle(labels)
-    return SimplicialComplex(labels, K.facets)
-
-
 class TestAlexanderDuality:
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_every_subset_of_a_certified_catalog_complex(self, name):
@@ -357,6 +351,17 @@ class TestDualSideGuard:
         M = RealToricSpace(chi.complex, chi)
         report = evaluate_conditions(M)
         assert report.hypotheses.shelling_found == BUDGET_EXCEEDED
+        assert dual_calls == []
+        assert report == direct_outcome(chi)
+
+    def test_faces_of_a_certified_sphere_stay_direct(self, dual_calls):
+        # every proper vertex subset of the boundary of the 4-simplex is a
+        # face, so each W takes the simplex exit and none the complement
+        chi = get_entry("rp4").chi
+        M = RealToricSpace(chi.complex, chi)
+        report = evaluate_conditions(M)
+        assert chi.complex.facets == boundary_of_simplex(4).facets
+        assert M.sphere_certified
         assert dual_calls == []
         assert report == direct_outcome(chi)
 

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from oracles import (
     coboundary_matrix,
     complex_euler_characteristic,
+    faces_by_filter,
     mod2_reduced_cohomology,
+    moved_sphere,
     profile_euler_characteristic,
     smith_normal_form,
     sympy_cohomology,
+    with_ghosts,
 )
+from smallcover.catalog import get_entry
+from smallcover.charmap import omega_descriptors
+from smallcover.cover import RealToricSpace
 from smallcover.errors import InternalConsistencyError
-from smallcover.homology import FinAbGroup, reduced_cohomology
+from smallcover.homology import FinAbGroup, _full_subcomplex_faces, reduced_cohomology
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -351,14 +357,17 @@ class TestFullSubcomplexOnMasks:
         assert 2 in factors and len(unit_rows) < sum(1 for f in factors if f)
 
 
+def no_faces(*args):
+    raise AssertionError("faces enumerated for a simplex")
+
+
 class TestSimplexExit:
     def test_every_subset_of_one_facet(self, monkeypatch):
+        import smallcover.homology as homology
+
         K = SimplicialComplex(range(1, 13), [tuple(range(1, 13))])
-
-        def no_faces(d):
-            raise AssertionError("faces enumerated for a simplex")
-
         monkeypatch.setattr(K, "face_masks", no_faces)
+        monkeypatch.setattr(homology, "_full_subcomplex_faces", no_faces)
         trivial = 0
         for wm in range(1 << K.vertex_count):
             p = reduced_cohomology(K, wm)
@@ -369,6 +378,55 @@ class TestSimplexExit:
         assert trivial == 2 ** 12 - 1
         for c in (reduced_cohomology, mod2_reduced_cohomology):
             assert c(K, (1 << K.vertex_count) - 1).groups == {}
+
+    def test_every_face_of_a_sphere(self, monkeypatch):
+        import smallcover.homology as homology
+
+        K = boundary_of_simplex(4)
+        monkeypatch.setattr(homology, "_full_subcomplex_faces", no_faces)
+        for fm in K.all_face_masks() - {0}:
+            assert reduced_cohomology(K, fm).groups == {}
+
+
+def grown_face_mismatches(K, masks):
+    """The masks W among ``masks`` where the faces of K_W grown from K's face
+    set differ from the filtered faces of K (by degree, in order), or where
+    the simplex lookup ``W in K's face set`` disagrees with a facet that
+    holds W."""
+    in_K = K.all_face_masks()
+    return [
+        wm for wm in masks
+        if _full_subcomplex_faces(in_K, wm) != faces_by_filter(K, wm)
+        or (wm in in_K) != any(wm & f == wm for f in K.facet_masks)
+    ]
+
+
+class TestGrownFaces:
+    def test_every_subset_of_the_small_catalog_complexes(self):
+        complexes = small_catalog_complexes(max_vertices=12)
+        non_simplex = 0
+        for K in complexes:
+            assert grown_face_mismatches(K, range(1 << K.vertex_count)) == [], K.facets
+            non_simplex += (1 << K.vertex_count) - K.total_face_count()
+        assert non_simplex == 12_449  # (K, W) pairs over the distinct complexes
+
+    def test_bier9_omega_supports_on_both_sides(self):
+        chi = get_entry("bier9").chi
+        K = chi.complex
+        supports = omega_descriptors(chi, RealToricSpace(K, chi).classification.coloring)
+        used = 0
+        for f in K.facet_masks:
+            used |= f
+        assert len(supports) == 256 and K.vertex_count == 18
+        assert grown_face_mismatches(K, supports) == []
+        assert grown_face_mismatches(K, [used & ~wm for wm in supports]) == []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_moved_spheres_with_ghost_labels(self, rng, ghosts):
+        K = with_ghosts(moved_sphere(rng), ghosts, rng)
+        assert len(K.ghost_labels()) == ghosts
+        assert grown_face_mismatches(K, range(1 << K.vertex_count)) == []
 
 
 class TestHonestFailure:
