@@ -69,26 +69,54 @@ class CharacteristicMatrix:
     def facet_coordinates(self, fm: int) -> tuple[int, ...]:
         """The columns of B_F^-1 Lambda for the facet with mask fm, cached.
 
-        B_F is the n x n matrix of the facet's columns in declared label
-        order, so entry j is the column of K's j-th label in the facet's
-        basis, as an int whose bit r is the coordinate on the facet's r-th
-        vertex: the facet's own columns read e_1, ..., e_n.  __post_init__
-        has proved the facet's columns independent, so B_F is invertible
-        when the facet has n vertices.
+        B_F is the n x n matrix of the facet's columns, so entry j is the
+        column of K's j-th label in the facet's basis, as the vertex mask
+        (a subset of fm) of the facet vertices whose columns sum to it: the
+        facet's own vertices read themselves.
+
+        A facet that shares a ridge with a cached facet G = fm - v + u is one
+        basis exchange away: with c the entry of v in G, which holds u
+        exactly when fm's columns are independent, an entry x of G becomes
+        x ^ c | v when it holds u and stays x otherwise.  Only a facet with
+        no cached ridge neighbour inverts B_F: a flip scan of bier9 in facet
+        order inverts 5 of its 365 bases.
         """
         cache = self._facet_coordinates
         got = cache.get(fm)
-        if got is None:
-            if fm.bit_count() != self.n:
-                raise InternalConsistencyError(
-                    f"facet {self.complex.labels_of(fm)} has "
-                    f"{fm.bit_count()} vertices, not n = {self.n}"
-                )
-            cols = self.matrix.column_bits()
-            b = BitMatrix.from_column_bits(
-                self.n, [cols[j] for j in range(fm.bit_length()) if fm >> j & 1]
+        if got is not None:
+            return got
+        K = self.complex
+        if fm.bit_count() != self.n:
+            raise InternalConsistencyError(
+                f"facet {K.labels_of(fm)} has {fm.bit_count()} vertices, not n = {self.n}"
             )
-            got = cache[fm] = tuple((invert(b) @ self.matrix).column_bits())
+        if K.is_pure():
+            table, facets = K.ridge_table(), K.facet_masks
+            bits = fm
+            while bits and got is None:
+                v = bits & -bits
+                bits ^= v
+                for idx in table.get(fm ^ v, ()):
+                    src = cache.get(facets[idx])
+                    if src is not None:
+                        u = facets[idx] & ~fm
+                        c = src[v.bit_length() - 1]
+                        if not c & u:
+                            raise InternalConsistencyError(
+                                f"pivot column of vertex {K.labels_of(v)} misses "
+                                f"{K.labels_of(u)} in the basis of {K.labels_of(facets[idx])}"
+                            )
+                        got = tuple(x ^ c | v if x & u else x for x in src)
+                        break
+        if got is None:
+            cols = self.matrix.column_bits()
+            positions = bit_positions(fm)
+            b = BitMatrix.from_column_bits(self.n, [cols[j] for j in positions])
+            got = tuple(
+                sum(1 << positions[r] for r in bit_positions(x))
+                for x in (invert(b) @ self.matrix).column_bits()
+            )
+        cache[fm] = got
         return got
 
     @cached_property
@@ -195,17 +223,19 @@ def classify_pullback(M: CharacteristicMatrix) -> PullbackClass:
 
 
 def flip_supports(M: CharacteristicMatrix):
-    """Yield (fm, i, S) for every facet mask fm of K.facet_masks in order
-    and every position i = 1..n.  S is an int over the positions (bit r is
-    position r + 1) with lambda(p) = the sum of the facet's columns at S,
-    where p is the vertex that replaces the facet's i-th vertex (in declared
-    label order) across the ridge left when that vertex is dropped: the
-    column of p in the facet's coordinates."""
+    """Yield (fm, v, S) for every facet mask fm of K.facet_masks in order
+    and every vertex bit v of fm, lowest first.  S is the vertex mask, a
+    subset of fm, with lambda(p) = the sum of the columns at S, where p is
+    the vertex that replaces v across the ridge fm - v: the entry of p in
+    the facet's coordinates."""
     K = M.complex
     for fm in K.facet_masks:
         coords = M.facet_coordinates(fm)
-        for i, b in enumerate(bit_positions(fm), start=1):
-            yield fm, i, coords[K.flip_bit(fm, 1 << b).bit_length() - 1]
+        bits = fm
+        while bits:
+            v = bits & -bits
+            bits ^= v
+            yield fm, v, coords[K.flip_bit(fm, v).bit_length() - 1]
 
 
 def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
@@ -219,13 +249,12 @@ def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:
         raise InternalConsistencyError("flip classification requires a closed pseudomanifold")
     if not K.is_strongly_connected():
         raise InternalConsistencyError("flip classification requires a strongly connected complex")
-    full = (1 << M.n) - 1
     all_identity = True
-    for _, i, s in flip_supports(M):
-        if s == 1 << i - 1:
+    for fm, v, s in flip_supports(M):
+        if s == v:
             continue
         all_identity = False
-        if s != full:
+        if s != fm:
             return PullbackClass(PullbackLabel.NOT_SIMPLEX, False)
     label = PullbackLabel.LINEAR_MODEL if all_identity else PullbackLabel.SIMPLEX_PROPER
     return PullbackClass(label, True, _pullback_witness(M))

@@ -78,6 +78,9 @@ class Sq1Witness:
 class GradedRingBasis:
     """Per-degree bases and normal forms for the quotient ring.
 
+    The variables are the labels off K's first facet.  The row relations
+    make each facet vertex's generator the sum of the variables whose
+    coordinate column, a vertex mask from chi.facet_coordinates, holds it.
     Degrees are built lazily.  Degree-d dimensions are asserted against the
     h-vector; any mismatch raises InternalConsistencyError.
     """
@@ -102,15 +105,15 @@ class GradedRingBasis:
         fm = K.facet_masks[0]
         free = (1 << K.vertex_count) - 1 & ~fm
         self.variables = K.labels_of(free)
-        pivots = bit_positions(fm)
         coords = chi.facet_coordinates(fm)
         # by vertex position: its generator over the variables (bit i is the
-        # i-th variable); the facet's r-th vertex gets bit r of each column
+        # i-th variable); each facet vertex in the i-th variable's column
+        # gets bit i
         self._subst = [0] * K.vertex_count
         for i, p in enumerate(bit_positions(free)):
             self._subst[p] = 1 << i
-            for r in bit_positions(coords[p]):
-                self._subst[pivots[r]] |= 1 << i
+            for q in bit_positions(coords[p]):
+                self._subst[q] |= 1 << i
         self._width = w = self.n.bit_length()
         self._field = (1 << w) - 1
         # the low bit of every field, where an odd exponent shows
@@ -363,28 +366,26 @@ def find_sq1_witness(
 ) -> Sq1Witness | None:
     """A degree-2 monomial class with nonzero first square, when one exists.
 
-    Scans ridge-flip supports for a facet position whose support is neither
-    the singleton nor the full index set; returns None exactly when the
-    instance is a pullback from the simplex.
+    Scans ridge-flip supports for a facet vertex v whose support S is
+    neither {v} nor the whole facet; returns None exactly when the instance
+    is a pullback from the simplex.  The witness multiplies the generators
+    of the lowest vertex of S - v and the lowest facet vertex outside S;
+    position, s and t count these vertices from 1 in the facet's label
+    order.
     """
     if not K.is_closed_pseudomanifold() or not K.is_strongly_connected():
         raise InternalConsistencyError(
             "witness search needs a strongly connected closed pseudomanifold"
         )
-    full = (1 << chi.n) - 1
-    for fm, i, support in flip_supports(chi):
-        if support != 1 << i - 1 and support != full:
+    for fm, v, support in flip_supports(chi):
+        if support != v and support != fm:
             break
     else:
         return None
-    rest, outside = support & ~(1 << i - 1), full & ~support
-    s = (rest & -rest).bit_length()
-    t = (outside & -outside).bit_length()
-    facet = K.labels_of(fm)
-    u_s = facet[s - 1]
-    u_t = facet[t - 1]
-    cs = ring.express([u_s])
-    ct = ring.express([u_t])
+    rest, outside = support & ~v, fm & ~support
+    s_bit, t_bit = rest & -rest, outside & -outside
+    cs = ring.express(K.labels_of(s_bit))
+    ct = ring.express(K.labels_of(t_bit))
     witness = ring.multiply(cs, ct)
     image = ring.sq1(witness)
     expected = ring.multiply(witness, ring.add(cs, ct))
@@ -396,4 +397,5 @@ def find_sq1_witness(
         raise InternalConsistencyError(
             "flip support certifies a non-pullback but the witness square vanished"
         )
-    return Sq1Witness(facet, i, s, t, witness, image)
+    i, s, t = [(fm & b - 1).bit_count() + 1 for b in (v, s_bit, t_bit)]
+    return Sq1Witness(K.labels_of(fm), i, s, t, witness, image)

@@ -49,9 +49,15 @@ class SimplicialComplex:
         pairs = sorted((self.labels_of(m), m) for m in masks)
         self._facets = tuple(face for face, _ in pairs)
         self._facet_masks = tuple(m for _, m in pairs)
+        sizes = {m.bit_count() for m in masks}
+        self._dim = max(sizes) - 1
+        self._pure = len(sizes) == 1
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
         self._ridge_table: dict[int, tuple[int, ...]] | None = None
+        self._h_vector: tuple[int, ...] | None = None
+        self._closed: bool | None = None
+        self._strongly_connected: bool | None = None
 
     def labels_of(self, m: int) -> tuple[int, ...]:
         """The labels at the set bits of a vertex mask, in declared order."""
@@ -84,11 +90,10 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(m.bit_count() for m in self._facet_masks) - 1
+        return self._dim
 
     def is_pure(self) -> bool:
-        sizes = {m.bit_count() for m in self._facet_masks}
-        return len(sizes) == 1
+        return self._pure
 
     def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
         if self._faces_by_dim_cache is None:
@@ -128,21 +133,23 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_{dim}); f_{-1} = 1 for the empty face."""
         by_dim = self._faces_by_dim()
-        return tuple(len(by_dim.get(d, ())) for d in range(-1, self.dim + 1))
+        return tuple(len(by_dim.get(d, ())) for d in range(-1, self._dim + 1))
 
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_{dim+1}) of a pure complex."""
-        if not self.is_pure():
+        if not self._pure:
             raise InternalConsistencyError("h-vector requires a pure complex")
-        f = self.f_vector()
-        n = self.dim + 1
-        h = []
-        for i in range(n + 1):
-            total = 0
-            for j in range(i + 1):
-                total += (-1) ** (i - j) * comb(n - j, i - j) * f[j]
-            h.append(total)
-        return tuple(h)
+        if self._h_vector is None:
+            f = self.f_vector()
+            n = self._dim + 1
+            h = []
+            for i in range(n + 1):
+                total = 0
+                for j in range(i + 1):
+                    total += (-1) ** (i - j) * comb(n - j, i - j) * f[j]
+                h.append(total)
+            self._h_vector = tuple(h)
+        return self._h_vector
 
     def full_subcomplex(self, w) -> "SimplicialComplex":
         w = set(w)
@@ -171,7 +178,7 @@ class SimplicialComplex:
         a ridge lies in a facet exactly when the facet is listed here.
         """
         if self._ridge_table is None:
-            if not self.is_pure():
+            if not self._pure:
                 raise InternalConsistencyError("ridges are defined for pure complexes")
             table: dict[int, list[int]] = {}
             for idx, fm in enumerate(self._facet_masks):
@@ -185,12 +192,19 @@ class SimplicialComplex:
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, and every (dim-1)-face lies in exactly two facets."""
-        return self.is_pure() and all(len(h) == 2 for h in self.ridge_table().values())
+        if self._closed is None:
+            self._closed = self._pure and all(
+                len(h) == 2 for h in self.ridge_table().values()
+            )
+        return self._closed
 
     def is_strongly_connected(self) -> bool:
         """Facet-ridge adjacency graph is connected (pure complexes only)."""
-        if not self.is_pure():
-            return False
+        if self._strongly_connected is None:
+            self._strongly_connected = self._pure and self._reaches_every_facet()
+        return self._strongly_connected
+
+    def _reaches_every_facet(self) -> bool:
         table = self.ridge_table()
         seen = {0}
         stack = [0]

@@ -11,7 +11,9 @@ its timing lines>``.  Run it once against each tree and diff the outputs:
 The commands are every catalog entry through ``catalog emit``, ``analyze``
 in both formats and with two condition subsets, ``shelling`` and ``bier``;
 ``catalog list``; ``table1``; ``fuzz`` on the six fuzz-corpus complexes;
-and generated documents (tests/test_report_pins.py's generator) through
+every catalog instance with labels v -> 7v + 3 declared in a seeded
+shuffled order through ``analyze`` in both formats, since the declared
+order picks the facet bases and the Sq1 witness; and generated documents (tests/test_report_pins.py's generator) through
 ``analyze``, ``shelling``, ``bier`` and ``shelling --order`` with a seeded
 shuffle of the document's facets.  An exception that escapes cli.main is
 printed as the exit code ``exception:<class>``.  ``--skip`` leaves out
@@ -32,6 +34,8 @@ from pathlib import Path
 import smallcover
 from smallcover.catalog import catalog
 from smallcover.cli import main
+from smallcover.instancefile import emit_instance
+from oracles import scaled_relabelling
 from test_report_pins import generated_documents
 
 FUZZ = ("cross3", "cross4", "gon6", "gon9", "rp3", "rp4")
@@ -79,6 +83,14 @@ def commands(tmp: Path, documents: int):
             yield f"{key}-{name}", ["analyze", str(path), *extra]
         yield f"shelling-{name}", ["shelling", str(path)]
         yield f"bier-{name}", ["bier", str(path)]
+    for name, entry in sorted(catalog().items()):
+        if entry.chi is None:
+            continue
+        chi = scaled_relabelling(entry, random.Random(f"{DOCUMENT_SEED}-{name}"))
+        path = tmp / f"relabelled-{name}.json"
+        path.write_text(emit_instance(name, chi.complex, chi), encoding="utf-8")
+        yield f"relabelled-{name}", ["analyze", str(path)]
+        yield f"relabelled-json-{name}", ["analyze", str(path), "--format", "json"]
     rng = random.Random(DOCUMENT_SEED)
     for k, text in enumerate(generated_documents(documents)):
         path = tmp / f"gen{k}.json"

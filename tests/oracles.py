@@ -16,8 +16,10 @@ matrix-vector product by row parities.  The pairwise maximality filter that
 SimplicialComplex's star-mask filter must match, and the per-degree filter
 of K's faces inside W that the faces of K_W grown by reduced_cohomology
 must match.  Ghost labels added to a complex.  Combinatorial lookups the
-commands never make: the ridge flip of a facet position, its flip support,
-a label's column, orientability for n = 3 and building every ring degree.
+commands never make: the ridge flip of a facet position, its flip support
+by position, a facet's coordinates by inverting its basis, a label's
+column, orientability for n = 3 and building every ring degree.  Catalog
+instances relabelled v -> 7v + 3 in a shuffled declared order.
 """
 
 from itertools import combinations
@@ -31,7 +33,7 @@ from smallcover.charmap import CharacteristicMatrix, flip_supports
 from smallcover.cover import RealToricSpace
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.facering import GradedRingBasis, RingClass
-from smallcover.gf2 import BitMatrix, bit_positions, echelon_insert
+from smallcover.gf2 import BitMatrix, bit_positions, echelon_insert, invert
 from smallcover.homology import (
     CohomologyProfile,
     FinAbGroup,
@@ -198,12 +200,37 @@ def ridge_flip(K: SimplicialComplex, facet, i: int) -> int:
 def ridge_flip_support(chi: CharacteristicMatrix, facet, i: int) -> frozenset[int]:
     """The subset S of positions 1..n with lambda(ridge_flip(facet, i)) =
     sum of the facet's columns at the positions in S, read off
-    flip_supports."""
+    flip_supports and turned from a vertex mask into positions."""
     K = chi.complex
     ridge_flip(K, facet, i)  # rejects a non-facet, a bad position or an open ridge
     fm = K.mask_of(facet)
-    s = next(s for f, j, s in flip_supports(chi) if f == fm and j == i)
-    return frozenset(k + 1 for k in bit_positions(s))
+    positions = bit_positions(fm)
+    v = 1 << positions[i - 1]
+    s = next(s for f, b, s in flip_supports(chi) if f == fm and b == v)
+    return frozenset(k + 1 for k, p in enumerate(positions) if s >> p & 1)
+
+
+def facet_coordinates_by_inversion(chi: CharacteristicMatrix, fm: int) -> tuple[int, ...]:
+    """The columns of B_F^-1 Lambda by inverting B_F, the n x n matrix of
+    the columns of the facet with mask fm in declared label order: entry j
+    is the column of K's j-th label as an int whose bit r is the coordinate
+    on the facet's r-th vertex."""
+    cols = chi.matrix.column_bits()
+    b = BitMatrix.from_column_bits(chi.n, [cols[j] for j in bit_positions(fm)])
+    return tuple((invert(b) @ chi.matrix).column_bits())
+
+
+def scaled_relabelling(entry, rng) -> CharacteristicMatrix:
+    """The entry's instance with every label v renamed 7v + 3 and declared
+    in a shuffled order, each label keeping its column."""
+    K, chi = entry.complex, entry.chi
+    column = {7 * v + 3: c for v, c in zip(K.labels, chi.matrix.column_bits())}
+    labels = list(column)
+    rng.shuffle(labels)
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, [[7 * v + 3 for v in f] for f in K.facets]),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
 
 
 def column_for_label(chi: CharacteristicMatrix, label: int) -> int:

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply, column_for_label, enumerate_gl, ridge_flip, ridge_flip_support
-from smallcover.catalog import catalog
+from oracles import (
+    apply,
+    column_for_label,
+    enumerate_gl,
+    facet_coordinates_by_inversion,
+    ridge_flip,
+    ridge_flip_support,
+    scaled_relabelling,
+)
+from smallcover.catalog import catalog, get_entry
 from smallcover import charmap
 from smallcover.charmap import (
     CharacteristicMatrix,
@@ -400,34 +408,53 @@ class TestBuilders:
         assert coords(chi) == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1)]
 
 
-def check_facet_coordinates(chi):
-    """Every facet's coordinate columns against their definition, and the
-    flip supports read from them against one basis change per facet."""
+def facet_masks_by_inversion(chi, fm):
+    """The inversion oracle's coordinates as vertex masks."""
+    positions = bit_positions(fm)
+    return tuple(
+        sum(1 << positions[r] for r in bit_positions(x))
+        for x in facet_coordinates_by_inversion(chi, fm)
+    )
+
+
+def check_facet_coordinates(chi, rng):
+    """Every facet's coordinate masks against their definition and against
+    one inversion per facet, with the facets requested in declared order,
+    in reverse and shuffled, so that the inverted roots and the pivot paths
+    differ; and the flip supports read from them against one basis change
+    per facet."""
     K, n = chi.complex, chi.n
     cols = chi.matrix.column_bits()
-    for fm in K.facet_masks:
-        coords = chi.facet_coordinates(fm)
-        positions = [j for j in range(K.vertex_count) if fm >> j & 1]
-        assert len(coords) == K.vertex_count
-        assert all(c >> n == 0 for c in coords)
-        # the facet's own columns read e_1, ..., e_n in declared order
-        for k, j in enumerate(positions):
-            assert [coords[j] >> r & 1 for r in range(n)] == [int(r == k) for r in range(n)]
-        # B_F times the coordinate columns gives back Lambda
-        for j, col in enumerate(cols):
-            back = 0
-            for r, p in enumerate(positions):
-                if coords[j] >> r & 1:
+    shuffled = list(K.facet_masks)
+    rng.shuffle(shuffled)
+    for order in (K.facet_masks, K.facet_masks[::-1], shuffled):
+        fresh = CharacteristicMatrix(K, chi.matrix)
+        for fm in order:
+            coords = fresh.facet_coordinates(fm)
+            positions = bit_positions(fm)
+            assert len(coords) == K.vertex_count
+            # every entry lies in the facet, whose own columns read themselves
+            assert all(x & ~fm == 0 for x in coords)
+            assert all(coords[p] == 1 << p for p in positions)
+            # XOR of Lambda's columns over each entry gives Lambda back
+            for j, col in enumerate(cols):
+                back = 0
+                for p in bit_positions(coords[j]):
                     back ^= cols[p]
-            assert back == col
-        assert chi.facet_coordinates(fm) is coords
+                assert back == col
+            assert all(x >> n == 0 for x in facet_coordinates_by_inversion(chi, fm))
+            assert coords == facet_masks_by_inversion(chi, fm)
+            assert fresh.facet_coordinates(fm) is coords
     if not K.is_closed_pseudomanifold():
         return
     expected = []
     for facet, fm in zip(K.facets, K.facet_masks):
         g = find_basis_change([column_for_label(chi, v) for v in facet], n)
+        positions = bit_positions(fm)
         for i in range(1, n + 1):
-            expected.append((fm, i, apply(g, column_for_label(chi, ridge_flip(K, facet, i)))))
+            s = apply(g, column_for_label(chi, ridge_flip(K, facet, i)))
+            mask = sum(1 << positions[r] for r in bit_positions(s))
+            expected.append((fm, 1 << positions[i - 1], mask))
     assert list(flip_supports(chi)) == expected
 
 
@@ -449,7 +476,7 @@ class TestFacetCoordinates:
         "name", sorted(k for k, e in catalog().items() if e.chi is not None)
     )
     def test_catalog(self, name):
-        check_facet_coordinates(catalog()[name].chi)
+        check_facet_coordinates(catalog()[name].chi, random.Random(name))
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -459,8 +486,9 @@ class TestFacetCoordinates:
     )
     def test_sampled_and_relabelled(self, name, seed, rng):
         chi, _ = sample_random_instance(name, random.Random(seed))
-        check_facet_coordinates(chi)
-        check_facet_coordinates(shuffled_labels(chi, rng))
+        check_facet_coordinates(chi, rng)
+        check_facet_coordinates(shuffled_labels(chi, rng), rng)
+        check_facet_coordinates(scaled_relabelling(get_entry(name), rng), rng)
 
     def test_facet_of_the_wrong_size(self):
         # valid (independent on every edge) but with more rows than a facet
@@ -468,3 +496,23 @@ class TestFacetCoordinates:
         chi = CharacteristicMatrix(boundary_of_simplex(2), BitMatrix(3, 3, (1, 2, 4)))
         with pytest.raises(InternalConsistencyError, match="has 2 vertices, not n = 3"):
             classify_via_flips(chi)
+
+    def test_pivot_column_missing_the_dropped_vertex(self):
+        # G = F - v + p is cached with p dropped from v's column; F can only
+        # be reached from G, whose entry for v must then hold p
+        chi = catalog()["cross3"].chi
+        K = chi.complex
+        fm = K.facet_masks[0]
+        v = fm & -fm
+        p = K.flip_bit(fm, v)
+        g = fm ^ v | p
+        good = CharacteristicMatrix(K, chi.matrix).facet_coordinates(g)
+        bad = CharacteristicMatrix(K, chi.matrix)
+        bad._facet_coordinates[g] = tuple(
+            x & ~p if j == v.bit_length() - 1 else x for j, x in enumerate(good)
+        )
+        with pytest.raises(InternalConsistencyError, match="pivot column of vertex"):
+            bad.facet_coordinates(fm)
+        # the same cache, intact, pivots to F's true coordinates
+        bad._facet_coordinates[g] = good
+        assert bad.facet_coordinates(fm) == facet_masks_by_inversion(chi, fm)

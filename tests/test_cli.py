@@ -534,6 +534,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "internal consistency error: matrix is singular\n"
 
+    def test_broken_pivot_column_is_internal(self, emit, monkeypatch, capsys):
+        # every matrix starts with a cached basis for the neighbour G of its
+        # first facet F across F's lowest vertex v, with G's entry for v
+        # cleared of the vertex p that F lacks; the ring's request for F
+        # pivots from G and must stop there
+        path = emit("deltas0")
+        real = charmap.CharacteristicMatrix.__post_init__
+
+        def seeded(chi):
+            real(chi)
+            K = chi.complex
+            fm = K.facet_masks[0]
+            v = fm & -fm
+            p = K.flip_bit(fm, v)
+            coords = [0] * K.vertex_count
+            coords[v.bit_length() - 1] = fm ^ v
+            chi._facet_coordinates[fm ^ v | p] = tuple(coords)
+
+        monkeypatch.setattr(charmap.CharacteristicMatrix, "__post_init__", seeded)
+        assert main(["analyze", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal consistency error: pivot column of vertex")
+
+    def test_bier9_inverts_at_most_five_facet_bases(self, emit, monkeypatch, capsys):
+        # the flip scan in facet order reaches all but a few of the 365
+        # facets across a ridge from a facet already in the cache
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return gf2.invert(b)
+
+        monkeypatch.setattr(charmap, "invert", counted)
+        assert main(["analyze", emit("bier9")]) == 0
+        assert 1 <= len(calls) <= 5
+
     def test_unshellable_bookkeeping_failure_is_an_input_error(self, tmp_path, capsys):
         # two disjoint edges: the h-vector (1, 2, -1) is not the mod-2 Betti
         # vector, which only a shellable complex guarantees

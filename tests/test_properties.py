@@ -179,19 +179,6 @@ def relabelled(entry, rng) -> CharacteristicMatrix:
     )
 
 
-def scaled_relabelling(entry, rng) -> CharacteristicMatrix:
-    """The entry's instance with every label v renamed 7v + 3 and declared
-    in a shuffled order, each label keeping its column."""
-    K, chi = entry.complex, entry.chi
-    column = {7 * v + 3: c for v, c in zip(K.labels, chi.matrix.column_bits())}
-    labels = list(column)
-    rng.shuffle(labels)
-    return CharacteristicMatrix(
-        SimplicialComplex(labels, [[7 * v + 3 for v in f] for f in K.facets]),
-        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
-    )
-
-
 class TestSq1WitnessUnderRelabelling:
     def test_witness_reads_from_labels_alone(self):
         """Under labels 7v + 3 in a shuffled declared order, no facet position
@@ -199,7 +186,7 @@ class TestSq1WitnessUnderRelabelling:
         witness must still match the flip support of its facet's labels."""
         seen, unsorted = [], False
         for name, entry in light_instances():
-            chi = scaled_relabelling(entry, random.Random(f"scale-{name}"))
+            chi = oracles.scaled_relabelling(entry, random.Random(f"scale-{name}"))
             M = RealToricSpace(chi.complex, chi)
             w = evaluate_conditions(M).sq1_witness
             assert (w is None) == M.classification.is_simplex_pullback, name
