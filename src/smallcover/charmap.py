@@ -134,11 +134,14 @@ def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
     bits of the vectors stored before it; one pass in storage order therefore
     clears all leading bits, and v reduces to 0 exactly when it lies in the
     span.  Storing unreduced columns would break this: after 0b01 and 0b11,
-    the pass would leave 0b10 nonzero although 0b10 = 0b01 ^ 0b11.  This
-    hot loop of rejection sampling keeps its own list basis: the shared
-    gf2.echelon_insert took about 1.35 times as long here (0.27 s against
-    0.20 s, best of five, on 120,000 draws over the six fuzz-corpus
-    complexes, in-process on a shared 2-core Xeon).
+    the pass would leave 0b10 nonzero although 0b10 = 0b01 ^ 0b11.  It
+    validates every CharacteristicMatrix, the sampler's accepted draws
+    included; the sampler's rejection loop runs the same list basis inline
+    on the columns of each drawn word.  A list basis, not the shared
+    gf2.echelon_insert, which took about 1.35 times as long when this was
+    the sampler's loop (0.27 s against 0.20 s, best of five, on 120,000
+    draws over the six fuzz-corpus complexes, in-process on a shared 2-core
+    Xeon).
     """
     for idx, fm in enumerate(K.facet_masks):
         basis: list[int] = []

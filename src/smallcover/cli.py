@@ -22,10 +22,10 @@ from pathlib import Path
 
 from . import bier as bier_mod
 from .catalog import TABLE1_MOD2, TABLE1_RATIONAL, catalog, get_entry
-from .charmap import CharacteristicMatrix, classify_via_flips, first_dependent_facet
+from .charmap import CharacteristicMatrix, classify_via_flips
 from .cover import ConditionReport, RealToricSpace, evaluate_conditions
 from .errors import InputError, InternalConsistencyError, PropertyViolation
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, bit_positions
 from .instancefile import emit_instance, parse_instance
 from .shelling import ShellingBudgetExceeded, find_shelling, verify_shelling
 
@@ -188,17 +188,46 @@ def sample_random_instance(
     """Rejection-sample a valid matrix over a catalog complex.
 
     Columns are uniform over all 2^n vectors; whole matrices failing facet
-    independence are rejected on their raw column ints, and only the accepted
-    one is built and validated.  Returns (matrix, rejection count).
+    independence are rejected, and only the accepted one is built and
+    validated.  Returns (matrix, rejection count).
+
+    A candidate is one draw rng.getrandbits(32 * m).  For n <= 32,
+    getrandbits(n) is the top n bits of one 32-bit Mersenne Twister output,
+    and getrandbits(32 * m) packs m such outputs, the first lowest; so column
+    j is bits 32j + 32 - n up to 32j + 32 of the draw, and the draws,
+    rejection counts and accepted matrices equal those of m calls of
+    getrandbits(n).  Larger n raises InternalConsistencyError (the catalog's
+    largest n is 8).  Facets are tested in K.facet_masks order, reading only
+    the columns of the facet under test, with first_dependent_facet's
+    reduced list basis; most candidates fail on the first facet.
     """
     entry = get_entry(entry_name)
     K = entry.complex
     n = entry.n
     m = K.vertex_count
+    if n > 32:
+        raise InternalConsistencyError(f"the sampler draws columns of at most 32 bits, not {n}")
+    mask = (1 << n) - 1
+    shifts = [32 * j + 32 - n for j in range(m)]
+    facet_shifts = [[shifts[j] for j in bit_positions(fm)] for fm in K.facet_masks]
     rejections = 0
     while True:
-        cols = [rng.getrandbits(n) for _ in range(m)]
-        if first_dependent_facet(K, cols) is None:
+        draw = rng.getrandbits(32 * m)
+        for facet in facet_shifts:
+            basis: list[int] = []
+            for s in facet:
+                v = draw >> s & mask
+                for b in basis:
+                    if v ^ b < v:
+                        v ^= b
+                if not v:
+                    break
+                basis.append(v)
+            else:
+                continue  # this facet's columns are independent
+            break  # a dependent column rejects the candidate
+        else:
+            cols = [draw >> s & mask for s in shifts]
             return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols)), rejections
         rejections += 1
         if rejections > 1_000_000:

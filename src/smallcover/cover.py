@@ -35,6 +35,14 @@ from .simplicial import SimplicialComplex
 # Hypotheses.shelling_found when the search ran out of its budget
 BUDGET_EXCEEDED = "budget-exceeded"
 
+# The largest n whose row space evaluate_conditions enumerates: the space has
+# 2^n elements, and each needs one full-subcomplex cohomology.  On a 2-core
+# Xeon, `analyze --conditions 2` of a single n-vertex facet took 0.6 s and
+# 54 MB at n = 14, 2.8 s and 176 MB at n = 16, and 12.9 s and 666 MB at
+# n = 18: memory grows about fourfold per two rows.  The catalog's largest n
+# is 8.
+ROW_SPACE_GUARD = 16
+
 
 @dataclass(frozen=True)
 class Hypotheses:
@@ -312,6 +320,9 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     if any(c not in ALL_CONDITIONS for c in requested):
         raise InternalConsistencyError(f"unknown condition in {requested}")
     n = M.n
+    # before the hypotheses, whose shelling check enumerates every face of K
+    if {2, 3, 6, 7} & set(requested) and n > ROW_SPACE_GUARD:
+        raise InputError(f"row count {n} exceeds enumeration guard {ROW_SPACE_GUARD}")
     # The verdict needs the hypotheses anyway; computed first, their sphere
     # certificate lets omega_profiles take the smaller side of each W.
     hyp = M.hypotheses

@@ -12,16 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, InternalConsistencyError
-
-
-# The most rows row_space enumerates: the result has up to 2^rows elements,
-# and analyze computes one full-subcomplex cohomology for each.  On a 2-core
-# Xeon, `analyze --conditions 2` of a single n-vertex facet took 0.6 s and
-# 54 MB at n = 14, 2.8 s and 176 MB at n = 16, and 12.9 s and 666 MB at
-# n = 18: memory grows about fourfold per two rows.  The catalog's largest n
-# is 8.
-ROW_SPACE_GUARD = 16
+from .errors import InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -158,10 +149,9 @@ def row_space(a: BitMatrix) -> list[int]:
 
     Element k is the XOR of the basis rows at the set bits of k, where the
     basis is the lexicographically first maximal independent subset of the
-    rows; the result always starts with the zero vector.
+    rows; the result always starts with the zero vector.  The caller bounds
+    the row count (cover.ROW_SPACE_GUARD).
     """
-    if a.rows > ROW_SPACE_GUARD:
-        raise InputError(f"row count {a.rows} exceeds enumeration guard {ROW_SPACE_GUARD}")
     echelon: dict[int, int] = {}
     out = [0]
     for v in a.row_bits:

@@ -10,7 +10,8 @@ its timing lines>``.  Run it once against each tree and diff the outputs:
 
 The commands are every catalog entry through ``catalog emit``, ``analyze``
 in both formats and with two condition subsets, ``shelling`` and ``bier``;
-``catalog list``; ``table1``; ``fuzz`` on the six fuzz-corpus complexes;
+``catalog list``; ``table1``; ``fuzz`` on every catalog complex but
+``bier9`` (n = 1..8; on bier9 the sampler reaches its 10^6-rejection cap);
 every catalog instance with labels v -> 7v + 3 declared in a seeded
 shuffled order through ``analyze`` in both formats, since the declared
 order picks the facet bases and the Sq1 witness; and generated documents (tests/test_report_pins.py's generator) through
@@ -38,7 +39,6 @@ from smallcover.instancefile import emit_instance
 from oracles import scaled_relabelling
 from test_report_pins import generated_documents
 
-FUZZ = ("cross3", "cross4", "gon6", "gon9", "rp3", "rp4")
 FUZZ_SAMPLES = 40
 CATALOG_COMMANDS = {
     "analyze": (),
@@ -72,7 +72,7 @@ def commands(tmp: Path, documents: int):
     tmp as they are needed."""
     yield "catalog-list", ["catalog", "list"]
     yield "table1", ["table1"]
-    for name in FUZZ:
+    for name in sorted(set(catalog()) - {"bier9"}):
         yield f"fuzz-{name}", ["fuzz", "--complex", name, "--samples", str(FUZZ_SAMPLES)]
     for name in sorted(catalog()):
         _, text, _ = run(["catalog", "emit", name])

@@ -18,7 +18,8 @@ of K's faces inside W that the faces of K_W grown by reduced_cohomology
 must match.  Ghost labels added to a complex.  Combinatorial lookups the
 commands never make: the ridge flip of a facet position, its flip support
 by position, a facet's coordinates by inverting its basis, a label's
-column, orientability for n = 3 and building every ring degree.  Catalog
+column, orientability for n = 3 and building every ring degree.  The
+fuzz sampler that draws column by column.  Catalog
 instances relabelled v -> 7v + 3 in a shuffled declared order.
 """
 
@@ -28,8 +29,8 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from smallcover.catalog import catalog
-from smallcover.charmap import CharacteristicMatrix, flip_supports
+from smallcover.catalog import catalog, get_entry
+from smallcover.charmap import CharacteristicMatrix, first_dependent_facet, flip_supports
 from smallcover.cover import RealToricSpace
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.facering import GradedRingBasis, RingClass
@@ -231,6 +232,20 @@ def scaled_relabelling(entry, rng) -> CharacteristicMatrix:
         SimplicialComplex(labels, [[7 * v + 3 for v in f] for f in K.facets]),
         BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
     )
+
+
+def sample_by_columns(entry_name: str, rng) -> tuple[CharacteristicMatrix, int]:
+    """The column-by-column rejection sampler that sample_random_instance
+    must match draw for draw: m calls of rng.getrandbits(n) per candidate,
+    tested whole by first_dependent_facet.  Returns (matrix, rejections)."""
+    entry = get_entry(entry_name)
+    K, n = entry.complex, entry.n
+    rejections = 0
+    while True:
+        cols = [rng.getrandbits(n) for _ in range(K.vertex_count)]
+        if first_dependent_facet(K, cols) is None:
+            return CharacteristicMatrix(K, BitMatrix.from_column_bits(n, cols)), rejections
+        rejections += 1
 
 
 def column_for_label(chi: CharacteristicMatrix, label: int) -> int:

@@ -14,11 +14,15 @@ from functools import partial
 
 from smallcover import bier as bier_mod
 from smallcover import charmap, cli, cover, facering, gf2, homology
+from smallcover.catalog import CatalogEntry, catalog
 from smallcover.cli import main, sample_random_instance
+from smallcover.errors import InternalConsistencyError
 from smallcover.facering import GradedRingBasis, RingClass
 from smallcover.gf2 import BitMatrix
 from smallcover.shelling import find_shelling
-from oracles import circle_times_tetrahedron_boundary
+from smallcover.simplicial import SimplicialComplex
+import oracles
+from oracles import circle_times_tetrahedron_boundary, sample_by_columns
 from smallcover.instancefile import emit_instance, parse_instance
 
 
@@ -288,9 +292,60 @@ class TestSampler:
         assert digest == SAMPLER_PINS[name]
 
     def test_rejection_cap_is_an_input_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "first_dependent_facet", lambda K, cols: 0)
+        # all-zero columns fail the first facet, so the real loop hits the cap
+        class Zeros(random.Random):
+            def getrandbits(self, k):
+                return 0
+
+        monkeypatch.setattr(cli.random, "Random", Zeros)
         assert main(["fuzz", "--complex", "rp1", "--samples", "1", "--seed", "0"]) == 1
         assert "exceeded 1e6 attempts" in capsys.readouterr().err
+
+    # bier9 is left out: its sampler reaches the 10^6-rejection cap
+    @pytest.mark.parametrize("name", sorted(set(catalog()) - {"bier9"}))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_column_sampler(self, name, seed):
+        # cross6 accepts about one candidate in 50,000
+        draws = 1 if name.startswith("cross6") else 5
+        packed, single = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            chi, rejections = sample_random_instance(name, packed)
+            want, want_rejections = sample_by_columns(name, single)
+            assert (chi.matrix.row_bits, rejections) == (want.matrix.row_bits, want_rejections)
+        assert packed.getstate() == single.getstate()
+
+    def test_one_draw_packs_the_column_draws(self):
+        for n in range(1, 33):
+            for m in (1, 2, 9):
+                packed, single = random.Random(f"{n}/{m}"), random.Random(f"{n}/{m}")
+                draw = packed.getrandbits(32 * m)
+                cols = [single.getrandbits(n) for _ in range(m)]
+                assert [draw >> (32 * j + 32 - n) & (1 << n) - 1 for j in range(m)] == cols
+                assert packed.getstate() == single.getstate()
+
+    @staticmethod
+    def serve_one_facet(monkeypatch, n):
+        """Serve the sampler and its oracle a catalog entry of one facet on n
+        labels with no matrix, whose n is then the facet size."""
+        labels = range(1, n + 1)
+        entry = CatalogEntry("simplex", "", SimplicialComplex(labels, [labels]), None)
+        monkeypatch.setattr(cli, "get_entry", lambda name: entry)
+        monkeypatch.setattr(oracles, "get_entry", lambda name: entry)
+
+    def test_32_bit_columns_match_the_column_sampler(self, monkeypatch):
+        self.serve_one_facet(monkeypatch, 32)
+        packed, single = random.Random(32), random.Random(32)
+        chi, rejections = sample_random_instance("simplex", packed)
+        want, want_rejections = sample_by_columns("simplex", single)
+        assert (chi.matrix.row_bits, rejections) == (want.matrix.row_bits, want_rejections)
+
+    def test_columns_of_more_than_32_bits_are_refused(self, monkeypatch):
+        self.serve_one_facet(monkeypatch, 33)
+        rng = random.Random(33)
+        state = rng.getstate()
+        with pytest.raises(InternalConsistencyError, match="at most 32 bits"):
+            sample_random_instance("simplex", rng)
+        assert rng.getstate() == state
 
 
 class TestLimits:
@@ -308,6 +363,35 @@ class TestLimits:
         assert captured.err.startswith(
             "input error: ring degree 3 has 20 monomials, over the limit of 19 for one degree"
         )
+
+    def test_row_space_guard_checked_before_any_enumeration(self, tmp_path, monkeypatch, capsys):
+        def boom(self):
+            raise AssertionError("faces were enumerated before the row-space guard")
+
+        monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", boom)
+        labels = list(range(1, 21))
+        doc = {
+            "name": "simplex20",
+            "n": 20,
+            "vertices": labels,
+            "facets": [labels],
+            "lambda": [[int(i == j) for j in range(20)] for i in range(20)],
+        }
+        path = tmp_path / "simplex20.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: row count 20 exceeds enumeration guard 16\n"
+
+    @pytest.mark.parametrize("conditions, code", [("1,4,5", 0), ("3", 1), ("6", 1), ("7", 1)])
+    def test_row_space_guard_only_for_row_space_conditions(
+        self, emit, monkeypatch, capsys, conditions, code
+    ):
+        monkeypatch.setattr(cover, "ROW_SPACE_GUARD", 2)
+        assert main(["analyze", emit("cross3"), "--conditions", conditions]) == code
+        if code:
+            assert capsys.readouterr().err == "input error: row count 3 exceeds enumeration guard 2\n"
 
     def test_ring_size_at_the_limit_runs(self, emit, monkeypatch, capsys):
         monkeypatch.setattr(facering, "MAX_DEGREE_MONOMIALS", 20)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply, enumerate_gl
-from smallcover.errors import InputError, InternalConsistencyError
+from smallcover.errors import InternalConsistencyError
 from smallcover.gf2 import (
     BitMatrix,
     bit_positions,
@@ -81,10 +81,6 @@ class TestRowSpace:
             values = set(elems)
             assert len(elems) == len(values) == 1 << rank(m)
             assert all(a ^ b in values for a in values for b in values)
-
-    def test_guard(self):
-        with pytest.raises(InputError):
-            row_space(BitMatrix(31, 2, (0,) * 31))
 
 
 def images(g: BitMatrix, vectors) -> list[int]:
