@@ -164,9 +164,9 @@ class RealToricSpace:
         On a certified sphere with used vertices V, a W whose part u in V
         holds more than half of V and is not a face of K is computed on
         V - u and read off by alexander_dual; a u that is a face of K spans
-        a simplex, which reduced_cohomology answers by one lookup in K's
-        face set.  This never starts the shelling search: the certificate
-        counts only once the hypotheses exist."""
+        a simplex, which reduced_cohomology answers by one K.holders AND.
+        This never starts the shelling search: the certificate counts only
+        once the hypotheses exist."""
         K = self.complex
         certified = "hypotheses" in self.__dict__ and self.sphere_certified
         used = 0

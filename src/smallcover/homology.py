@@ -1,12 +1,12 @@
 """Reduced simplicial cohomology with integer coefficients.
 
 The cohomology of a full subcomplex K_W is computed on K's own face masks,
-with W given as a vertex mask over K's labels: the faces of K_W are grown
-degree by degree from the empty face, each as a face of K_W plus one higher
-vertex of W, kept when the union is in K's face set, so the work follows
-the faces of K_W and not those of K.  The coboundary rows are built from a
-W-local mask -> column map.  A nonempty W that is a face of K spans a
-simplex and is answered by one lookup, without enumerating any face.
+with W given as a vertex mask over K's labels: K.faces_within(W) grows the
+faces of K_W from the empty face over K's cached vertex stars, so the work
+follows the faces of K_W and no face set of K is built.  The coboundary
+rows are built from a W-local mask -> column map.  A nonempty W that some
+facet holds (one AND of its vertex stars, K.holders) spans a simplex and is
+answered without enumerating any face.
 
 Everything is exact: Smith normal form runs on arbitrary-precision integers,
 taking unit pivots in one triangular pass over the sparse rows and falling
@@ -276,41 +276,17 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return out
 
 
-def _full_subcomplex_faces(in_K: frozenset[int], wm: int) -> dict[int, list[int]]:
-    """Degree -> ascending face masks of K_W, from the empty face up to the
-    top nonempty degree, for K's face set ``in_K``.  Each face is met once,
-    as the face without its highest vertex plus that vertex, so degree q+1
-    costs one lookup per q-face of K_W and vertex of W above it."""
-    faces = {-1: [0]}
-    q = -1
-    while True:
-        grown = []
-        for f in faces[q]:
-            above = wm >> f.bit_length() << f.bit_length()
-            while above:
-                low = above & -above
-                g = f | low
-                if g in in_K:
-                    grown.append(g)
-                above ^= low
-        if not grown:
-            return faces
-        q += 1
-        faces[q] = sorted(grown)
-
-
 def reduced_cohomology(K: SimplicialComplex, wm: int) -> CohomologyProfile:
     """Reduced integral cohomology of the full subcomplex K_W on the vertex
     mask ``wm`` over K's labels; for K_W = {empty face} only H^{-1}
-    survives.  A nonempty W in K's face set spans a simplex; otherwise the
-    faces of K_W are grown from K's face set (_full_subcomplex_faces), in
-    the ascending mask order that fixes the rows, columns and pivots."""
+    survives.  A nonempty W that some facet holds (K.holders) spans a
+    simplex; otherwise the faces of K_W come from K.faces_within, in the
+    ascending mask order that fixes the rows, columns and pivots."""
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
-    in_K = K.all_face_masks()
-    if wm in in_K:
+    if K.holders(wm):
         return CohomologyProfile()
-    faces = _full_subcomplex_faces(in_K, wm)
+    faces = K.faces_within(wm)
     ranks: dict[int, int] = {}
     torsion_at: dict[int, list[int]] = {}
     cleared: set[int] = set()

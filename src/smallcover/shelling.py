@@ -9,7 +9,8 @@ The search is incremental.  Placed facets form one bitmask over K's facet
 order; each facet carries the bits of its vertices v whose ridge (facet
 minus v) lies in a placed facet, kept up to date on every placement and
 backtrack; and a face is old exactly when some placed facet holds it, which
-is one AND of the vertices' star masks with the placed mask.
+is K.holders of the face among the placed mask: one AND of K's cached
+vertex stars.
 """
 
 from __future__ import annotations
@@ -44,27 +45,6 @@ class Shelling:
     restriction: tuple[int, ...]
 
 
-def _stars(K: SimplicialComplex) -> dict[int, int]:
-    """Vertex bit -> bitmask over K.facet_masks of the facets holding it."""
-    star = {1 << i: 0 for i in range(K.vertex_count)}
-    for j, fm in enumerate(K.facet_masks):
-        bits = fm
-        while bits:
-            low = bits & -bits
-            star[low] |= 1 << j
-            bits ^= low
-    return star
-
-
-def _is_old(d: int, placed: int, star: dict[int, int]) -> bool:
-    """Whether a placed facet holds the face d."""
-    while d and placed:
-        low = d & -d
-        placed &= star[low]
-        d ^= low
-    return placed != 0
-
-
 def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     """Check a facet order, given as label tuples as an order file holds
     them, and compute restriction faces.
@@ -77,10 +57,10 @@ def verify_shelling(K: SimplicialComplex, order) -> Shelling:
     masks = [K.mask_of(f) for f in order]
     if sorted(masks) != sorted(K.facet_masks):
         raise PropertyViolation("order is not a permutation of the facets")
-    return _verified(K, masks, _stars(K))
+    return _verified(K, masks)
 
 
-def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> Shelling:
+def _verified(K: SimplicialComplex, masks: list[int]) -> Shelling:
     """verify_shelling on a permutation of K.facet_masks."""
     table = K.ridge_table()
     index = {fm: j for j, fm in enumerate(K.facet_masks)}
@@ -99,7 +79,7 @@ def _verified(K: SimplicialComplex, masks: list[int], star: dict[int, int]) -> S
                     d |= low
                     break
             bits ^= low
-        if placed and (d == 0 or _is_old(d, placed, star)):
+        if placed and (d == 0 or K.holders(d, placed)):
             raise PropertyViolation(f"shelling condition fails at index {idx}")
         restriction.append(d)
         placed |= 1 << index[fm]
@@ -126,7 +106,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
     facets = K.facet_masks
     total = len(facets)
     table = K.ridge_table()
-    star = _stars(K)
+    holders = K.holders
     width = K.vertex_count
     # ridge bits of facet j: its vertices v with facet_j - v in a placed facet;
     # count[j * width + v] is the number of such placed facets, so a ridge in
@@ -171,7 +151,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
             left ^= bit
             i = bit.bit_length() - 1
             # past depth 0 every candidate has ridge bits: it is on the frontier
-            if not (placed and _is_old(new[i], placed, star)):
+            if not (placed and holders(new[i], placed)):
                 break
         else:
             frontier.pop()
@@ -191,6 +171,6 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
         order.append(i)
         placed |= bit
         if len(order) == total:
-            return _verified(K, [facets[j] for j in order], star)
+            return _verified(K, [facets[j] for j in order])
         frontier.append((frontier[-1] | move(i, 1)) & ~placed)
         start = 0

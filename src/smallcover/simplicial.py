@@ -52,8 +52,10 @@ class SimplicialComplex:
         sizes = {m.bit_count() for m in masks}
         self._dim = max(sizes) - 1
         self._pure = len(sizes) == 1
+        self._star_masks: dict[int, int] | None = None
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
+        self._f_vector: tuple[int, ...] | None = None
         self._ridge_table: dict[int, tuple[int, ...]] | None = None
         self._h_vector: tuple[int, ...] | None = None
         self._closed: bool | None = None
@@ -95,26 +97,59 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return self._pure
 
-    def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
-        if self._faces_by_dim_cache is None:
-            # Every face is reached once, by dropping one vertex of a larger face.
-            seen = set(self._facet_masks)
-            stack = list(seen)
-            while stack:
-                fm = stack.pop()
+    def star_masks(self) -> dict[int, int]:
+        """Vertex bit -> bitmask over facet_masks of the facets holding it."""
+        if self._star_masks is None:
+            star = {1 << i: 0 for i in range(len(self._labels))}
+            for j, fm in enumerate(self._facet_masks):
                 bits = fm
                 while bits:
                     low = bits & -bits
+                    star[low] |= 1 << j
                     bits ^= low
-                    face = fm ^ low
-                    if face not in seen:
-                        seen.add(face)
-                        stack.append(face)
-            by_dim: dict[int, list[int]] = {}
-            for m in seen:
-                by_dim.setdefault(m.bit_count() - 1, []).append(m)
-            self._faces_by_dim_cache = {d: tuple(sorted(ms)) for d, ms in by_dim.items()}
-            self._face_mask_set = frozenset(seen)
+            self._star_masks = star
+        return self._star_masks
+
+    def holders(self, m: int, among: int = -1) -> int:
+        """Bitmask over facet_masks of the facets in ``among`` that hold the
+        vertex mask m: the AND of m's vertex stars, so m is a face exactly
+        when holders(m) is nonzero."""
+        star = self.star_masks()
+        while m and among:
+            low = m & -m
+            among &= star[low]
+            m ^= low
+        return among
+
+    def faces_within(self, wm: int) -> dict[int, list[int]]:
+        """Degree -> ascending masks of the faces of K inside the vertex mask
+        wm, from the empty face (degree -1) up to the top nonempty degree.
+
+        The faces are grown depth first from the empty face, each carrying
+        its holders: f plus a vertex v of wm below f's lowest vertex is a
+        face exactly when held & star[v] is nonzero.  So each face is met
+        once, no face set is read, and since a face's vertices are added
+        highest first and the vertices below it are tried ascending, each
+        degree comes out in ascending mask order."""
+        star = self.star_masks()
+        by_size: list[list[int]] = [[] for _ in range(self._dim + 2)]
+        stack = [(0, -1)]
+        while stack:
+            f, held = stack.pop()
+            by_size[f.bit_count()].append(f)
+            below = wm & ((f & -f) - 1)  # all of wm below the empty face
+            while below:
+                top = 1 << below.bit_length() - 1
+                below ^= top
+                h = held & star[top]
+                if h:
+                    stack.append((f | top, h))
+        return {size - 1: fs for size, fs in enumerate(by_size) if fs}
+
+    def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
+        if self._faces_by_dim_cache is None:
+            faces = self.faces_within((1 << len(self._labels)) - 1)
+            self._faces_by_dim_cache = {d: tuple(ms) for d, ms in faces.items()}
         return self._faces_by_dim_cache
 
     def face_masks(self, d: int) -> tuple[int, ...]:
@@ -122,8 +157,8 @@ class SimplicialComplex:
         return self._faces_by_dim().get(d, ())
 
     def all_face_masks(self) -> frozenset[int]:
-        self._faces_by_dim()
-        assert self._face_mask_set is not None
+        if self._face_mask_set is None:
+            self._face_mask_set = frozenset().union(*self._faces_by_dim().values())
         return self._face_mask_set
 
     def total_face_count(self) -> int:
@@ -131,9 +166,13 @@ class SimplicialComplex:
         return len(self.all_face_masks())
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_{-1}, f_0, ..., f_{dim}); f_{-1} = 1 for the empty face."""
-        by_dim = self._faces_by_dim()
-        return tuple(len(by_dim.get(d, ())) for d in range(-1, self._dim + 1))
+        """(f_{-1}, f_0, ..., f_{dim}); f_{-1} = 1 for the empty face.  Counted
+        off the cached face lists, or else off one faces_within pass that is
+        not kept, so the counts alone (the h-vector) never hold K's face set."""
+        if self._f_vector is None:
+            by_dim = self._faces_by_dim_cache or self.faces_within((1 << len(self._labels)) - 1)
+            self._f_vector = tuple(len(by_dim.get(d, ())) for d in range(-1, self._dim + 1))
+        return self._f_vector
 
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_{dim+1}) of a pure complex."""

@@ -13,9 +13,10 @@ cohomology from sympy's Smith normal form, mod-2 cohomology by GF(2)
 elimination (independent of the integer path), both reduced Euler
 characteristics, the enumeration of GL(n, 2) and a
 matrix-vector product by row parities.  The pairwise maximality filter that
-SimplicialComplex's star-mask filter must match, and the per-degree filter
-of K's faces inside W that the faces of K_W grown by reduced_cohomology
-must match.  Ghost labels added to a complex.  Combinatorial lookups the
+SimplicialComplex's star-mask filter must match, the downward stack walk
+from the facets that K's face lists must match, and the per-degree filter
+of K's faces inside W that SimplicialComplex.faces_within must match for
+the K_W.  Ghost labels added to a complex.  Combinatorial lookups the
 commands never make: the ridge flip of a facet position, its flip support
 by position, a facet's coordinates by inverting its basis, a label's
 column, orientability for n = 3 and building every ring degree.  The
@@ -78,8 +79,8 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
 def faces_by_filter(K: SimplicialComplex, wm: int) -> dict[int, list[int]]:
     """Degree -> ascending face masks of K_W, from degree -1 to the top
     nonempty one, by keeping the q-faces of K that lie inside W: the
-    filter that the faces reduced_cohomology grows from K's face set must
-    match, list for list and in the same order."""
+    filter that K.faces_within(wm) must match, list for list and in the
+    same order."""
     faces: dict[int, list[int]] = {}
     for q in range(-1, min(K.dim, wm.bit_count() - 1) + 1):
         fq = [m for m in K.face_masks(q) if m & wm == m]
@@ -87,6 +88,28 @@ def faces_by_filter(K: SimplicialComplex, wm: int) -> dict[int, list[int]]:
             break
         faces[q] = fq
     return faces
+
+
+def faces_by_stack_walk(K: SimplicialComplex) -> dict[int, tuple[int, ...]]:
+    """Degree -> ascending face masks of K, from the facets down: every face
+    is reached by dropping one vertex of a larger face, and a seen-set keeps
+    each once."""
+    seen = set(K.facet_masks)
+    stack = list(seen)
+    while stack:
+        fm = stack.pop()
+        bits = fm
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            face = fm ^ low
+            if face not in seen:
+                seen.add(face)
+                stack.append(face)
+    by_dim: dict[int, list[int]] = {}
+    for m in seen:
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    return {d: tuple(sorted(ms)) for d, ms in by_dim.items()}
 
 
 def with_ghosts(K: SimplicialComplex, count: int, rng) -> SimplicialComplex:

@@ -365,10 +365,11 @@ class TestLimits:
         )
 
     def test_row_space_guard_checked_before_any_enumeration(self, tmp_path, monkeypatch, capsys):
-        def boom(self):
+        def boom(*args):
             raise AssertionError("faces were enumerated before the row-space guard")
 
         monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", boom)
+        monkeypatch.setattr(SimplicialComplex, "faces_within", boom)
         labels = list(range(1, 21))
         doc = {
             "name": "simplex20",

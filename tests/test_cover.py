@@ -16,7 +16,7 @@ from oracles import (
     with_ghosts,
 )
 from smallcover import cover
-from smallcover.bier import bier_instance
+from smallcover.bier import bier_instance, table1_seed_complex
 from smallcover.catalog import catalog, get_entry
 from smallcover.charmap import CharacteristicMatrix, first_dependent_facet, omega_descriptors
 from smallcover.cli import main
@@ -36,7 +36,7 @@ from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.gf2 import BitMatrix
 from smallcover.homology import CohomologyProfile, FinAbGroup, reduced_cohomology
 from smallcover.shelling import ShellingBudgetExceeded, find_shelling
-from smallcover.simplicial import boundary_of_simplex
+from smallcover.simplicial import SimplicialComplex, boundary_of_simplex
 
 
 def space(name):
@@ -405,3 +405,20 @@ def test_table1_stays_direct(monkeypatch, capsys, dual_calls):
     assert capsys.readouterr().out == TABLE1_STDOUT
     assert searches == []
     assert dual_calls == []
+
+
+def test_table1_builds_no_sphere_face_set(monkeypatch, capsys):
+    # Each K_W is grown by faces_within over W, the simplex exit reads
+    # K.holders, and the sphere's h-vector is counted off one faces_within
+    # pass that is not kept, so only the seed complex caches face lists.
+    seed = table1_seed_complex()
+    faces_by_dim = SimplicialComplex._faces_by_dim
+
+    def seed_only(K):
+        if K != seed:
+            raise AssertionError(f"face lists cached for {K.vertex_count} vertices")
+        return faces_by_dim(K)
+
+    monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", seed_only)
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == TABLE1_STDOUT

@@ -21,7 +21,7 @@ from smallcover.catalog import get_entry
 from smallcover.charmap import omega_descriptors
 from smallcover.cover import RealToricSpace
 from smallcover.errors import InternalConsistencyError
-from smallcover.homology import FinAbGroup, _full_subcomplex_faces, reduced_cohomology
+from smallcover.homology import FinAbGroup, reduced_cohomology
 from smallcover.simplicial import (
     SimplicialComplex,
     boundary_of_simplex,
@@ -363,11 +363,9 @@ def no_faces(*args):
 
 class TestSimplexExit:
     def test_every_subset_of_one_facet(self, monkeypatch):
-        import smallcover.homology as homology
-
         K = SimplicialComplex(range(1, 13), [tuple(range(1, 13))])
         monkeypatch.setattr(K, "face_masks", no_faces)
-        monkeypatch.setattr(homology, "_full_subcomplex_faces", no_faces)
+        monkeypatch.setattr(K, "faces_within", no_faces)
         trivial = 0
         for wm in range(1 << K.vertex_count):
             p = reduced_cohomology(K, wm)
@@ -380,24 +378,22 @@ class TestSimplexExit:
             assert c(K, (1 << K.vertex_count) - 1).groups == {}
 
     def test_every_face_of_a_sphere(self, monkeypatch):
-        import smallcover.homology as homology
-
         K = boundary_of_simplex(4)
-        monkeypatch.setattr(homology, "_full_subcomplex_faces", no_faces)
-        for fm in K.all_face_masks() - {0}:
+        faces = K.all_face_masks() - {0}
+        monkeypatch.setattr(K, "faces_within", no_faces)
+        for fm in faces:
             assert reduced_cohomology(K, fm).groups == {}
 
 
 def grown_face_mismatches(K, masks):
-    """The masks W among ``masks`` where the faces of K_W grown from K's face
-    set differ from the filtered faces of K (by degree, in order), or where
-    the simplex lookup ``W in K's face set`` disagrees with a facet that
-    holds W."""
-    in_K = K.all_face_masks()
+    """The masks W among ``masks`` where the faces of K_W grown by
+    K.faces_within differ from the filtered faces of K (by degree, in
+    order), or where the simplex test ``K.holders(W)`` disagrees with a
+    facet that holds W."""
     return [
         wm for wm in masks
-        if _full_subcomplex_faces(in_K, wm) != faces_by_filter(K, wm)
-        or (wm in in_K) != any(wm & f == wm for f in K.facet_masks)
+        if K.faces_within(wm) != faces_by_filter(K, wm)
+        or bool(K.holders(wm)) != any(wm & f == wm for f in K.facet_masks)
     ]
 
 

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_euler_characteristic, maximal_masks_quadratic, ridge_flip
+from oracles import (
+    complex_euler_characteristic,
+    faces_by_stack_walk,
+    maximal_masks_quadratic,
+    ridge_flip,
+)
 from smallcover.catalog import catalog
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.simplicial import (
@@ -63,6 +68,36 @@ def generator_lists(draw):
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=3))
     return labels, gens
+
+
+def assert_faces_are_the_stack_walk(K):
+    """K's face lists, face set and f-vector against the stack walk, with
+    the f-vector counted both before and after the face lists are cached."""
+    walk = faces_by_stack_walk(K)
+    f = tuple(len(walk[d]) for d in range(-1, K.dim + 1))
+    assert SimplicialComplex(K.labels, K.facets).f_vector() == f
+    assert {d: K.face_masks(d) for d in range(-1, K.dim + 1)} == walk, K.facets
+    assert K.face_masks(K.dim + 1) == ()
+    assert K.all_face_masks() == frozenset().union(*walk.values())
+    assert K.f_vector() == f and K.total_face_count() == sum(f)
+
+
+class TestFaceLoop:
+    @ORACLE
+    @given(generator_lists())
+    def test_faces_match_the_stack_walk(self, case):
+        assert_faces_are_the_stack_walk(SimplicialComplex(*case))
+
+    @ORACLE
+    @given(generator_lists(), st.data())
+    def test_holders_match_a_facet_filter(self, case, data):
+        K = SimplicialComplex(*case)
+        everything = (1 << len(K.facet_masks)) - 1
+        among = data.draw(st.just(-1) | st.integers(0, everything))
+        for m in range(1 << K.vertex_count):
+            held = sum(1 << j for j, fm in enumerate(K.facet_masks) if m & fm == m)
+            # the empty mask is held by every facet in among
+            assert K.holders(m, among) == (among if m == 0 else among & held)
 
 
 class TestMaximality:
@@ -336,6 +371,10 @@ class TestFaceOrder:
                         break
                     sub = (sub - 1) & fm
             assert K.all_face_masks() == closure
+
+    def test_faces_match_the_stack_walk(self):
+        for K in self.complexes() + [cross_polytope_boundary(10)]:
+            assert_faces_are_the_stack_walk(K)
 
     def test_facets_are_stored_in_label_order(self):
         for K in self.complexes():
