@@ -8,8 +8,8 @@ summands closed off through the mod-2 / rational Betti bookkeeping.
 
 When K carries the sphere certificate (a closed pseudomanifold with a
 shelling, hence a PL sphere), a full subcomplex on more than half of the
-used vertices, and not a face of K, is computed on its complement and read
-off by Alexander duality.  The certificate is only used once the hypotheses
+used vertices, and not a cone, is computed on its complement and read off
+by Alexander duality.  The certificate is only used once the hypotheses
 have been computed, which evaluate_conditions does on entry; table1
 computes none and stays direct.
 """
@@ -161,17 +161,15 @@ class RealToricSpace:
         row-space element, in omega_descriptors order, with one
         reduced_cohomology call per W.
 
-        On a certified sphere with used vertices V, a W whose part u in V
-        holds more than half of V and is not a face of K is computed on
-        V - u and read off by alexander_dual; a u that is a face of K spans
-        a simplex, which reduced_cohomology answers by one K.holders AND.
+        On a certified sphere with vertices V, a W whose part u in V holds
+        more than half of V and is no cone is computed on V - u and read off
+        by alexander_dual; a cone u (K.cone_apex, a face of K included) goes
+        direct, where reduced_cohomology answers it with no face enumerated.
         This never starts the shelling search: the certificate counts only
         once the hypotheses exist."""
         K = self.complex
         certified = "hypotheses" in self.__dict__ and self.sphere_certified
-        used = 0
-        for f in K.facet_masks:
-            used |= f
+        used = K.vertex_mask
 
         def profile(wm: int) -> CohomologyProfile:
             u = wm & used
@@ -179,7 +177,7 @@ class RealToricSpace:
                 certified
                 and u != used
                 and 2 * u.bit_count() > used.bit_count()
-                and u not in K.all_face_masks()
+                and not K.cone_apex(u)
             ):
                 return alexander_dual(reduced_cohomology(K, used ^ u), self.n)
             return reduced_cohomology(K, wm)
@@ -290,14 +288,21 @@ def betti_table(M: RealToricSpace) -> BettiTable:
 ALL_CONDITIONS = (1, 2, 3, 4, 5, 6, 7)
 
 
-def highest_ring_degree(M: RealToricSpace, requested) -> int:
-    """The highest ring degree that evaluate_conditions may build for the
-    requested conditions: Sq1 on each even degree on its side (condition 4
-    takes every even degree, 5 degree 2), and degree 3 for the Sq1 witness
-    on a strongly connected closed pseudomanifold.  0 when no ring is built."""
-    degrees = set(range(0, M.n + 1, 2)) if 4 in requested else set()
+def sq1_degrees(n: int, requested) -> set[int]:
+    """The even degrees on which the requested conditions decide Sq1:
+    condition 4 takes every even degree, 5 degree 2."""
+    degrees = set(range(0, n + 1, 2)) if 4 in requested else set()
     if 5 in requested:
         degrees.add(2)
+    return degrees
+
+
+def highest_ring_degree(M: RealToricSpace, requested) -> int:
+    """The highest ring degree that evaluate_conditions may build for the
+    requested conditions: Sq1 on each of sq1_degrees on its side, and degree
+    3 for the Sq1 witness on a strongly connected closed pseudomanifold.  0
+    when no ring is built."""
+    degrees = sq1_degrees(M.n, requested)
     top = max((facering.sq1_degree(M.n, d, M.sphere_certified) for d in degrees), default=0)
     hyp = M.hypotheses
     if degrees and hyp.closed_pseudomanifold and hyp.strongly_connected:
@@ -323,6 +328,11 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
     # before the hypotheses, whose shelling check enumerates every face of K
     if {2, 3, 6, 7} & set(requested) and n > ROW_SPACE_GUARD:
         raise InputError(f"row count {n} exceeds enumeration guard {ROW_SPACE_GUARD}")
+    if {4, 5} & set(requested):
+        # the certified side builds the lowest degrees, so this rejects
+        # nothing that the exact check after the hypotheses accepts
+        lowest = max(facering.sq1_degree(n, d, True) for d in sq1_degrees(n, requested))
+        facering.check_ring_size(M.chi.m - n, lowest)
     # The verdict needs the hypotheses anyway; computed first, their sphere
     # certificate lets omega_profiles take the smaller side of each W.
     hyp = M.hypotheses

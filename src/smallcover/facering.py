@@ -19,7 +19,8 @@ to degree 4 never looks at larger vertex sets.
 
 A degree's echelon grows with the square of its monomial count;
 evaluate_conditions checks the largest degree it will build against
-MAX_DEGREE_MONOMIALS before any homology or ring work.
+MAX_DEGREE_MONOMIALS before any homology or ring work, and first, before
+the shelling search, the lowest degree that either Sq1 side could need.
 
 Sq1 on an even degree d is decided directly, from degree d + 1, or, when K
 is certified a PL sphere (a shelled closed pseudomanifold), on the Wu side.

@@ -4,9 +4,9 @@ The cohomology of a full subcomplex K_W is computed on K's own face masks,
 with W given as a vertex mask over K's labels: K.faces_within(W) grows the
 faces of K_W from the empty face over K's cached vertex stars, so the work
 follows the faces of K_W and no face set of K is built.  The coboundary
-rows are built from a W-local mask -> column map.  A nonempty W that some
-facet holds (one AND of its vertex stars, K.holders) spans a simplex and is
-answered without enumerating any face.
+rows are built from a W-local mask -> column map.  A K_W that is a cone
+(K.cone_apex: some vertex lies in every maximal face, a simplex included)
+is contractible and is answered without enumerating any face.
 
 Everything is exact: Smith normal form runs on arbitrary-precision integers,
 taking unit pivots in one triangular pass over the sparse rows and falling
@@ -279,12 +279,12 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 def reduced_cohomology(K: SimplicialComplex, wm: int) -> CohomologyProfile:
     """Reduced integral cohomology of the full subcomplex K_W on the vertex
     mask ``wm`` over K's labels; for K_W = {empty face} only H^{-1}
-    survives.  A nonempty W that some facet holds (K.holders) spans a
-    simplex; otherwise the faces of K_W come from K.faces_within, in the
+    survives.  A cone (K.cone_apex) is contractible, so its profile is
+    zero; otherwise the faces of K_W come from K.faces_within, in the
     ascending mask order that fixes the rows, columns and pivots."""
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
-    if K.holders(wm):
+    if K.cone_apex(wm):
         return CohomologyProfile()
     faces = K.faces_within(wm)
     ranks: dict[int, int] = {}

@@ -52,7 +52,11 @@ class SimplicialComplex:
         sizes = {m.bit_count() for m in masks}
         self._dim = max(sizes) - 1
         self._pure = len(sizes) == 1
+        self._vertex_mask = 0
+        for m in masks:
+            self._vertex_mask |= m
         self._star_masks: dict[int, int] | None = None
+        self._neighbours: dict[int, int] | None = None
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
         self._face_mask_set: frozenset[int] | None = None
         self._f_vector: tuple[int, ...] | None = None
@@ -97,17 +101,26 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return self._pure
 
+    @property
+    def vertex_mask(self) -> int:
+        """Mask of the vertices of K: the labels that lie in some facet."""
+        return self._vertex_mask
+
     def star_masks(self) -> dict[int, int]:
-        """Vertex bit -> bitmask over facet_masks of the facets holding it."""
+        """Vertex bit -> bitmask over facet_masks of the facets holding it.
+        Built with the neighbour masks: vertex bit -> the union of those
+        facets, i.e. the vertex and every vertex adjacent to it."""
         if self._star_masks is None:
             star = {1 << i: 0 for i in range(len(self._labels))}
+            near = dict.fromkeys(star, 0)
             for j, fm in enumerate(self._facet_masks):
                 bits = fm
                 while bits:
                     low = bits & -bits
                     star[low] |= 1 << j
+                    near[low] |= fm
                     bits ^= low
-            self._star_masks = star
+            self._star_masks, self._neighbours = star, near
         return self._star_masks
 
     def holders(self, m: int, among: int = -1) -> int:
@@ -120,6 +133,30 @@ class SimplicialComplex:
             among &= star[low]
             m ^= low
         return among
+
+    def cone_apex(self, wm: int) -> int:
+        """Bit of an apex of the full subcomplex K_W on the vertex mask wm,
+        or 0 when K_W is no cone.  Only vertices of K count: ghost labels in
+        W are ignored, and a W holding no vertex of K is no cone.  A simplex
+        (K.holders) is a cone on its lowest vertex.  Otherwise an apex v is
+        adjacent to every other vertex of K_W, and is one exactly when every
+        facet F outside v's star has F & wm inside a facet of that star, so
+        that every maximal face of K_W holds v."""
+        star = self.star_masks()
+        wm &= self._vertex_mask
+        if not wm or self.holders(wm):
+            return wm & -wm
+        bits = wm
+        while bits:
+            v = bits & -bits
+            bits ^= v
+            if wm & ~self._neighbours[v]:
+                continue
+            sv = star[v]
+            if all(sv >> j & 1 or self.holders(fm & wm, sv)
+                   for j, fm in enumerate(self._facet_masks)):
+                return v
+        return 0
 
     def faces_within(self, wm: int) -> dict[int, list[int]]:
         """Degree -> ascending masks of the faces of K inside the vertex mask
@@ -272,10 +309,7 @@ class SimplicialComplex:
         return (b if a == fm else a) ^ ridge
 
     def ghost_labels(self) -> tuple[int, ...]:
-        used = 0
-        for m in self._facet_masks:
-            used |= m
-        return tuple(v for i, v in enumerate(self._labels) if not (used >> i) & 1)
+        return tuple(v for i, v in enumerate(self._labels) if not (self._vertex_mask >> i) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):

@@ -16,16 +16,20 @@ matrix-vector product by row parities.  The pairwise maximality filter that
 SimplicialComplex's star-mask filter must match, the downward stack walk
 from the facets that K's face lists must match, and the per-degree filter
 of K's faces inside W that SimplicialComplex.faces_within must match for
-the K_W.  Ghost labels added to a complex.  Combinatorial lookups the
-commands never make: the ridge flip of a facet position, its flip support
+the K_W, and the apexes of a K_W as the intersection of its maximal
+faces, which SimplicialComplex.cone_apex must match.  The Kunneth formula
+for integral cohomology of a product and, shifted up one degree, for the
+reduced cohomology of a join.  Ghost labels added to a complex.
+Combinatorial lookups the commands never make: the ridge flip of a facet position, its flip support
 by position, a facet's coordinates by inverting its basis, a label's
 column, orientability for n = 3 and building every ring degree.  The
 fuzz sampler that draws column by column.  Catalog
-instances relabelled v -> 7v + 3 in a shuffled declared order.
+instances relabelled v -> 7v + 3 in a shuffled declared order, and any
+instance over a shuffled declared order of its own labels.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Sequence
 
 import pytest
@@ -88,6 +92,39 @@ def faces_by_filter(K: SimplicialComplex, wm: int) -> dict[int, list[int]]:
             break
         faces[q] = fq
     return faces
+
+
+def cone_apexes(K: SimplicialComplex, wm: int) -> int:
+    """Mask of the apexes of K_W: the vertices in every maximal face of
+    faces_by_filter(K, wm), so 0 when K_W is no cone."""
+    faces = [m for ms in faces_by_filter(K, wm).values() for m in ms]
+    apexes = wm
+    for m in faces:
+        if not any(m != o and m & o == m for o in faces):
+            apexes &= m
+    return apexes
+
+
+def kunneth(p1: CohomologyProfile, p2: CohomologyProfile, shift: int = 0) -> CohomologyProfile:
+    """H^k = sum over i + j = k of H^i(X) (x) H^j(Y), plus Tor(H^i(X), H^j(Y))
+    over i + j = k + 1, placed in degree k + shift: the integral cohomology
+    of X x Y with shift 0, and with shift 1 the reduced cohomology of the
+    join X * Y from reduced profiles (H~^-1 = Z for the empty complex).
+    Torsion orders are prime powers, so Z_s (x) Z_t = Tor(Z_s, Z_t) = Z_gcd."""
+    ranks: dict[int, int] = {}
+    orders: dict[int, list[int]] = {}
+    for i, a in p1.groups.items():
+        for j, b in p2.groups.items():
+            k = i + j + shift
+            ranks[k] = ranks.get(k, 0) + a.rank * b.rank
+            common = [gcd(s, t) for s in a.torsion for t in b.torsion if gcd(s, t) > 1]
+            tensor = list(a.torsion) * b.rank + list(b.torsion) * a.rank + common
+            orders.setdefault(k, []).extend(tensor)
+            orders.setdefault(k - 1, []).extend(common)
+    return CohomologyProfile({
+        k: FinAbGroup.from_orders(ranks.get(k, 0), orders.get(k, []))
+        for k in ranks.keys() | orders.keys()
+    })
 
 
 def faces_by_stack_walk(K: SimplicialComplex) -> dict[int, tuple[int, ...]]:
@@ -253,6 +290,19 @@ def scaled_relabelling(entry, rng) -> CharacteristicMatrix:
     rng.shuffle(labels)
     return CharacteristicMatrix(
         SimplicialComplex(labels, [[7 * v + 3 for v in f] for f in K.facets]),
+        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
+    )
+
+
+def shuffled_labels(chi: CharacteristicMatrix, rng) -> CharacteristicMatrix:
+    """The same instance over a shuffled declared label order, each label
+    keeping its column."""
+    K = chi.complex
+    labels = list(K.labels)
+    rng.shuffle(labels)
+    column = dict(zip(K.labels, chi.matrix.column_bits()))
+    return CharacteristicMatrix(
+        SimplicialComplex(labels, K.facets),
         BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
     )
 

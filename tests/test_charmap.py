@@ -14,6 +14,7 @@ from oracles import (
     ridge_flip,
     ridge_flip_support,
     scaled_relabelling,
+    shuffled_labels,
 )
 from smallcover.catalog import catalog, get_entry
 from smallcover import charmap
@@ -456,19 +457,6 @@ def check_facet_coordinates(chi, rng):
             mask = sum(1 << positions[r] for r in bit_positions(s))
             expected.append((fm, 1 << positions[i - 1], mask))
     assert list(flip_supports(chi)) == expected
-
-
-def shuffled_labels(chi, rng):
-    """The same instance over a shuffled declared label order, each label
-    keeping its column."""
-    K = chi.complex
-    labels = list(K.labels)
-    rng.shuffle(labels)
-    column = dict(zip(K.labels, chi.matrix.column_bits()))
-    return CharacteristicMatrix(
-        SimplicialComplex(labels, K.facets),
-        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
-    )
 
 
 class TestFacetCoordinates:

@@ -20,7 +20,7 @@ from smallcover.errors import InternalConsistencyError
 from smallcover.facering import GradedRingBasis, RingClass
 from smallcover.gf2 import BitMatrix
 from smallcover.shelling import find_shelling
-from smallcover.simplicial import SimplicialComplex
+from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
 import oracles
 from oracles import circle_times_tetrahedron_boundary, sample_by_columns
 from smallcover.instancefile import emit_instance, parse_instance
@@ -362,6 +362,28 @@ class TestLimits:
         assert captured.out == ""
         assert captured.err.startswith(
             "input error: ring degree 3 has 20 monomials, over the limit of 19 for one degree"
+        )
+
+    def test_ring_size_checked_before_the_shelling_search(self, tmp_path, monkeypatch, capsys):
+        # The 14-cross-polytope with linear-model columns: 16,384 facets, 14
+        # variables.  Even on the certified side Sq1 on degree 6 needs ring
+        # degree 7, C(14 + 7 - 1, 7) = 77,520 monomials.
+        def no_search(K):
+            raise AssertionError("the shelling search ran before the ring-size check")
+
+        monkeypatch.setattr(cover, "find_shelling", no_search)
+        K = cross_polytope_boundary(14)
+        chi = charmap.CharacteristicMatrix(
+            K, BitMatrix.from_column_bits(14, [1 << i for i in range(14)] * 2)
+        )
+        path = tmp_path / "cross14.json"
+        path.write_text(emit_instance("cross14", K, chi), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: ring degree 7 has 77520 monomials, over the limit of "
+            "25000 for one degree\n"
         )
 
     def test_row_space_guard_checked_before_any_enumeration(self, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     circle_times_tetrahedron_boundary,
+    cone_apexes,
     is_orientable_3d,
     moved_sphere,
     non_spheres,
@@ -203,20 +204,13 @@ class TestOrientability:
             assert is_orientable_3d(M) == torsion_free, name
 
 
-def used_mask(K):
-    used = 0
-    for f in K.facet_masks:
-        used |= f
-    return used
-
-
 def dual_mismatches(K):
     """The masks W over K's labels, ghost labels included, whose part u in
     the used vertices V is neither empty nor V, and where alexander_dual of
     the profile of K_{V - u} differs from reduced_cohomology(K, W).  Every W
     is checked, not only those omega_profiles reads off the dual side."""
     n = K.dim + 1
-    used = used_mask(K)
+    used = K.vertex_mask
     direct = {wm: reduced_cohomology(K, wm) for wm in range(1 << K.vertex_count)}
     return [
         wm for wm, profile in direct.items()
@@ -257,7 +251,7 @@ class TestAlexanderDuality:
         K = CERTIFIED["bier_rp2_6v"]
         unbarred = K.mask_of(range(1, 7))
         assert reduced_cohomology(K, unbarred).groups == {2: FinAbGroup(0, (2,))}
-        complement = reduced_cohomology(K, used_mask(K) ^ unbarred)
+        complement = reduced_cohomology(K, K.vertex_mask ^ unbarred)
         assert complement.groups == {2: FinAbGroup(0, (2,))}
         assert alexander_dual(complement, K.dim + 1).groups == {2: FinAbGroup(0, (2,))}
 
@@ -274,7 +268,7 @@ class TestAlexanderDuality:
     def test_sympy_second_opinion(self, name):
         pytest.importorskip("sympy")
         K = CERTIFIED[name]
-        used = used_mask(K)
+        used = K.vertex_mask
         for u in range(1, used):
             if u & used == u:
                 sub = K.full_subcomplex(K.labels_of(u))
@@ -356,7 +350,8 @@ class TestDualSideGuard:
 
     def test_faces_of_a_certified_sphere_stay_direct(self, dual_calls):
         # every proper vertex subset of the boundary of the 4-simplex is a
-        # face, so each W takes the simplex exit and none the complement
+        # face, so each W is a simplex and takes the cone exit, none the
+        # complement
         chi = get_entry("rp4").chi
         M = RealToricSpace(chi.complex, chi)
         report = evaluate_conditions(M)
@@ -364,6 +359,30 @@ class TestDualSideGuard:
         assert M.sphere_certified
         assert dual_calls == []
         assert report == direct_outcome(chi)
+
+    def test_cones_of_a_certified_sphere_stay_direct(self, monkeypatch, dual_calls):
+        # A large u that is a cone goes direct and takes the cone exit; only
+        # the others are computed on their complement.  No face set is read.
+        chi = get_entry("cross4mixed").chi
+        K = chi.complex
+        M = RealToricSpace(K, chi)
+        assert M.sphere_certified
+
+        def no_face_set(K):
+            raise AssertionError("omega_profiles read K's face set")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimplicialComplex, "all_face_masks", no_face_set)
+            supports = [wm for wm, _ in M.omega_profiles]
+        used = K.vertex_mask
+        large = [
+            wm & used for wm in supports
+            if wm & used != used and 2 * (wm & used).bit_count() > used.bit_count()
+        ]
+        cones = [u for u in large if cone_apexes(K, u)]
+        assert (len(large), len(cones)) == (5, 2)
+        assert len(dual_calls) == 3
+        assert evaluate_conditions(M) == direct_outcome(chi)
 
     def test_certified_sphere_takes_the_dual_side(self, dual_calls):
         chi = get_entry("cross4").chi
@@ -408,7 +427,7 @@ def test_table1_stays_direct(monkeypatch, capsys, dual_calls):
 
 
 def test_table1_builds_no_sphere_face_set(monkeypatch, capsys):
-    # Each K_W is grown by faces_within over W, the simplex exit reads
+    # Each K_W is grown by faces_within over W, the cone exit reads
     # K.holders, and the sphere's h-vector is counted off one faces_within
     # pass that is not kept, so only the seed complex caches face lists.
     seed = table1_seed_complex()
@@ -422,3 +441,41 @@ def test_table1_builds_no_sphere_face_set(monkeypatch, capsys):
     monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", seed_only)
     assert main(["table1"]) == 0
     assert capsys.readouterr().out == TABLE1_STDOUT
+
+
+@pytest.fixture
+def cone_exits(monkeypatch):
+    """The result of each SimplicialComplex.cone_apex call: an apex bit when
+    the exit fires, 0 when not."""
+    found = []
+    cone_apex = SimplicialComplex.cone_apex
+
+    def spy(K, wm):
+        found.append(cone_apex(K, wm))
+        return found[-1]
+
+    monkeypatch.setattr(SimplicialComplex, "cone_apex", spy)
+    return found
+
+
+class TestConeExitCounts:
+    """Where the cone exit fires, counted: none of the 256 W of bier9 is a
+    cone, so table1 and analyze of bier9 pay only the test, while random
+    matrices over the 4-cross-polytope meet cones."""
+
+    def test_table1_takes_no_cone_exit(self, capsys, cone_exits):
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out == TABLE1_STDOUT
+        assert len(cone_exits) == 255 and not any(cone_exits)  # W = {} exits first
+
+    def test_analyze_bier9_takes_no_cone_exit(self, tmp_path, capsys, cone_exits):
+        path = tmp_path / "bier9.json"
+        assert main(["catalog", "emit", "bier9"]) == 0
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        # 255 W past W = {}, and 93 large u tested before the dual side
+        assert len(cone_exits) == 348 and not any(cone_exits)
+
+    def test_cross4_fuzz_takes_the_cone_exit(self, capsys, cone_exits):
+        assert main(["fuzz", "--complex", "cross4", "--samples", "5", "--seed", "0"]) == 0
+        assert sum(map(bool, cone_exits)) > 0

@@ -33,7 +33,7 @@ from smallcover.facering import (
 from smallcover.gf2 import BitMatrix, bit_positions
 from smallcover.instancefile import emit_instance
 from smallcover.simplicial import SimplicialComplex, cross_polytope_boundary
-from oracles import circle_times_tetrahedron_boundary
+from oracles import circle_times_tetrahedron_boundary, shuffled_labels
 
 
 def octahedron_linear():
@@ -621,19 +621,6 @@ class TestPinnedRing:
             for p, row in rows.items():
                 assert row & -row == 1 << p, (d, p)
                 assert row & pivot_mask == 1 << p, (d, p)
-
-def shuffled_labels(chi, rng):
-    """The same instance over a shuffled declared label order, each label
-    keeping its column."""
-    K = chi.complex
-    labels = list(K.labels)
-    rng.shuffle(labels)
-    column = dict(zip(K.labels, chi.matrix.column_bits()))
-    return CharacteristicMatrix(
-        SimplicialComplex(labels, K.facets),
-        BitMatrix.from_column_bits(chi.n, [column[v] for v in labels]),
-    )
-
 
 def minimal_nonfaces_oracle(K, max_size):
     """Masks of the vertex sets of size <= max_size that are not faces but

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     coboundary_matrix,
     complex_euler_characteristic,
+    cone_apexes,
     faces_by_filter,
     mod2_reduced_cohomology,
     moved_sphere,
@@ -410,9 +411,7 @@ class TestGrownFaces:
         chi = get_entry("bier9").chi
         K = chi.complex
         supports = omega_descriptors(chi, RealToricSpace(K, chi).classification.coloring)
-        used = 0
-        for f in K.facet_masks:
-            used |= f
+        used = K.vertex_mask
         assert len(supports) == 256 and K.vertex_count == 18
         assert grown_face_mismatches(K, supports) == []
         assert grown_face_mismatches(K, [used & ~wm for wm in supports]) == []
@@ -447,3 +446,79 @@ class TestHonestFailure:
             lambda rows, ncols: ([1] * min(len(rows), ncols), []),
         )
         assert main(["table1"]) == 3
+
+
+class TestConeExit:
+    """SimplicialComplex.cone_apex against the intersection of the maximal
+    faces of K_W, and reduced_cohomology's cone exit against the
+    computation it skips."""
+
+    def test_every_subset_of_the_small_catalog_complexes(self, monkeypatch):
+        pytest.importorskip("sympy")
+        pairs = 0
+        cones = []
+        for K in small_catalog_complexes(max_vertices=12):
+            for wm in range(1 << K.vertex_count):
+                if K.holders(wm):
+                    continue
+                pairs += 1
+                apex, apexes = K.cone_apex(wm), cone_apexes(K, wm)
+                assert bool(apex) == bool(apexes), (K.facets, wm)
+                assert apex & apexes == apex and apex & (apex - 1) == 0, (K.facets, wm)
+                if apex:
+                    cones.append((K, wm))
+        assert pairs == 12_449  # the non-simplex pairs of TestGrownFaces
+        assert len(cones) == 4_336
+        # Without the exit, the package's Smith normal form and sympy's (on
+        # each distinct K_W once, over compacted labels) give the zero profile.
+        monkeypatch.setattr(SimplicialComplex, "cone_apex", lambda K, wm: 0)
+        distinct = {}
+        for K, wm in cones:
+            assert reduced_cohomology(K, wm).groups == {}, (K.facets, wm)
+            sub = K.full_subcomplex(K.labels_of(wm))
+            key = tuple(sorted(tuple(sub.labels.index(v) for v in f) for f in sub.facets))
+            distinct.setdefault(key, sub)
+        assert len(distinct) == 368
+        for sub in distinct.values():
+            assert sympy_cohomology(sub) == {}, sub.facets
+
+    def test_ghost_labels_alone_are_no_cone(self):
+        K = SimplicialComplex(range(1, 6), polygon(3).facets)  # 4 and 5 are ghosts
+        assert K.ghost_labels() == (4, 5)
+        ghosts = K.mask_of({4, 5})
+        assert K.cone_apex(ghosts) == cone_apexes(K, ghosts) == 0
+        assert reduced_cohomology(K, ghosts).groups == {-1: FinAbGroup.free(1)}
+        # beside vertices of K a ghost is ignored
+        assert K.cone_apex(K.mask_of({2, 4})) == K.mask_of({2})
+        assert K.cone_apex(K.mask_of({1, 2, 3, 5})) == 0
+        assert reduced_cohomology(K, K.mask_of({1, 2, 3, 5})).groups == {1: FinAbGroup.free(1)}
+
+    def test_one_vertex_and_every_face_of_a_sphere(self):
+        K = boundary_of_simplex(3)
+        for fm in K.all_face_masks() - {0}:
+            apex = K.cone_apex(fm)
+            assert apex == fm & -fm and cone_apexes(K, fm) == fm
+            assert reduced_cohomology(K, fm).groups == {}
+
+    def test_cross_polytope_with_one_antipodal_pair_broken(self):
+        K = cross_polytope_boundary(4)
+        whole = K.vertex_mask
+        assert K.cone_apex(whole) == cone_apexes(K, whole) == 0
+        assert reduced_cohomology(K, whole).groups == {3: FinAbGroup.free(1)}
+        for v in range(1, 9):
+            antipode = K.mask_of({v + 4 if v <= 4 else v - 4})
+            wm = whole & ~K.mask_of({v})
+            assert K.cone_apex(wm) == cone_apexes(K, wm) == antipode
+            assert reduced_cohomology(K, wm).groups == {}
+
+    @pytest.mark.parametrize("m", [4, 5, 7])
+    def test_three_consecutive_vertices_of_a_polygon(self, m):
+        K = polygon(m)
+        for i in range(1, m + 1):
+            a, b, c = i, i % m + 1, (i + 1) % m + 1
+            wm = K.mask_of({a, b, c})
+            assert K.cone_apex(wm) == cone_apexes(K, wm) == K.mask_of({b})
+            assert reduced_cohomology(K, wm).groups == {}
+            # the two ends alone are two points, no cone
+            assert K.cone_apex(K.mask_of({a, c})) == 0
+            assert reduced_cohomology(K, K.mask_of({a, c})).groups == {0: FinAbGroup.free(1)}

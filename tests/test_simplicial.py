@@ -334,6 +334,7 @@ class TestGhosts:
     def test_ghosts_are_reported_and_ignored(self):
         K = SimplicialComplex([1, 2, 3], [(1, 2)])
         assert K.ghost_labels() == (3,)
+        assert K.vertex_mask == K.mask_of({1, 2}) == 0b011
         assert K.f_vector() == (1, 2, 1)
 
 
