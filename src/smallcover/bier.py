@@ -5,9 +5,14 @@ extensions: each facet is sigma together with the barred complement of
 sigma + {s}, where sigma is a face and sigma + {s} is not.  Original
 vertices keep labels 1..l (by rank in the ground set); barred copies get
 l+1..2l.  Labels that end up in no facet stay declared as ghosts.
+
+K's faces are read off its face lists in one pass; sigma + {s} is a face
+exactly when the facets holding sigma (K.holders) meet the star of s.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .charmap import CharacteristicMatrix
 from .errors import InputError, InternalConsistencyError
@@ -40,10 +45,11 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
     ell = len(ground)
     if ell < 2:
         raise InputError(f"a Bier sphere needs at least 2 labels, got {ell}")
-    face_masks = K.all_face_masks()
     all_mask = (1 << K.vertex_count) - 1
-    if all_mask in face_masks:
+    if K.holders(all_mask):
         raise InputError("the full simplex has no Bier sphere")
+    # K's face lists, read first so that the count's f-vector comes off them
+    faces = [K.face_masks(d) for d in range(-1, K.dim + 1)]
     count = bier_facet_count(K)
     if count > BIER_FACET_LIMIT:
         raise InputError(
@@ -52,14 +58,16 @@ def bier_sphere(K: SimplicialComplex) -> SimplicialComplex:
         )
     rank = {v: i + 1 for i, v in enumerate(ground)}
     labels = K.labels
+    star = K.star_masks()
     gens = []
-    for fm in face_masks:
+    for fm in chain.from_iterable(faces):
+        held = K.holders(fm)
         rest = all_mask & ~fm
         bits = rest
         while bits:
             low = bits & -bits
             bits ^= low
-            if (fm | low) in face_masks:
+            if held & star[low]:
                 continue
             comp = rest ^ low
             facet = [rank[labels[i]] for i in bit_positions(fm)]
@@ -91,10 +99,9 @@ def bier_instance(K: SimplicialComplex) -> tuple[SimplicialComplex, Characterist
     sphere = bier_sphere(K)
     ell = len(K.labels)
     full = lambda_bier(ell)
-    ghosts = set(sphere.ghost_labels())
-    used = [v for v in sphere.labels if v not in ghosts]
-    trimmed = sphere.full_subcomplex(used) if ghosts else sphere
-    cols = [full[v - 1] for v in used]
+    used = sphere.vertex_mask
+    trimmed = sphere.full_subcomplex(used) if used != (1 << 2 * ell) - 1 else sphere
+    cols = [full[v - 1] for v in sphere.labels_of(used)]
     chi = CharacteristicMatrix(trimmed, BitMatrix.from_column_bits(ell - 1, cols))
     return trimmed, chi
 

@@ -273,9 +273,7 @@ def integral_cohomology(M: RealToricSpace) -> CohomologyProfile:
         order_two = mu[q] - len(doubled[q])
         check(order_two >= 0, q, f"doubled torsion exceeds the solved count at degree {q}")
         orders = odd_torsion[q] + doubled[q] + [2] * order_two
-        g = FinAbGroup.from_orders(b[q], orders)
-        if not g.is_trivial():
-            groups[q] = g
+        groups[q] = FinAbGroup.from_orders(b[q], orders)
     return CohomologyProfile(groups)
 
 
@@ -360,13 +358,12 @@ def evaluate_conditions(M: RealToricSpace, conditions=None) -> ConditionReport:
             )
         if 3 in requested:
             results[3] = profile.group(3).is_torsion_free()
-        diffs_ok = {}
-        for k in range(1, n // 2 + 2):
-            b_hi = table.b[2 * k] if 2 * k <= n else 0
-            b_lo = table.b[2 * k - 1] if 2 * k - 1 <= n else 0
-            m_hi = table.b_mod2[2 * k] if 2 * k <= n else 0
-            m_lo = table.b_mod2[2 * k - 1] if 2 * k - 1 <= n else 0
-            diffs_ok[k] = (b_hi - b_lo) == (m_hi - m_lo)
+        # b^q = 0 above n, and 2k reaches n + 2
+        b, b_mod2 = table.b + (0, 0), table.b_mod2 + (0, 0)
+        diffs_ok = {
+            k: b[2 * k] - b[2 * k - 1] == b_mod2[2 * k] - b_mod2[2 * k - 1]
+            for k in range(1, n // 2 + 2)
+        }
         if 6 in requested:
             results[6] = all(diffs_ok.values())
         if 7 in requested:

@@ -14,8 +14,8 @@ has one basis rule and one normal-form representation:
   of monomial i.  Reducing a vector is one parity per row.
 
 The generators of the monomial ideal, the minimal non-faces, are found one
-size at a time, when the degree of that size is built, so a ring built up
-to degree 4 never looks at larger vertex sets.
+size at a time from K's face lists, when the degree of that size is built,
+so a ring built up to degree 4 never looks at larger vertex sets.
 
 A degree's echelon grows with the square of its monomial count;
 evaluate_conditions checks the largest degree it will build against
@@ -325,8 +325,9 @@ class GradedRingBasis:
 def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[int]:
     """Vertex masks of the non-faces of `size` vertices whose proper subsets
     are all faces, ascending.  Each is met once, as the face left when its
-    highest vertex is removed plus that vertex."""
-    faces = K.all_face_masks()
+    highest vertex is removed plus that vertex.  Membership is tested in a
+    set of the two face sizes read, size - 1 and size."""
+    faces = {*K.face_masks(size - 2), *K.face_masks(size - 1)}
     found = []
     for fm in K.face_masks(size - 2):
         for b in range(fm.bit_length(), K.vertex_count):

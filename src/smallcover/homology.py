@@ -305,7 +305,5 @@ def reduced_cohomology(K: SimplicialComplex, wm: int) -> CohomologyProfile:
             raise InternalConsistencyError(
                 f"rank bookkeeping gives a negative Betti number in degree {q}"
             )
-        g = FinAbGroup.from_orders(free, torsion_at.get(q, []))
-        if not g.is_trivial():
-            groups[q] = g
+        groups[q] = FinAbGroup.from_orders(free, torsion_at.get(q, []))
     return CohomologyProfile(groups)

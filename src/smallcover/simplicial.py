@@ -5,8 +5,11 @@ subcomplexes and derived constructions keep the original labels.  A vertex
 set is an int mask over the declared label order (bit i is the i-th label),
 and that is how vertex sets pass between modules.  mask_of and labels_of
 are the one place where a mask and its labels meet; outside this module
-they are called only to read an order file and to print a shelling or an
-error message.
+they are called only to read an order file, to give the used labels of a
+Bier sphere their columns, and to print a shelling or an error message.
+
+K's faces live in one store, the cached per-degree lists (face_masks);
+whether a mask is a face is read off them or off holders.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class SimplicialComplex:
         self._star_masks: dict[int, int] | None = None
         self._neighbours: dict[int, int] | None = None
         self._faces_by_dim_cache: dict[int, tuple[int, ...]] | None = None
-        self._face_mask_set: frozenset[int] | None = None
         self._f_vector: tuple[int, ...] | None = None
         self._ridge_table: dict[int, tuple[int, ...]] | None = None
         self._h_vector: tuple[int, ...] | None = None
@@ -193,19 +195,15 @@ class SimplicialComplex:
         """Masks of d-dimensional faces in ascending mask order."""
         return self._faces_by_dim().get(d, ())
 
-    def all_face_masks(self) -> frozenset[int]:
-        if self._face_mask_set is None:
-            self._face_mask_set = frozenset().union(*self._faces_by_dim().values())
-        return self._face_mask_set
-
     def total_face_count(self) -> int:
-        """Number of faces including the empty face."""
-        return len(self.all_face_masks())
+        """Faces including the empty one: the lengths of K's face lists, built
+        and kept if absent, for the ring to read after the shelling check."""
+        return sum(map(len, self._faces_by_dim().values()))
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_{dim}); f_{-1} = 1 for the empty face.  Counted
         off the cached face lists, or else off one faces_within pass that is
-        not kept, so the counts alone (the h-vector) never hold K's face set."""
+        not kept, so the counts alone (the h-vector) never keep K's faces."""
         if self._f_vector is None:
             by_dim = self._faces_by_dim_cache or self.faces_within((1 << len(self._labels)) - 1)
             self._f_vector = tuple(len(by_dim.get(d, ())) for d in range(-1, self._dim + 1))
@@ -227,16 +225,15 @@ class SimplicialComplex:
             self._h_vector = tuple(h)
         return self._h_vector
 
-    def full_subcomplex(self, w) -> "SimplicialComplex":
-        w = set(w)
-        for v in w:
-            if v not in self._index:
-                raise InternalConsistencyError(f"unknown vertex label {v} in subcomplex request")
-        wm = self.mask_of(w)
-        cut = {m & wm for m in self._facet_masks}
-        sub_labels = [v for v in self._labels if v in w]
-        gens = [self.labels_of(m) for m in cut]
-        return SimplicialComplex(sub_labels, gens)
+    def full_subcomplex(self, wm: int) -> "SimplicialComplex":
+        """The full subcomplex K_W on the vertex mask wm, declared over the
+        labels of wm, ghosts included."""
+        if wm >> len(self._labels):  # a negative mask shifts to -1
+            raise InternalConsistencyError(
+                f"vertex mask {wm:#x} has bits past the {len(self._labels)} declared labels"
+            )
+        gens = [self.labels_of(m) for m in {fm & wm for fm in self._facet_masks}]
+        return SimplicialComplex(self.labels_of(wm), gens)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """The join, with other's labels shifted past this complex's largest."""
@@ -307,9 +304,6 @@ class SimplicialComplex:
             )
         a, b = (self._facet_masks[j] for j in holders)
         return (b if a == fm else a) ^ ridge
-
-    def ghost_labels(self) -> tuple[int, ...]:
-        return tuple(v for i, v in enumerate(self._labels) if not (self._vertex_mask >> i) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):

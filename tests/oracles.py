@@ -17,7 +17,9 @@ SimplicialComplex's star-mask filter must match, the downward stack walk
 from the facets that K's face lists must match, and the per-degree filter
 of K's faces inside W that SimplicialComplex.faces_within must match for
 the K_W, and the apexes of a K_W as the intersection of its maximal
-faces, which SimplicialComplex.cone_apex must match.  The Kunneth formula
+faces, which SimplicialComplex.cone_apex must match.  K's face set from
+the stack walk, its ghost labels, and its Bier sphere from the definition,
+which bier_sphere must match.  The Kunneth formula
 for integral cohomology of a product and, shifted up one degree, for the
 reduced cohomology of a join.  Ghost labels added to a complex.
 Combinatorial lookups the commands never make: the ridge flip of a facet position, its flip support
@@ -147,6 +149,34 @@ def faces_by_stack_walk(K: SimplicialComplex) -> dict[int, tuple[int, ...]]:
     for m in seen:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
     return {d: tuple(sorted(ms)) for d, ms in by_dim.items()}
+
+
+def face_set(K: SimplicialComplex) -> frozenset[int]:
+    """Every face mask of K, the empty face included, from the stack walk."""
+    return frozenset().union(*faces_by_stack_walk(K).values())
+
+
+def ghost_labels(K: SimplicialComplex) -> tuple[int, ...]:
+    """The declared labels of K that lie in no facet."""
+    return K.labels_of((1 << K.vertex_count) - 1 & ~K.vertex_mask)
+
+
+def bier_sphere_by_definition(K: SimplicialComplex) -> SimplicialComplex:
+    """The Bier sphere of K straight from its definition over face_set: a
+    facet sigma + barred(ground - sigma - s) for every face sigma and label
+    s outside it with sigma + s no face.  The label of rank i in the sorted
+    ground set is i, its barred copy l + i."""
+    ground = sorted(K.labels)
+    ell = len(ground)
+    rank = {v: i + 1 for i, v in enumerate(ground)}
+    faces = {frozenset(K.labels_of(m)) for m in face_set(K)}
+    gens = []
+    for sigma in faces:
+        for s in set(ground) - sigma:
+            if sigma | {s} not in faces:
+                rest = set(ground) - sigma - {s}
+                gens.append([rank[v] for v in sigma] + [ell + rank[v] for v in rest])
+    return SimplicialComplex(range(1, 2 * ell + 1), gens)
 
 
 def with_ghosts(K: SimplicialComplex, count: int, rng) -> SimplicialComplex:
@@ -594,6 +624,7 @@ def bistellar_moves(K):
     boundary of tau, and tau no face: sigma * boundary(tau) may become
     boundary(sigma) * tau."""
     size = K.dim + 1
+    faces = face_set(K)
     out = []
     for k in range(2, size):
         for sigma in map(K.labels_of, K.face_masks(k - 1)):
@@ -602,7 +633,7 @@ def bistellar_moves(K):
             if (
                 len(tau) == size + 1 - k
                 and len(link) == len(tau)
-                and K.mask_of(tau) not in K.all_face_masks()
+                and K.mask_of(tau) not in faces
             ):
                 out.append((sigma, tuple(sorted(tau))))
     return out

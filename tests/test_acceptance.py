@@ -261,7 +261,7 @@ def test_criterion_7_property_suites(spaces):
     # integer results must match an independent GF(2) rank computation
     M = spaces("bier9")
     for wm, integral in M.omega_profiles:
-        sub = M.complex.full_subcomplex(M.complex.labels_of(wm))
+        sub = M.complex.full_subcomplex(wm)
         mod2 = mod2_reduced_cohomology(sub)
         for q in range(-1, sub.dim + 1):
             expected = (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     circle_times_tetrahedron_boundary,
     cone_apexes,
+    ghost_labels,
     is_orientable_3d,
     moved_sphere,
     non_spheres,
@@ -20,7 +21,7 @@ from smallcover import cover
 from smallcover.bier import bier_instance, table1_seed_complex
 from smallcover.catalog import catalog, get_entry
 from smallcover.charmap import CharacteristicMatrix, first_dependent_facet, omega_descriptors
-from smallcover.cli import main
+from smallcover.cli import main, sample_random_instance
 from smallcover.cover import (
     ALL_CONDITIONS,
     BUDGET_EXCEEDED,
@@ -36,6 +37,7 @@ from smallcover.cover import (
 from smallcover.errors import InputError, InternalConsistencyError
 from smallcover.gf2 import BitMatrix
 from smallcover.homology import CohomologyProfile, FinAbGroup, reduced_cohomology
+from smallcover.instancefile import emit_instance, parse_instance
 from smallcover.shelling import ShellingBudgetExceeded, find_shelling
 from smallcover.simplicial import SimplicialComplex, boundary_of_simplex
 
@@ -43,6 +45,14 @@ from smallcover.simplicial import SimplicialComplex, boundary_of_simplex
 def space(name):
     entry = get_entry(name)
     return RealToricSpace(entry.complex, entry.chi)
+
+
+def emitted(tmp_path, capsys, name):
+    """The path of the catalog entry's document, written under tmp_path."""
+    path = tmp_path / f"{name}.json"
+    assert main(["catalog", "emit", name]) == 0
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    return str(path)
 
 
 def classical_projective_profile(n):
@@ -261,7 +271,7 @@ class TestAlexanderDuality:
         # stellar subdivisions and bistellar flips keep a PL sphere a PL
         # sphere, so duality holds whether or not the search certifies it
         K = with_ghosts(moved_sphere(rng), ghosts, rng)
-        assert len(K.ghost_labels()) == ghosts
+        assert len(ghost_labels(K)) == ghosts
         assert dual_mismatches(K) == []
 
     @pytest.mark.parametrize("name", ["rp1", "rp2", "rp3", "rp4", "gon5", "deltas0", "cross3"])
@@ -271,7 +281,7 @@ class TestAlexanderDuality:
         used = K.vertex_mask
         for u in range(1, used):
             if u & used == u:
-                sub = K.full_subcomplex(K.labels_of(u))
+                sub = K.full_subcomplex(u)
                 dual = alexander_dual(reduced_cohomology(K, used ^ u), K.dim + 1)
                 assert dual.groups == sympy_cohomology(sub), (name, K.labels_of(u))
 
@@ -362,17 +372,18 @@ class TestDualSideGuard:
 
     def test_cones_of_a_certified_sphere_stay_direct(self, monkeypatch, dual_calls):
         # A large u that is a cone goes direct and takes the cone exit; only
-        # the others are computed on their complement.  No face set is read.
+        # the others are computed on their complement.  K's face lists are
+        # not read.
         chi = get_entry("cross4mixed").chi
         K = chi.complex
         M = RealToricSpace(K, chi)
         assert M.sphere_certified
 
-        def no_face_set(K):
-            raise AssertionError("omega_profiles read K's face set")
+        def no_face_lists(K):
+            raise AssertionError("omega_profiles read K's face lists")
 
         with monkeypatch.context() as patch:
-            patch.setattr(SimplicialComplex, "all_face_masks", no_face_set)
+            patch.setattr(SimplicialComplex, "_faces_by_dim", no_face_lists)
             supports = [wm for wm, _ in M.omega_profiles]
         used = K.vertex_mask
         large = [
@@ -391,16 +402,14 @@ class TestDualSideGuard:
         assert report == direct_outcome(chi)
 
     def test_analyze_takes_the_dual_side(self, tmp_path, monkeypatch, capsys, dual_calls):
-        path = tmp_path / "cross4.json"
-        assert main(["catalog", "emit", "cross4"]) == 0
-        path.write_text(capsys.readouterr().out, encoding="utf-8")
-        assert main(["analyze", str(path), "--conditions", "2"]) == 0
+        path = emitted(tmp_path, capsys, "cross4")
+        assert main(["analyze", path, "--conditions", "2"]) == 0
         dual = capsys.readouterr().out
         assert dual_calls
         # the same report with the certificate hidden, so every W is direct
         dual_calls.clear()
         monkeypatch.setattr(RealToricSpace, "sphere_certified", property(lambda M: False))
-        assert main(["analyze", str(path), "--conditions", "2"]) == 0
+        assert main(["analyze", path, "--conditions", "2"]) == 0
         assert capsys.readouterr().out == dual
         assert dual_calls == []
 
@@ -469,13 +478,64 @@ class TestConeExitCounts:
         assert len(cone_exits) == 255 and not any(cone_exits)  # W = {} exits first
 
     def test_analyze_bier9_takes_no_cone_exit(self, tmp_path, capsys, cone_exits):
-        path = tmp_path / "bier9.json"
-        assert main(["catalog", "emit", "bier9"]) == 0
-        path.write_text(capsys.readouterr().out, encoding="utf-8")
-        assert main(["analyze", str(path)]) == 0
+        assert main(["analyze", emitted(tmp_path, capsys, "bier9")]) == 0
         # 255 W past W = {}, and 93 large u tested before the dual side
         assert len(cone_exits) == 348 and not any(cone_exits)
 
     def test_cross4_fuzz_takes_the_cone_exit(self, capsys, cone_exits):
         assert main(["fuzz", "--complex", "cross4", "--samples", "5", "--seed", "0"]) == 0
         assert sum(map(bool, cone_exits)) > 0
+
+
+@pytest.fixture
+def whole_passes(monkeypatch):
+    """The vertex count of K for each K.faces_within call over all of K's
+    declared labels: one entry per whole-K face pass."""
+    seen = []
+    faces_within = SimplicialComplex.faces_within
+
+    def spy(K, wm):
+        if wm == (1 << K.vertex_count) - 1:
+            seen.append(K.vertex_count)
+        return faces_within(K, wm)
+
+    monkeypatch.setattr(SimplicialComplex, "faces_within", spy)
+    return seen
+
+
+class TestWholeFacePasses:
+    """K's faces are grown once per command: the shelling check's face
+    count caches K's face lists, the ring's minimal non-faces and the Bier
+    construction read them, and the f-vector is counted off them.  A sphere
+    whose face lists nothing reads has its f-vector counted off a pass that
+    is not kept."""
+
+    def test_analyze_bier9(self, tmp_path, capsys, whole_passes):
+        path = emitted(tmp_path, capsys, "bier9")
+        assert main(["analyze", path, "--format", "json"]) == 0
+        assert whole_passes == [18]
+
+    def test_bier_of_bier9(self, tmp_path, capsys, whole_passes):
+        path = emitted(tmp_path, capsys, "bier9")
+        assert main(["bier", path]) == 0
+        assert whole_passes == [18]
+
+    def test_shelling_of_cross4(self, tmp_path, capsys, whole_passes):
+        path = emitted(tmp_path, capsys, "cross4")
+        assert main(["shelling", path]) == 0
+        assert whole_passes == [8]
+
+    def test_table1(self, capsys, whole_passes):
+        # the seed complex's face lists for its Bier sphere, then the
+        # sphere's f-vector for the mod-2 Betti numbers
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out == TABLE1_STDOUT
+        assert whole_passes == [9, 18]
+
+    def test_evaluate_conditions_on_a_cross4_fuzz_instance(self, whole_passes):
+        # parsed from its document, as the fuzz corpus is, so K is new
+        chi, _ = sample_random_instance("cross4", random.Random(0))
+        K, chi = parse_instance(emit_instance("cross4-0", chi.complex, chi))
+        whole_passes.clear()
+        evaluate_conditions(RealToricSpace(K, chi))
+        assert whole_passes == [8]

@@ -625,7 +625,7 @@ class TestPinnedRing:
 def minimal_nonfaces_oracle(K, max_size):
     """Masks of the vertex sets of size <= max_size that are not faces but
     lose that by dropping any one vertex, by size, then mask."""
-    faces = K.all_face_masks()
+    faces = oracles.face_set(K)
     out = []
     for size in range(1, max_size + 1):
         masks = sorted(sum(1 << i for i in c) for c in combinations(range(K.vertex_count), size))

@@ -10,7 +10,9 @@ from oracles import (
     coboundary_matrix,
     complex_euler_characteristic,
     cone_apexes,
+    face_set,
     faces_by_filter,
+    ghost_labels,
     mod2_reduced_cohomology,
     moved_sphere,
     profile_euler_characteristic,
@@ -322,7 +324,7 @@ class TestFullSubcomplexOnMasks:
         checked = 0
         for K in complexes:
             for wm in range(1 << K.vertex_count):
-                sub = K.full_subcomplex(K.labels_of(wm))
+                sub = K.full_subcomplex(wm)
                 for c in (reduced_cohomology, mod2_reduced_cohomology):
                     whole = (1 << sub.vertex_count) - 1
                     assert c(K, wm) == c(sub, whole), (K.facets, wm, c)
@@ -380,7 +382,7 @@ class TestSimplexExit:
 
     def test_every_face_of_a_sphere(self, monkeypatch):
         K = boundary_of_simplex(4)
-        faces = K.all_face_masks() - {0}
+        faces = face_set(K) - {0}
         monkeypatch.setattr(K, "faces_within", no_faces)
         for fm in faces:
             assert reduced_cohomology(K, fm).groups == {}
@@ -420,7 +422,7 @@ class TestGrownFaces:
     @given(st.randoms(use_true_random=False), st.integers(0, 2))
     def test_moved_spheres_with_ghost_labels(self, rng, ghosts):
         K = with_ghosts(moved_sphere(rng), ghosts, rng)
-        assert len(K.ghost_labels()) == ghosts
+        assert len(ghost_labels(K)) == ghosts
         assert grown_face_mismatches(K, range(1 << K.vertex_count)) == []
 
 
@@ -475,7 +477,7 @@ class TestConeExit:
         distinct = {}
         for K, wm in cones:
             assert reduced_cohomology(K, wm).groups == {}, (K.facets, wm)
-            sub = K.full_subcomplex(K.labels_of(wm))
+            sub = K.full_subcomplex(wm)
             key = tuple(sorted(tuple(sub.labels.index(v) for v in f) for f in sub.facets))
             distinct.setdefault(key, sub)
         assert len(distinct) == 368
@@ -484,7 +486,7 @@ class TestConeExit:
 
     def test_ghost_labels_alone_are_no_cone(self):
         K = SimplicialComplex(range(1, 6), polygon(3).facets)  # 4 and 5 are ghosts
-        assert K.ghost_labels() == (4, 5)
+        assert ghost_labels(K) == (4, 5)
         ghosts = K.mask_of({4, 5})
         assert K.cone_apex(ghosts) == cone_apexes(K, ghosts) == 0
         assert reduced_cohomology(K, ghosts).groups == {-1: FinAbGroup.free(1)}
@@ -495,7 +497,7 @@ class TestConeExit:
 
     def test_one_vertex_and_every_face_of_a_sphere(self):
         K = boundary_of_simplex(3)
-        for fm in K.all_face_masks() - {0}:
+        for fm in face_set(K) - {0}:
             apex = K.cone_apex(fm)
             assert apex == fm & -fm and cone_apexes(K, fm) == fm
             assert reduced_cohomology(K, fm).groups == {}

@@ -80,7 +80,7 @@ class TestSubcomplexCoefficientConsistency:
         for name in ("rp3", "cross3mixed", "deltas0", "gon6klein", "rp2xrp2"):
             M = spaces(name)
             for wm in omega_descriptors(M.chi):
-                sub = M.complex.full_subcomplex(M.complex.labels_of(wm))
+                sub = M.complex.full_subcomplex(wm)
                 integral = reduced_cohomology(sub, (1 << sub.vertex_count) - 1)
                 mod2 = oracles.mod2_reduced_cohomology(sub)
                 for q in range(-1, sub.dim + 1):

@@ -150,7 +150,7 @@ class TestCriticalGenerators:
             for w in combinations(K.labels, size):
                 gens = critical_generators(s, K.mask_of(w))
                 total = sum(-1 if d % 2 else 1 for _, d in gens)
-                sub = K.full_subcomplex(w)
+                sub = K.full_subcomplex(K.mask_of(w))
                 assert total == profile_euler_characteristic(
                     reduced_cohomology(sub, (1 << sub.vertex_count) - 1)
                 )
