@@ -158,27 +158,24 @@ class RealToricSpace:
     @cached_property
     def omega_profiles(self) -> list[tuple[int, CohomologyProfile]]:
         """(vertex mask of the support, reduced cohomology of K_W) for every
-        row-space element, in omega_descriptors order, with one
+        row-space element, in omega_descriptors order, with at most one
         reduced_cohomology call per W.
 
         On a certified sphere with vertices V, a W whose part u in V holds
         more than half of V and is no cone is computed on V - u and read off
-        by alexander_dual; a cone u (K.cone_apex, a face of K included) goes
-        direct, where reduced_cohomology answers it with no face enumerated.
-        This never starts the shelling search: the certificate counts only
-        once the hypotheses exist."""
+        by alexander_dual; for a cone u (K.cone_apex, a face of K included)
+        K_W = K_u is contractible, so its profile is zero with no further
+        call.  This never starts the shelling search: the certificate counts
+        only once the hypotheses exist."""
         K = self.complex
         certified = "hypotheses" in self.__dict__ and self.sphere_certified
         used = K.vertex_mask
 
         def profile(wm: int) -> CohomologyProfile:
             u = wm & used
-            if (
-                certified
-                and u != used
-                and 2 * u.bit_count() > used.bit_count()
-                and not K.cone_apex(u)
-            ):
+            if certified and u != used and 2 * u.bit_count() > used.bit_count():
+                if K.cone_apex(u):
+                    return CohomologyProfile()
                 return alexander_dual(reduced_cohomology(K, used ^ u), self.n)
             return reduced_cohomology(K, wm)
 

@@ -20,6 +20,16 @@ images of the pivot columns together with the unpivoted faces are then a
 Z-basis of C^{q+1}, and delta_{q+1} vanishes on the image of delta_q, so the
 remaining columns span the same image lattice.  Rows pivoted in the dense
 phase are never cleared.
+
+Degrees -1 and 0 need no Smith normal form.  delta_{-1} maps the empty face
+to the sum of the vertices, so for a K_W with a vertex it has rank 1 and
+the factor 1.  For delta_0, take a spanning forest T of K_W's 1-skeleton
+(K.spanning_forest) rooted at the lowest vertex of each component: the rows
+of T restricted to the non-root vertices are a forest incidence matrix,
+which is unimodular.  So, as above, the images of the non-root vertices
+with the edges outside T are a Z-basis of C^1: delta_0 has rank |T| and only
+factors 1, and the edges of T are the cleared columns of delta_1.  The
+loop over degrees starts at delta_1, so a 1-dimensional K_W runs none.
 """
 
 from __future__ import annotations
@@ -281,16 +291,20 @@ def reduced_cohomology(K: SimplicialComplex, wm: int) -> CohomologyProfile:
     mask ``wm`` over K's labels; for K_W = {empty face} only H^{-1}
     survives.  A cone (K.cone_apex) is contractible, so its profile is
     zero; otherwise the faces of K_W come from K.faces_within, in the
-    ascending mask order that fixes the rows, columns and pivots."""
+    ascending mask order that fixes the rows, columns and pivots.  Degrees
+    -1 and 0 are read off K.spanning_forest: delta_{-1} has rank 1, delta_0
+    the forest's edge count, neither has torsion, and the forest's edges
+    are cleared from delta_1, where the coboundary rows and SNF start."""
     if not wm:
         return CohomologyProfile({-1: FinAbGroup.free(1)})
     if K.cone_apex(wm):
         return CohomologyProfile()
     faces = K.faces_within(wm)
-    ranks: dict[int, int] = {}
+    forest = K.spanning_forest(wm)
+    ranks = {-1: 1, 0: len(forest)} if 0 in faces else {}
     torsion_at: dict[int, list[int]] = {}
-    cleared: set[int] = set()
-    for q in range(-1, max(faces)):
+    cleared = set(forest)
+    for q in range(1, max(faces)):
         cols = {m: j for j, m in enumerate(m for m in faces[q] if m not in cleared)}
         rows = _coboundary_rows(faces[q + 1], cols)
         factors, unit_rows = _sparse_snf_factors(rows, len(cols))

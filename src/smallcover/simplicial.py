@@ -9,7 +9,10 @@ they are called only to read an order file, to give the used labels of a
 Bier sphere their columns, and to print a shelling or an error message.
 
 K's faces live in one store, the cached per-degree lists (face_masks);
-whether a mask is a face is read off them or off holders.
+whether a mask is a face is read off them or off holders.  For a full
+subcomplex K_W, faces_within grows its faces, cone_apex finds an apex and
+spanning_forest a spanning forest of its 1-skeleton, all over the cached
+vertex stars and neighbour masks.
 """
 
 from __future__ import annotations
@@ -159,6 +162,31 @@ class SimplicialComplex:
                    for j, fm in enumerate(self._facet_masks)):
                 return v
         return 0
+
+    def spanning_forest(self, wm: int) -> list[int]:
+        """Edge masks of a spanning forest of the 1-skeleton of the full
+        subcomplex K_W on the vertex mask wm; ghost labels in W are ignored.
+        Each tree grows from the lowest vertex of its component over the
+        neighbour masks: x in near[y] & wm is exactly "{x, y} is an edge of
+        K_W".  So it has f_0 - (number of components) edges."""
+        self.star_masks()
+        near = self._neighbours
+        left = wm & self._vertex_mask
+        edges = []
+        while left:
+            root = left & -left
+            left ^= root
+            stack = [root]
+            while stack:
+                y = stack.pop()
+                new = near[y] & left
+                left ^= new
+                while new:
+                    x = new & -new
+                    new ^= x
+                    edges.append(x | y)
+                    stack.append(x)
+        return edges
 
     def faces_within(self, wm: int) -> dict[int, list[int]]:
         """Degree -> ascending masks of the faces of K inside the vertex mask

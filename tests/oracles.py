@@ -17,7 +17,10 @@ SimplicialComplex's star-mask filter must match, the downward stack walk
 from the facets that K's face lists must match, and the per-degree filter
 of K's faces inside W that SimplicialComplex.faces_within must match for
 the K_W, and the apexes of a K_W as the intersection of its maximal
-faces, which SimplicialComplex.cone_apex must match.  K's face set from
+faces, which SimplicialComplex.cone_apex must match.  Union-find
+components and cycles of a graph on vertex bits, which
+SimplicialComplex.spanning_forest must span without a cycle.  Random
+complexes, pure or not, with ghost labels.  K's face set from
 the stack walk, its ghost labels, and its Bier sphere from the definition,
 which bier_sphere must match.  The Kunneth formula
 for integral cohomology of a product and, shifted up one degree, for the
@@ -107,6 +110,27 @@ def cone_apexes(K: SimplicialComplex, wm: int) -> int:
     return apexes
 
 
+def union_find(vertices: int, edges) -> tuple[int, bool]:
+    """The number of components of the graph on the vertex bits of
+    ``vertices`` with the given two-bit edge masks, by union-find, and
+    whether the edges are acyclic (no edge joins two vertices already
+    joined)."""
+    parent = {1 << i: 1 << i for i in range(vertices.bit_length()) if vertices >> i & 1}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    acyclic = True
+    for e in edges:
+        a, b = root(e & -e), root(e & (e - 1))
+        if a == b:
+            acyclic = False
+        parent[a] = b
+    return sum(1 for x in parent if parent[x] == x), acyclic
+
+
 def kunneth(p1: CohomologyProfile, p2: CohomologyProfile, shift: int = 0) -> CohomologyProfile:
     """H^k = sum over i + j = k of H^i(X) (x) H^j(Y), plus Tor(H^i(X), H^j(Y))
     over i + j = k + 1, placed in degree k + shift: the integral cohomology
@@ -177,6 +201,20 @@ def bier_sphere_by_definition(K: SimplicialComplex) -> SimplicialComplex:
                 rest = set(ground) - sigma - {s}
                 gens.append([rank[v] for v in sigma] + [ell + rank[v] for v in rest])
     return SimplicialComplex(range(1, 2 * ell + 1), gens)
+
+
+def random_complex(rng, pure: bool) -> SimplicialComplex:
+    """A complex over 1 to 8 labels in a shuffled order, up to two of them
+    ghosts, with 1 to 10 generators of up to 4 vertices: all of one size
+    when pure, else of mixed sizes.  Several components and isolated
+    vertices are common."""
+    labels = rng.sample(range(1, 20), rng.randint(1, 8))
+    used = labels[:rng.randint(max(1, len(labels) - 2), len(labels))]
+    top = min(4, len(used))
+    size = rng.randint(1, top)
+    gens = [rng.sample(used, size if pure else rng.randint(1, top))
+            for _ in range(rng.randint(1, 10))]
+    return SimplicialComplex(labels, gens)
 
 
 def with_ghosts(K: SimplicialComplex, count: int, rng) -> SimplicialComplex:

@@ -17,7 +17,7 @@ from oracles import (
     sympy_cohomology,
     with_ghosts,
 )
-from smallcover import cover
+from smallcover import cover, homology
 from smallcover.bier import bier_instance, table1_seed_complex
 from smallcover.catalog import catalog, get_entry
 from smallcover.charmap import CharacteristicMatrix, first_dependent_facet, omega_descriptors
@@ -318,13 +318,19 @@ def outcome(M):
         return type(exc), str(exc)
 
 
-def direct_outcome(chi):
-    """outcome with every full subcomplex computed directly."""
+def direct_profiles(chi):
+    """omega_profiles with every full subcomplex computed directly."""
     M = RealToricSpace(chi.complex, chi)
-    M.omega_profiles = [
+    return [
         (wm, reduced_cohomology(chi.complex, wm))
         for wm in omega_descriptors(chi, M.classification.coloring)
     ]
+
+
+def direct_outcome(chi):
+    """outcome with every full subcomplex computed directly."""
+    M = RealToricSpace(chi.complex, chi)
+    M.omega_profiles = direct_profiles(chi)
     return outcome(M)
 
 
@@ -371,20 +377,34 @@ class TestDualSideGuard:
         assert report == direct_outcome(chi)
 
     def test_cones_of_a_certified_sphere_stay_direct(self, monkeypatch, dual_calls):
-        # A large u that is a cone goes direct and takes the cone exit; only
-        # the others are computed on their complement.  K's face lists are
-        # not read.
+        # A large u that is a cone is answered with the zero profile once its
+        # apex is found, with no reduced_cohomology call and no second cone
+        # test; only the others are computed on their complement.  K's face
+        # lists are not read.
         chi = get_entry("cross4mixed").chi
         K = chi.complex
         M = RealToricSpace(K, chi)
         assert M.sphere_certified
+        calls, tested = [], []
+        cone_apex = SimplicialComplex.cone_apex
 
         def no_face_lists(K):
             raise AssertionError("omega_profiles read K's face lists")
 
+        def counted(K, wm):
+            calls.append(wm)
+            return reduced_cohomology(K, wm)
+
+        def spy(K, wm):
+            tested.append(wm)
+            return cone_apex(K, wm)
+
         with monkeypatch.context() as patch:
             patch.setattr(SimplicialComplex, "_faces_by_dim", no_face_lists)
-            supports = [wm for wm, _ in M.omega_profiles]
+            patch.setattr(SimplicialComplex, "cone_apex", spy)
+            patch.setattr(cover, "reduced_cohomology", counted)
+            profiles = M.omega_profiles
+        supports = [wm for wm, _ in profiles]
         used = K.vertex_mask
         large = [
             wm & used for wm in supports
@@ -393,6 +413,9 @@ class TestDualSideGuard:
         cones = [u for u in large if cone_apexes(K, u)]
         assert (len(large), len(cones)) == (5, 2)
         assert len(dual_calls) == 3
+        assert len(calls) == len(supports) - len(cones)
+        assert not set(cones) & set(calls) and all(tested.count(u) == 1 for u in cones)
+        assert profiles == direct_profiles(chi)
         assert evaluate_conditions(M) == direct_outcome(chi)
 
     def test_certified_sphere_takes_the_dual_side(self, dual_calls):
@@ -485,6 +508,46 @@ class TestConeExitCounts:
     def test_cross4_fuzz_takes_the_cone_exit(self, capsys, cone_exits):
         assert main(["fuzz", "--complex", "cross4", "--samples", "5", "--seed", "0"]) == 0
         assert sum(map(bool, cone_exits)) > 0
+
+
+class TestForestStepCounts:
+    """Degrees -1 and 0 of every K_W are read off its spanning forest,
+    counted with no timing: they build no coboundary row and reach no
+    Smith normal form."""
+
+    def test_gon12_runs_no_snf(self, monkeypatch, tmp_path, capsys):
+        snf, calls = [], []
+        sparse_snf_factors = homology._sparse_snf_factors
+
+        def spy_snf(rows, ncols):
+            snf.append(ncols)
+            return sparse_snf_factors(rows, ncols)
+
+        def spy(K, wm):
+            calls.append(wm)
+            return reduced_cohomology(K, wm)
+
+        monkeypatch.setattr(homology, "_sparse_snf_factors", spy_snf)
+        monkeypatch.setattr(cover, "reduced_cohomology", spy)
+        assert main(["analyze", emitted(tmp_path, capsys, "gon12")]) == 0
+        assert len(calls) == 4 and snf == []  # the 2^2 row-space elements
+        K = get_entry("gon12").complex
+        profiles = [reduced_cohomology(K, wm) for wm in range(1 << K.vertex_count)]
+        assert sum(p.groups != {} for p in profiles) > 1000 and snf == []
+
+    def test_analyze_bier9_builds_no_row_below_degree_2(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        sizes = []
+        coboundary_rows = homology._coboundary_rows
+
+        def spy(faces, cols):
+            sizes.extend(f.bit_count() for f in faces)
+            return coboundary_rows(faces, cols)
+
+        monkeypatch.setattr(homology, "_coboundary_rows", spy)
+        assert main(["analyze", emitted(tmp_path, capsys, "bier9")]) == 0
+        assert sizes and min(sizes) == 3
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from oracles import (
     mod2_reduced_cohomology,
     moved_sphere,
     profile_euler_characteristic,
+    random_complex,
     smith_normal_form,
     sympy_cohomology,
     with_ghosts,
@@ -426,6 +427,53 @@ class TestGrownFaces:
         assert grown_face_mismatches(K, range(1 << K.vertex_count)) == []
 
 
+def forest_step_mismatches(K, masks):
+    """The masks W among ``masks`` where reduced_cohomology, which reads
+    degrees -1 and 0 off K.spanning_forest, differs from sympy's Smith
+    normal form of every coboundary of K_W with none cleared.  Each distinct
+    K_W (over compacted labels) goes to sympy once."""
+    pytest.importorskip("sympy")
+    expected = {}
+    bad = []
+    for wm in masks:
+        sub = K.full_subcomplex(wm)
+        key = (sub.vertex_count,
+               tuple(tuple(sub.labels.index(v) for v in f) for f in sub.facets))
+        if key not in expected:
+            expected[key] = sympy_cohomology(sub)
+        if reduced_cohomology(K, wm).groups != expected[key]:
+            bad.append(wm)
+    return bad
+
+
+class TestForestStep:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_random_complexes(self, rng, pure):
+        K = random_complex(rng, pure)
+        masks = {(1 << K.vertex_count) - 1, K.vertex_mask, K.vertex_mask & -K.vertex_mask}
+        masks.update(rng.getrandbits(K.vertex_count) for _ in range(4))
+        assert forest_step_mismatches(K, sorted(masks)) == [], K.facets
+
+    def test_components_isolated_vertices_and_ghosts(self):
+        # a circle, a triangle, an edge and an isolated vertex; 9 is a ghost
+        K = SimplicialComplex(
+            range(1, 10), [(1, 2), (2, 3), (1, 3), (4, 5, 6), (7, 8), (8,), (2, 4)]
+        )
+        assert ghost_labels(K) == (9,)
+        assert reduced_cohomology(K, K.vertex_mask).groups == {
+            0: FinAbGroup.free(1), 1: FinAbGroup.free(1)
+        }
+        assert forest_step_mismatches(K, range(1 << K.vertex_count)) == []
+
+    @pytest.mark.parametrize("name", ["rp2_with_cone", "rp2_6v", "deltas0"])
+    def test_every_w_where_torsion_sits_above_the_forest_step(self, name):
+        # H^2 = Z_2 of RP^2 comes from delta_1, the first Smith normal form
+        # after the forest step, whose columns the forest has cleared.
+        K = rp2_with_cone() if name == "rp2_with_cone" else get_entry(name).complex
+        assert forest_step_mismatches(K, range(1 << K.vertex_count)) == []
+
+
 class TestHonestFailure:
     def test_negative_betti_number_is_an_internal_error(self, monkeypatch):
         import smallcover.homology as homology
@@ -435,8 +483,11 @@ class TestHonestFailure:
             homology, "_sparse_snf_factors",
             lambda rows, ncols: ([1] * min(len(rows), ncols), []),
         )
-        with pytest.raises(InternalConsistencyError):
-            K = boundary_of_simplex(2)
+        # The boundary of the 4-simplex has faces in degree 2 and above, so
+        # the patched form is reached (a 1-dimensional K_W is answered by its
+        # spanning forest alone); it gives b^2 = 10 - 5 - 6 = -1.
+        with pytest.raises(InternalConsistencyError, match="degree 2"):
+            K = boundary_of_simplex(4)
             reduced_cohomology(K, (1 << K.vertex_count) - 1)
 
     def test_cli_exit_code_three(self, monkeypatch, capsys):

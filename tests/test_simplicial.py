@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from oracles import (
     complex_euler_characteristic,
     face_set,
+    faces_by_filter,
     faces_by_stack_walk,
     ghost_labels,
     maximal_masks_quadratic,
+    random_complex,
     ridge_flip,
+    union_find,
 )
 from smallcover.catalog import catalog
 from smallcover.errors import InputError, InternalConsistencyError
@@ -186,6 +189,47 @@ class TestFullSubcomplex:
         assert face_set(small) and all(
             large.mask_of(small.labels_of(m)) in faces for m in face_set(small)
         )
+
+
+def assert_spanning_forest(K, wm):
+    """K.spanning_forest(wm) against union-find over the edges of K_W: its
+    edges are edges of K_W, they close no cycle and join every component,
+    so there are f_0 - components of them."""
+    faces = faces_by_filter(K, wm)
+    vertices = sum(faces.get(0, ()))
+    edges = K.spanning_forest(wm)
+    assert set(edges) <= set(faces.get(1, ())), (K.facets, wm)
+    components, _ = union_find(vertices, faces.get(1, ()))
+    assert union_find(vertices, edges) == (components, True), (K.facets, wm)
+    assert len(edges) == len(faces.get(0, ())) - components, (K.facets, wm)
+
+
+class TestSpanningForest:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_every_w_of_random_complexes(self, rng, pure):
+        K = random_complex(rng, pure)
+        for wm in range(1 << K.vertex_count):
+            assert_spanning_forest(K, wm)
+
+    def test_components_isolated_vertices_and_ghosts(self):
+        # components {1, 2, 3, 4}, {5, 6} and the isolated vertex 7; 8 is a ghost
+        K = SimplicialComplex(range(1, 9), [(1, 2, 3), (3, 4), (5, 6), (7,)])
+        assert ghost_labels(K) == (8,)
+        whole = (1 << K.vertex_count) - 1
+        assert len(K.spanning_forest(whole)) == 7 - 3
+        assert K.spanning_forest(K.mask_of({7, 8})) == []  # a single vertex
+        assert K.spanning_forest(K.mask_of({8})) == []  # no vertex of K
+        assert K.spanning_forest(0) == []
+        assert K.spanning_forest(K.mask_of({1, 4, 5, 6})) == [K.mask_of({5, 6})]
+        for wm in range(1 << K.vertex_count):
+            assert_spanning_forest(K, wm)
+
+    def test_catalog_complexes(self):
+        for e in catalog().values():
+            K = e.complex
+            for wm in range(0, 1 << K.vertex_count, max(1, (1 << K.vertex_count) // 300)):
+                assert_spanning_forest(K, wm)
 
 
 class TestMaskBoundary:
