@@ -78,18 +78,17 @@ class CharacteristicMatrix:
         basis exchange away: with c the entry of v in G, which holds u
         exactly when fm's columns are independent, an entry x of G becomes
         x ^ c | v when it holds u and stays x otherwise.  Only a facet with
-        no cached ridge neighbour inverts B_F: a flip scan of bier9 in facet
-        order inverts 5 of its 365 bases.
+        no cached ridge neighbour inverts B_F.  flip_supports reads these
+        coordinates only for a flip that neither column test decides, so
+        analyze of bier9 solves and inverts one basis, the ring's first
+        facet's.
         """
         cache = self._facet_coordinates
         got = cache.get(fm)
         if got is not None:
             return got
         K = self.complex
-        if fm.bit_count() != self.n:
-            raise InternalConsistencyError(
-                f"facet {K.labels_of(fm)} has {fm.bit_count()} vertices, not n = {self.n}"
-            )
+        _check_facet_size(self, fm)
         if K.is_pure():
             table, facets = K.ridge_table(), K.facet_masks
             bits = fm
@@ -122,6 +121,15 @@ class CharacteristicMatrix:
     @cached_property
     def _facet_coordinates(self) -> dict[int, tuple[int, ...]]:
         return {}
+
+
+def _check_facet_size(M: CharacteristicMatrix, fm: int) -> None:
+    """InternalConsistencyError unless the facet with mask fm has n vertices,
+    so that its columns are a basis."""
+    if fm.bit_count() != M.n:
+        raise InternalConsistencyError(
+            f"facet {M.complex.labels_of(fm)} has {fm.bit_count()} vertices, not n = {M.n}"
+        )
 
 
 def first_dependent_facet(K: SimplicialComplex, cols) -> int | None:
@@ -230,15 +238,30 @@ def flip_supports(M: CharacteristicMatrix):
     and every vertex bit v of fm, lowest first.  S is the vertex mask, a
     subset of fm, with lambda(p) = the sum of the columns at S, where p is
     the vertex that replaces v across the ridge fm - v: the entry of p in
-    the facet's coordinates."""
+    the facet's coordinates.
+
+    Each facet is checked for n vertices, so its columns are a basis and S
+    is unique: S = {v} exactly when lambda(p) = lambda(v), and S = fm
+    exactly when lambda(p) is the sum of fm's columns.  Only a flip that is
+    neither reads the facet's coordinates."""
     K = M.complex
+    cols = M.matrix.column_bits()
     for fm in K.facet_masks:
-        coords = M.facet_coordinates(fm)
+        _check_facet_size(M, fm)
+        total = 0
+        for j in bit_positions(fm):
+            total ^= cols[j]
         bits = fm
         while bits:
             v = bits & -bits
             bits ^= v
-            yield fm, v, coords[K.flip_bit(fm, v).bit_length() - 1]
+            p = K.flip_bit(fm, v).bit_length() - 1
+            if cols[p] == cols[v.bit_length() - 1]:
+                yield fm, v, v
+            elif cols[p] == total:
+                yield fm, v, fm
+            else:
+                yield fm, v, M.facet_coordinates(fm)[p]
 
 
 def classify_via_flips(M: CharacteristicMatrix) -> PullbackClass:

@@ -326,11 +326,17 @@ def _minimal_nonfaces(K: SimplicialComplex, size: int) -> list[int]:
     """Vertex masks of the non-faces of `size` vertices whose proper subsets
     are all faces, ascending.  Each is met once, as the face left when its
     highest vertex is removed plus that vertex.  Membership is tested in a
-    set of the two face sizes read, size - 1 and size."""
+    set of the two face sizes read, size - 1 and size.  Every pair inside a
+    minimal non-face of 3 or more vertices is an edge, so only the common
+    neighbours of the face (K.neighbours) are tried as that vertex; sizes 1
+    and 2, whose minimal non-faces are the ghost labels and the non-edges,
+    try every label."""
     faces = {*K.face_masks(size - 2), *K.face_masks(size - 1)}
+    every = (1 << K.vertex_count) - 1
     found = []
     for fm in K.face_masks(size - 2):
-        for b in range(fm.bit_length(), K.vertex_count):
+        top = fm.bit_length()
+        for b in bit_positions((K.neighbours(fm) if size >= 3 else every) >> top << top):
             m = fm | 1 << b
             if m not in faces and all(m ^ 1 << i in faces for i in bit_positions(fm)):
                 found.append(m)

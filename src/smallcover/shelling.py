@@ -10,7 +10,11 @@ order; each facet carries the bits of its vertices v whose ridge (facet
 minus v) lies in a placed facet, kept up to date on every placement and
 backtrack; and a face is old exactly when some placed facet holds it, which
 is K.holders of the face among the placed mask: one AND of K's cached
-vertex stars.
+vertex stars.  A frontier facet whose new face is old is blocked, and
+stays blocked while facets are only placed and its ridge bits do not
+change, so the search tests it again only after a placement touches its
+ridges or after a backtrack: the order, the placements and the budget
+count are those of testing every frontier facet at every depth.
 """
 
 from __future__ import annotations
@@ -144,8 +148,11 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
 
     placements = 0
     start = 0  # candidates below this index were tried at this depth
+    # facets not known to be blocked (module docstring): a facet found
+    # blocked leaves it until move touches it or the search backtracks
+    maybe = everything
     while True:
-        left = (frontier[-1] if order else everything) >> start << start
+        left = ((frontier[-1] if order else everything) & maybe) >> start << start
         while left:
             bit = left & -left
             left ^= bit
@@ -153,6 +160,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
             # past depth 0 every candidate has ridge bits: it is on the frontier
             if not (placed and holders(new[i], placed)):
                 break
+            maybe ^= bit
         else:
             frontier.pop()
             if not order:
@@ -161,6 +169,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
             placed ^= 1 << i
             move(i, -1)
             start = i + 1
+            maybe = everything
             continue
         if placements == budget:
             raise ShellingBudgetExceeded(
@@ -172,5 +181,7 @@ def find_shelling(K: SimplicialComplex, budget: int = SHELLING_BUDGET) -> Shelli
         placed |= bit
         if len(order) == total:
             return _verified(K, [facets[j] for j in order])
-        frontier.append((frontier[-1] | move(i, 1)) & ~placed)
+        touched = move(i, 1)
+        maybe |= touched
+        frontier.append((frontier[-1] | touched) & ~placed)
         start = 0

@@ -139,6 +139,18 @@ class SimplicialComplex:
             m ^= low
         return among
 
+    def neighbours(self, m: int) -> int:
+        """The AND of the neighbour masks (see star_masks) of the vertices in
+        the mask m: every vertex adjacent to all of m, so m plus a vertex
+        outside it is no face.  Every label when m is empty."""
+        self.star_masks()
+        common = (1 << len(self._labels)) - 1
+        while m:
+            low = m & -m
+            common &= self._neighbours[low]
+            m ^= low
+        return common
+
     def cone_apex(self, wm: int) -> int:
         """Bit of an apex of the full subcomplex K_W on the vertex mask wm,
         or 0 when K_W is no cone.  Only vertices of K count: ghost labels in
@@ -193,24 +205,27 @@ class SimplicialComplex:
         wm, from the empty face (degree -1) up to the top nonempty degree.
 
         The faces are grown depth first from the empty face, each carrying
-        its holders: f plus a vertex v of wm below f's lowest vertex is a
-        face exactly when held & star[v] is nonzero.  So each face is met
-        once, no face set is read, and since a face's vertices are added
-        highest first and the vertices below it are tried ascending, each
-        degree comes out in ascending mask order."""
+        its holders and the AND of its vertices' neighbour masks: f plus a
+        vertex v of wm below f's lowest vertex is a face exactly when
+        held & star[v] is nonzero, and only a v in that AND is tried, since
+        any other misses an edge to f.  So each face is met once, no face
+        set is read, and since a face's vertices are added highest first
+        and the vertices below it are tried ascending, each degree comes
+        out in ascending mask order."""
         star = self.star_masks()
+        near = self._neighbours
         by_size: list[list[int]] = [[] for _ in range(self._dim + 2)]
-        stack = [(0, -1)]
+        stack = [(0, -1, wm)]
         while stack:
-            f, held = stack.pop()
+            f, held, common = stack.pop()
             by_size[f.bit_count()].append(f)
-            below = wm & ((f & -f) - 1)  # all of wm below the empty face
+            below = common & ((f & -f) - 1)  # all of common for the empty face
             while below:
                 top = 1 << below.bit_length() - 1
                 below ^= top
                 h = held & star[top]
                 if h:
-                    stack.append((f | top, h))
+                    stack.append((f | top, h, common & near[top]))
         return {size - 1: fs for size, fs in enumerate(by_size) if fs}
 
     def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:

@@ -485,6 +485,17 @@ class TestFacetCoordinates:
         with pytest.raises(InternalConsistencyError, match="has 2 vertices, not n = 3"):
             classify_via_flips(chi)
 
+    def test_facet_of_the_wrong_size_that_both_column_tests_pass(self):
+        # columns e1, e2, e1 + e2 with n = 3: every flip's column is the
+        # facet's other column or the sum of both, so no flip needs the
+        # facet's coordinates, and the scan must check the size itself
+        chi = CharacteristicMatrix(boundary_of_simplex(2), BitMatrix(3, 3, (5, 6, 0)))
+        assert chi.matrix.column_bits() == [1, 2, 3]
+        with pytest.raises(
+            InternalConsistencyError, match=r"facet \(1, 2\) has 2 vertices, not n = 3"
+        ):
+            classify_via_flips(chi)
+
     def test_pivot_column_missing_the_dropped_vertex(self):
         # G = F - v + p is cached with p dropped from v's column; F can only
         # be reached from G, whose entry for v must then hold p

@@ -426,6 +426,14 @@ class TestGrownFaces:
         assert len(ghost_labels(K)) == ghosts
         assert grown_face_mismatches(K, range(1 << K.vertex_count)) == []
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_random_complexes_pure_and_mixed(self, rng, pure):
+        # non-pure generators, missing edges inside a vertex's neighbours
+        # and ghost labels, which no common-neighbour mask holds
+        K = random_complex(rng, pure)
+        assert grown_face_mismatches(K, range(1 << K.vertex_count)) == [], K.facets
+
 
 def forest_step_mismatches(K, masks):
     """The masks W among ``masks`` where reduced_cohomology, which reads
